@@ -67,8 +67,15 @@ _NUMERICAL_ERRORS = (
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
-    n = int(round((stop - start) / step))
-    return [round(start + i * step, 10) for i in range(n + 1)]
+    """Inclusive range start, start + step, ..., never past stop.
+
+    The point count forgives float error of 1e-9 steps in (stop - start) /
+    step.  Points are rounded at ten significant digits of the step, which
+    strips float noise (0.1 + 3 * 0.05 -> 0.25) without merging neighbours.
+    """
+    n = math.floor((stop - start) / step + 1e-9)
+    digits = 10 - math.floor(math.log10(step))
+    return [min(round(start + i * step, digits), stop) for i in range(n + 1)]
 
 
 _G_GRID = _grid(0.1, 1.0, 0.05)
@@ -143,6 +150,8 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(x) for x in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
         if step <= 0.0:
             raise ValueError(f"grid step must be positive, got {step}")
         if stop < start:

@@ -18,7 +18,8 @@ closed 4x4 blocks plus a small boundary block at photon number zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import operator
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -28,11 +29,20 @@ from .model import (
     ModelParams,
     TrwaParams,
     coeff_f1,
+    coeff_f1_table,
     coeff_g0,
+    coeff_g0_table,
     constant_offset,
     resonance_residual,
 )
-from .numerics import NoBracketError, NonFiniteError, SymmetricMatrix, eigh, sym_set
+from .numerics import (
+    NoBracketError,
+    NonFiniteError,
+    SymmetricMatrix,
+    eigh,
+    eigvals_stacked,
+    sym_set,
+)
 from .resonance import DegenerateDesignError, SingularError, design_resonant
 
 _SPIN_CHARS = {1: "+", -1: "-"}
@@ -131,41 +141,74 @@ def _hop_element(p: ModelParams, t: TrwaParams, n_lo: int, qubit: int, s_hi: int
     return (g + lam * p.omega) * math.sqrt(n_lo + 1.0) + s_hi * delta * coeff_f1(lam, n_lo, mode)
 
 
-def _pair_element(p: ModelParams, t: TrwaParams, a: ChainState, b: ChainState,
-                  mode: CoefficientMode) -> float:
-    """Off-diagonal element between two distinct chain states (0 when unlinked)."""
-    lo, hi = (a, b) if a.n <= b.n else (b, a)
-    dn = hi.n - lo.n
-    flip1 = lo.s1 != hi.s1
-    flip2 = lo.s2 != hi.s2
-    if dn == 0 and flip1 and flip2:
-        return resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
-    if dn == 1 and flip1 != flip2:
-        if flip1:
-            return _hop_element(p, t, lo.n, 1, hi.s1, mode)
-        return _hop_element(p, t, lo.n, 2, hi.s2, mode)
-    return 0.0
-
-
 def build_effective_chain_matrix(
     p: ModelParams,
     t: TrwaParams,
     chain: ParityChain,
     mode: CoefficientMode = CoefficientMode.APPROX,
 ) -> SymmetricMatrix:
-    """Assemble the effective Hamiltonian restricted to one parity chain."""
+    """Assemble the effective Hamiltonian restricted to one parity chain.
+
+    Element formulas are those of _diag_element and _hop_element, applied
+    elementwise over coefficient tables of the chain (one Laguerre
+    recurrence per displacement and order), so every entry is bit-equal to
+    the scalar formulas.  Chain index 2n + r holds photon number n.
+    """
     states = chain.states
     dim = len(states)
+    ns = np.array([s.n for s in states])
+    s1 = np.array([s.s1 for s in states])
+    s2 = np.array([s.s2 for s in states])
+    if dim % 2 or not np.array_equal(ns, np.arange(dim) // 2):
+        raise ValueError("chain must hold two states per photon number, ascending from 0")
+    n_top = dim // 2 - 1
+
+    g0_1 = coeff_g0_table(t.lambda1, n_top, mode)
+    g0_2 = coeff_g0_table(t.lambda2, n_top, mode)
+    diag = (
+        p.omega * ns
+        + constant_offset(p, t)
+        + s1 * p.delta1 * g0_1[ns]
+        + s2 * p.delta2 * g0_2[ns]
+    )
+
+    # same n: the two states differ in both spins (double flip)
+    lo = np.arange(0, dim, 2)
+    hi = lo + 1
+    both = (s1[lo] != s1[hi]) & (s2[lo] != s2[hi])
+    same_n = resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
+    rows, cols, vals = [lo], [hi], [np.where(both, same_n, 0.0)]
+
+    # n <-> n+1: linked when exactly one qubit flips; s_hi is the flipped
+    # qubit's sign in the higher-photon state
+    n_lo = np.arange(n_top)
+    root = np.sqrt(n_lo + 1.0)
+    f1_1 = coeff_f1_table(t.lambda1, n_top, mode)[:n_top]
+    f1_2 = coeff_f1_table(t.lambda2, n_top, mode)[:n_top]
+    base1 = (p.g1 + t.lambda1 * p.omega) * root
+    base2 = (p.g2 + t.lambda2 * p.omega) * root
+    for a in (0, 1):
+        for b in (0, 1):
+            i = 2 * n_lo + a
+            j = 2 * n_lo + 2 + b
+            flip1 = s1[i] != s1[j]
+            flip2 = s2[i] != s2[j]
+            hop = np.where(
+                flip1,
+                base1 + s1[j] * p.delta1 * f1_1,
+                base2 + s2[j] * p.delta2 * f1_2,
+            )
+            rows.append(i)
+            cols.append(j)
+            vals.append(np.where(flip1 != flip2, hop, 0.0))
+
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    # The dense matrix is allocated after every temporary: temporaries made
+    # after it kept a second matrix-sized region resident in the allocator
+    # (+4.6 MiB peak RSS at 200 blocks).
     arr = np.zeros((dim, dim))
-    for i, si in enumerate(states):
-        arr[i, i] = _diag_element(p, t, si.n, si.s1, si.s2, mode)
-        for j in range(i + 1, dim):
-            sj = states[j]
-            if sj.n - si.n > 1:
-                break
-            v = _pair_element(p, t, si, sj, mode)
-            if v != 0.0:
-                sym_set(arr, i, j, v)
+    np.fill_diagonal(arr, diag)
+    arr[rows, cols] = arr[cols, rows] = vals
     return SymmetricMatrix(arr, chain.labels())
 
 
@@ -291,19 +334,46 @@ def trwa_block_energies(
     n_blocks: int,
     mode: CoefficientMode = CoefficientMode.APPROX,
 ) -> list[float]:
-    """Eigenvalues of all closed blocks of one parity chain, ascending."""
+    """Eigenvalues of all closed blocks of one parity chain, ascending.
+
+    The 4x4 blocks are diagonalized in one stacked call; the boundary
+    group at photon number zero on its own.
+    """
     par = _normalize_parity(parity)
     chain = build_parity_chain(par, chain_n_max_for_blocks(n_blocks))
     h = build_effective_chain_matrix(p, t, chain, mode)
     energies: list[float] = []
+    quads = []
     for group in closed_block_index_groups(par, n_blocks):
+        if len(group) == 4:
+            quads.append(group)
+            continue
         sub = h.submatrix(group)
         if sub.dim == 1:
             energies.append(sub.entry(0, 0))
         else:
             energies.extend(float(v) for v in eigh(sub).values)
+    idx = np.array(quads)
+    energies.extend(eigvals_stacked(h.data[idx[:, :, None], idx[:, None, :]]).ravel().tolist())
     energies.sort()
     return energies
+
+
+def block_leakage(h: SymmetricMatrix, groups: Sequence[Sequence[int]]) -> float:
+    """Largest |element| of h that the block split drops.
+
+    That is every element coupling a state of one group to a state outside
+    it, including states past the last group.  Zero means the groups are
+    closed blocks of h; elements among ungrouped states are not counted.
+    """
+    member = np.full(h.dim, -1)
+    for k, group in enumerate(groups):
+        idx = list(group)
+        if np.any(member[idx] >= 0):
+            raise ValueError(f"group {k} overlaps an earlier group")
+        member[idx] = k
+    dropped = (member[:, None] >= 0) & (member[:, None] != member[None, :])
+    return float(np.max(np.abs(h.data[dropped]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -320,7 +390,13 @@ class SpectrumRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is an immutable scalar, so the deep copy made by
+        # dataclasses.asdict is wasted work
+        return dict(zip(_SPECTRUM_ROW_FIELDS, _spectrum_row_values(self)))
+
+
+_SPECTRUM_ROW_FIELDS = tuple(f.name for f in fields(SpectrumRow))
+_spectrum_row_values = operator.attrgetter(*_SPECTRUM_ROW_FIELDS)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .numerics import eval_laguerre
+import numpy as np
+
+from .numerics import eval_laguerre, laguerre_table
 
 
 class CoefficientMode(str, enum.Enum):
@@ -95,6 +97,38 @@ def coeff_f1(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) 
     if mode == CoefficientMode.APPROX:
         return damp * math.sqrt(n + 1.0)
     return damp * eval_laguerre(n, 1, 4.0 * lam * lam) / math.sqrt(n + 1.0)
+
+
+def coeff_g0_table(lam: float, n_max: int,
+                   mode: CoefficientMode = CoefficientMode.EXACT) -> np.ndarray:
+    """G0(n) for n = 0 .. n_max from one Laguerre recurrence.
+
+    Entry n is bit-equal to coeff_g0(lam, n, mode): the same float
+    operations, applied elementwise.
+    """
+    mode = CoefficientMode(mode)
+    if n_max < 0:
+        raise ValueError(f"photon number n_max={n_max} must be nonnegative")
+    damp = math.exp(-2.0 * lam * lam)
+    if mode == CoefficientMode.APPROX:
+        return np.full(n_max + 1, damp)
+    return damp * laguerre_table(n_max, 0, 4.0 * lam * lam)
+
+
+def coeff_f1_table(lam: float, n_max: int,
+                   mode: CoefficientMode = CoefficientMode.EXACT) -> np.ndarray:
+    """F1(n+1, n) for n = 0 .. n_max from one Laguerre recurrence.
+
+    Entry n is bit-equal to coeff_f1(lam, n, mode).
+    """
+    mode = CoefficientMode(mode)
+    if n_max < 0:
+        raise ValueError(f"photon number n_max={n_max} must be nonnegative")
+    damp = 2.0 * lam * math.exp(-2.0 * lam * lam)
+    root = np.sqrt(np.arange(n_max + 1) + 1.0)
+    if mode == CoefficientMode.APPROX:
+        return damp * root
+    return damp * laguerre_table(n_max, 1, 4.0 * lam * lam) / root
 
 
 def residual_eq8(omega: float, delta1: float, g1: float, lambda1: float) -> float:

@@ -24,42 +24,51 @@ class ConvergenceFailureError(RuntimeError):
     """The underlying eigensolver failed to converge."""
 
 
-def eval_laguerre(n: int, k: int, x: float) -> float:
-    """Evaluate the generalized Laguerre polynomial L_n^k(x).
+def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:
+    """Generalized Laguerre polynomials L_0^k(x) .. L_{n_max}^k(x).
 
     Uses the stable three-term upward recurrence
 
         (m+1) L_{m+1}^k(x) = (2m + k + 1 - x) L_m^k(x) - (m + k) L_{m-1}^k(x)
 
-    starting from L_0^k = 1 and L_1^k = 1 + k - x.
+    starting from L_0^k = 1 and L_1^k = 1 + k - x, run once up to n_max.
 
     Parameters
     ----------
-    n : int
-        Degree, 0 <= n <= 10_000.
+    n_max : int
+        Highest degree, 0 <= n_max <= 10_000.
     k : int
-        Order, k >= 0.  k=0 gives the ordinary Laguerre polynomial.
+        Order, k >= 0.  k=0 gives the ordinary Laguerre polynomials.
     x : float
         Evaluation point, x >= 0 for the uses in this package.
 
     Returns
     -------
-    float
-        L_n^k(x).  Exact binomial values at x = 0: L_n^k(0) = C(n+k, n).
+    np.ndarray
+        Length n_max + 1, entry n holding L_n^k(x).  Exact binomial values
+        at x = 0: L_n^k(0) = C(n+k, n).
     """
-    if n < 0 or n > 10_000:
-        raise ValueError(f"degree n={n} outside [0, 10000]")
+    if n_max < 0 or n_max > 10_000:
+        raise ValueError(f"degree n={n_max} outside [0, 10000]")
     if k < 0:
         raise ValueError(f"order k={k} must be nonnegative")
     if not math.isfinite(x):
         raise NonFiniteError(f"x={x} is not finite")
-    if n == 0:
-        return 1.0
-    lm1 = 1.0                 # L_0
-    lm = 1.0 + k - x          # L_1
-    for m in range(1, n):
+    values = [1.0, 1.0 + k - x]   # L_0, L_1
+    lm1, lm = values
+    for m in range(1, n_max):
         lm, lm1 = ((2.0 * m + k + 1.0 - x) * lm - (m + k) * lm1) / (m + 1.0), lm
-    return lm
+        values.append(lm)
+    return np.array(values[:n_max + 1])
+
+
+def eval_laguerre(n: int, k: int, x: float) -> float:
+    """Evaluate the generalized Laguerre polynomial L_n^k(x).
+
+    The last entry of laguerre_table(n, k, x), with the same validation:
+    0 <= n <= 10_000, k >= 0, x finite.
+    """
+    return float(laguerre_table(n, k, x)[n])
 
 
 def find_root(
@@ -208,6 +217,21 @@ def eigh(m: SymmetricMatrix) -> EigenDecomposition:
                     vecs[:, col] = -v
                 break
     return EigenDecomposition(values=vals, vectors=vecs)
+
+
+def eigvals_stacked(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (k, d, d) stack of symmetric matrices.
+
+    One numpy.linalg.eigh call over the whole stack.  It runs the same
+    LAPACK routine per matrix as eigh(), so row i is bit-equal to
+    eigh(SymmetricMatrix(blocks[i])).values; numpy.linalg.eigvalsh takes
+    another path and differs in the last bits.  The stack is not
+    revalidated: callers pass submatrices of a validated SymmetricMatrix.
+    """
+    try:
+        return np.linalg.eigh(blocks)[0]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailureError(str(exc)) from exc
 
 
 def eigvals_sym(m: SymmetricMatrix) -> np.ndarray:

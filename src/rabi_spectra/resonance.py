@@ -36,15 +36,6 @@ class DegenerateDesignError(ValueError):
     """The design formulas degenerate (division by zero coupling or displacement)."""
 
 
-def lambda_guess(omega: float, delta: float, g: float) -> float:
-    """Closed-form starting estimate -g / (omega + 2*delta*exp(-(g/(omega+2*delta))^2)).
-
-    Only an estimate; the solvers use fixed brackets and do not depend on it.
-    """
-    q = g / (omega + 2.0 * delta)
-    return -g / (omega + 2.0 * delta * math.exp(-q * q))
-
-
 def solve_lambda1(omega: float, delta1: float, g1: float, tol: float = _LAMBDA_TOL) -> float:
     """Solve the qubit-1 condition for lambda1 in [-1, 0].
 

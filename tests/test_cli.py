@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from rabi_spectra.cli import main
+from rabi_spectra.cli import PRESETS, main, parse_grid
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -244,6 +244,35 @@ def test_validate_flags_bad_grid_step():
     doc = json.loads(out)
     assert any(v["field"] == "g2_grid" and "step" in v["message"]
                for v in doc["violations"])
+
+
+def test_parse_grid_range_never_passes_stop():
+    assert parse_grid("0:1:0.6") == [0.0, 0.6]
+    assert parse_grid("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.3]
+    assert parse_grid("2:2:0.5") == [2.0]
+
+
+def test_parse_grid_rejects_nonfinite_range():
+    for text in ("0:inf:0.1", "0:1:inf", "nan:1:0.1"):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+    code, out, _ = run(["validate", "--for", "scan-window", "--omega-values", "1",
+                        "--delta2-values", "2", "--g2-grid", "0:inf:0.1"])
+    assert code == 1
+    assert any(v["field"] == "g2_grid" for v in json.loads(out)["violations"])
+
+
+def test_parse_grid_tiny_step_keeps_points_distinct():
+    grid = parse_grid("0:1e-10:3e-11")
+    assert grid == [0.0, 3e-11, 6e-11, 9e-11]
+
+
+def test_preset_grids_keep_their_published_values():
+    g = [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65,
+         0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
+    assert parse_grid("0.1:1.0:0.05") == g
+    assert PRESETS["fig3"]["g1_grid"] == g
+    assert all(PRESETS[f"fig{k}"]["g2_grid"] == g for k in ("1a", "1b", "2a", "2b"))
 
 
 def test_validate_flags_half_pair():

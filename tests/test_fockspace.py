@@ -1,6 +1,7 @@
 """Parity chains, the effective block-diagonal matrix, and the closed
 four-state blocks under a joint resonant design."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from rabi_spectra import (
     ChainState,
     CoefficientMode,
     ModelParams,
+    ParityChain,
+    SymmetricMatrix,
     TrwaParams,
     block_eigenvector_to_wavefunction,
+    block_leakage,
     build_block4,
     build_effective_chain_matrix,
     build_parity_chain,
@@ -21,10 +25,13 @@ from rabi_spectra import (
     coeff_f1,
     constant_offset,
     design_resonant,
+    eigh,
     eigvals_sym,
     resonance_residual,
     spectrum_vs_g1,
+    trwa_block_energies,
 )
+from rabi_spectra.fockspace import _diag_element, _hop_element
 
 # Hand-expanded closed forms of the low-order Laguerre polynomials; kept
 # deliberately independent of the evaluator inside the package so the matrix
@@ -186,6 +193,97 @@ def fig3_design():
     return p, t
 
 
+def reference_chain_matrix(p, t, chain, mode):
+    """Element-by-element chain assembly through the scalar coefficient
+    functions (coeff_g0, coeff_f1 via _diag_element and _hop_element):
+    the reference for the table-based builder."""
+    states = chain.states
+    arr = np.zeros((len(states), len(states)))
+    for i, a in enumerate(states):
+        arr[i, i] = _diag_element(p, t, a.n, a.s1, a.s2, mode)
+        for j in range(i + 1, len(states)):
+            b = states[j]
+            if b.n - a.n > 1:
+                break
+            flip1, flip2 = a.s1 != b.s1, a.s2 != b.s2
+            v = 0.0
+            if b.n == a.n and flip1 and flip2:
+                v = resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
+            elif b.n == a.n + 1 and flip1 != flip2:
+                v = (_hop_element(p, t, a.n, 1, b.s1, mode) if flip1
+                     else _hop_element(p, t, a.n, 2, b.s2, mode))
+            if v != 0.0:
+                arr[i, j] = arr[j, i] = v
+    return arr
+
+
+@pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_chain_matrix_matches_elementwise_reference_at_200_blocks(parity, mode):
+    p, t = fig3_design()
+    chain = build_parity_chain(parity, chain_n_max_for_blocks(200))
+    h = build_effective_chain_matrix(p, t, chain, mode)
+    ref = reference_chain_matrix(p, t, chain, mode)
+    assert h.labels == chain.labels()
+    assert np.array_equal(h.data.view(np.uint64), ref.view(np.uint64))
+
+
+def test_chain_matrix_rejects_a_chain_out_of_photon_order():
+    chain = build_parity_chain(+1, 2)
+    shuffled = ParityChain(chain.parity, chain.n_max, chain.states[2:] + chain.states[:2])
+    with pytest.raises(ValueError):
+        build_effective_chain_matrix(GENERIC_P, GENERIC_T, shuffled)
+
+
+@pytest.mark.parametrize("mode, n_blocks", [
+    (CoefficientMode.APPROX, 8), (CoefficientMode.EXACT, 8), (CoefficientMode.EXACT, 200),
+])
+def test_stacked_block_energies_match_per_block_eigh(mode, n_blocks):
+    p, t = fig3_design()
+    for parity in (+1, -1):
+        chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
+        h = build_effective_chain_matrix(p, t, chain, mode)
+        per_block = sorted(
+            float(v)
+            for group in closed_block_index_groups(parity, n_blocks)
+            for v in eigh(h.submatrix(group)).values
+        )
+        got = trwa_block_energies(p, t, parity, n_blocks, mode)
+        assert len(got) == len(per_block)
+        assert np.max(np.abs(np.array(got) - per_block)) <= 1e-12
+
+
+def test_block_leakage_at_the_fig3_design():
+    p, t = fig3_design()
+    for parity in (+1, -1):
+        groups = closed_block_index_groups(parity, 8)
+        chain = build_parity_chain(parity, chain_n_max_for_blocks(8))
+        h = build_effective_chain_matrix(p, t, chain, CoefficientMode.APPROX)
+        assert block_leakage(h, groups) <= 1e-15
+    # exact mode keeps the photon-number dressing, so the chain does not
+    # split into blocks: the dropped couplings grow with n
+    groups = closed_block_index_groups(+1, 200)
+    chain = build_parity_chain(+1, chain_n_max_for_blocks(200))
+    h = build_effective_chain_matrix(p, t, chain, CoefficientMode.EXACT)
+    assert block_leakage(h, groups) > 1.0
+
+
+def test_block_leakage_counts_only_couplings_out_of_a_group():
+    h = SymmetricMatrix(np.array([
+        [1.0, 0.5, 0.0, 0.0],
+        [0.5, 2.0, -0.25, 0.0],
+        [0.0, -0.25, 3.0, 9.0],
+        [0.0, 0.0, 9.0, 4.0],
+    ]))
+    assert block_leakage(h, [(0, 1)]) == 0.25
+    assert block_leakage(h, [(0, 1), (2, 3)]) == 0.25
+    assert block_leakage(h, [(0, 1, 2, 3)]) == 0.0
+    # states past the last group are not coupled among themselves by the split
+    assert block_leakage(h, [(0,)]) == 0.5
+    with pytest.raises(ValueError):
+        block_leakage(h, [(0, 1), (1, 2)])
+
+
 def test_resonant_design_kills_odd_hops_in_approx_mode():
     # the two hop elements out of |n,-,+> vanish at the design point because
     # each reduces to sqrt(n+1) times the corresponding displacement residual
@@ -259,6 +357,8 @@ def test_off_block_elements_vanish_at_design_in_approx_mode():
                 if member.get(i, -1) != member.get(j, -1):
                     worst = max(worst, abs(h[i, j]))
         assert worst <= 1e-12
+        groups = closed_block_index_groups(parity, 5)
+        assert block_leakage(SymmetricMatrix(h), groups) == worst
 
 
 def test_exact_mode_leakage_nonincreasing_as_g1_shrinks():
@@ -348,6 +448,12 @@ def test_spectrum_vs_g1_rows_and_error_tokens():
     levels = [e for _, _, e in good]
     assert levels == sorted(levels)
     assert all(math.isfinite(e) for e in levels)
+
+
+def test_spectrum_row_to_dict_matches_asdict():
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1)
+    assert [r.to_dict() for r in table.rows] == [dataclasses.asdict(r) for r in table.rows]
+    assert list(table.rows[0].to_dict()) == [f.name for f in dataclasses.fields(table.rows[0])]
 
 
 def test_spectrum_vs_g1_nonphysical_design_row():

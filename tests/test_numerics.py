@@ -15,8 +15,9 @@ from rabi_spectra import (
     eigvals_sym,
     eval_laguerre,
     find_root,
+    laguerre_table,
 )
-from rabi_spectra.numerics import sym_set
+from rabi_spectra.numerics import eigvals_stacked, sym_set
 
 
 def laguerre_series(n, k, x):
@@ -44,6 +45,48 @@ def test_laguerre_matches_series():
                 ref = laguerre_series(n, k, x)
                 got = eval_laguerre(n, k, x)
                 assert got == pytest.approx(ref, rel=1e-12), (n, k, x)
+
+
+def laguerre_restarted(n, k, x):
+    """The scalar recurrence restarted at degree 0 for each n, written out
+    as the reference for laguerre_table's float operations."""
+    if n == 0:
+        return 1.0
+    lm1, lm = 1.0, 1.0 + k - x
+    for m in range(1, n):
+        lm, lm1 = ((2.0 * m + k + 1.0 - x) * lm - (m + k) * lm1) / (m + 1.0), lm
+    return lm
+
+
+def test_laguerre_table_is_bit_identical_to_scalar_evaluation():
+    n_max = 2000
+    sampled = sorted({0, 1, 2, 3, 17, 250, 999, 1500, n_max})
+    for k in (0, 1):
+        for x in (0.0, 0.04, 1.7, 9.0):
+            table = laguerre_table(n_max, k, x)
+            assert table.shape == (n_max + 1,)
+            # one pass of the scalar loop yields every restarted value
+            ref = np.zeros(n_max + 1)
+            ref[0], ref[1] = lm1, lm = 1.0, 1.0 + k - x
+            for m in range(1, n_max):
+                lm, lm1 = ((2.0 * m + k + 1.0 - x) * lm - (m + k) * lm1) / (m + 1.0), lm
+                ref[m + 1] = lm
+            assert np.array_equal(table.view(np.uint64), ref.view(np.uint64)), (k, x)
+            for n in sampled:
+                assert eval_laguerre(n, k, x) == table[n] == laguerre_restarted(n, k, x)
+
+
+def test_laguerre_table_shares_validation():
+    assert laguerre_table(0, 1, 0.3).tolist() == [1.0]
+    assert laguerre_table(3, 1, 0.0).tolist() == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError):
+        laguerre_table(-1, 0, 1.0)
+    with pytest.raises(ValueError):
+        laguerre_table(10001, 0, 1.0)
+    with pytest.raises(ValueError):
+        laguerre_table(2, -1, 1.0)
+    with pytest.raises(NonFiniteError):
+        laguerre_table(3, 1, float("nan"))
 
 
 def test_laguerre_rejects_bad_orders():
@@ -174,6 +217,16 @@ def test_eigh_random_matrices_residual_and_orthonormality():
         rebuilt = d.vectors @ np.diag(d.values) @ d.vectors.T
         assert np.max(np.abs(rebuilt - m)) <= 1e-9 * float(np.max(np.abs(m)))
         assert np.all(np.diff(d.values) >= 0.0)
+
+
+def test_eigvals_stacked_matches_one_eigh_per_matrix():
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-5.0, 5.0, size=(9, 4, 4))
+    stack = (a + a.transpose(0, 2, 1)) / 2.0
+    vals = eigvals_stacked(stack)
+    assert vals.shape == (9, 4)
+    for block, row in zip(stack, vals):
+        np.testing.assert_array_equal(row, eigh(SymmetricMatrix(block)).values)
 
 
 def test_eigvals_sym_permutation_invariance():
