@@ -18,8 +18,7 @@ closed 4x4 blocks plus a small boundary block at photon number zero.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +43,7 @@ from .numerics import (
     sym_set,
 )
 from .resonance import DegenerateDesignError, SingularError, design_resonant
+from .serialize import record_dict
 
 _SPIN_CHARS = {1: "+", -1: "-"}
 
@@ -390,13 +390,7 @@ class SpectrumRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        # every field is an immutable scalar, so the deep copy made by
-        # dataclasses.asdict is wasted work
-        return dict(zip(_SPECTRUM_ROW_FIELDS, _spectrum_row_values(self)))
-
-
-_SPECTRUM_ROW_FIELDS = tuple(f.name for f in fields(SpectrumRow))
-_spectrum_row_values = operator.attrgetter(*_SPECTRUM_ROW_FIELDS)
+        return record_dict(self)
 
 
 @dataclass(frozen=True)

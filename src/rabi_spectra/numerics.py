@@ -196,13 +196,22 @@ class EigenDecomposition:
         return float(np.max(np.abs(r))) if r.size else 0.0
 
 
+def _require_symmetric(m: SymmetricMatrix) -> None:
+    # LAPACK reads one triangle only, so an unvalidated array would be
+    # diagonalized as if it were symmetric
+    if not isinstance(m, SymmetricMatrix):
+        raise TypeError(f"expected a SymmetricMatrix, got {type(m).__name__}")
+
+
 def eigh(m: SymmetricMatrix) -> EigenDecomposition:
     """Full eigendecomposition of a SymmetricMatrix.
 
     Backed by LAPACK via numpy.linalg.eigh, which already returns
     ascending eigenvalues and orthonormal eigenvectors for symmetric
     input; this wrapper adds the sign convention and error mapping.
+    Raises TypeError for anything but a SymmetricMatrix.
     """
+    _require_symmetric(m)
     try:
         vals, vecs = np.linalg.eigh(m.data)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
@@ -235,7 +244,9 @@ def eigvals_stacked(blocks: np.ndarray) -> np.ndarray:
 
 
 def eigvals_sym(m: SymmetricMatrix) -> np.ndarray:
-    """Ascending eigenvalues only (no vectors)."""
+    """Ascending eigenvalues only (no vectors).  Raises TypeError for
+    anything but a SymmetricMatrix."""
+    _require_symmetric(m)
     try:
         return np.linalg.eigvalsh(m.data)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -8,7 +8,7 @@ then pseudomode number, then the two qubit labels lexicographically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .model import CoefficientMode, ModelParams, TrwaParams, constant_offset
 from .numerics import SymmetricMatrix, eigvals_sym, sym_set
 from .reservoir import ReservoirParams
 from .resonance import design_resonant
+from .serialize import record_dict
 
 # sigma-z product labels, lexicographic: e < g, e -> +1, g -> -1
 _ZLABELS = (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
@@ -71,16 +72,16 @@ def build_full_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
 
 
 def build_rotated_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
-    """Qubit-rotated Hamiltonian in the sigma-x labeled product basis.
+    """build_full_rabi in a sign gauge, with the qubits relabeled {+, -}.
 
-    The rotation swaps the roles of the qubit operators: couplings become
-    -g_i sz_i (a + a^dag) and splittings delta_i sx_i.  With the qubits
-    labeled by sigma-x eigenvalues s = +/-1 the splittings sit on the
-    diagonal and each coupling flips one label with amplitude
-    -g_i sqrt(n+1).  The spectrum is identical to build_full_rabi at the
-    same truncation (the rotation commutes with the photon cutoff), but
-    the matrix differs entrywise.  Every basis state has the definite
-    parity (-1)^n s1 s2.
+    Entry for entry this is G F G with F = build_full_rabi(p, n_max) and
+    G = 1 (x) sz (x) sz: the diagonal is unchanged and every coupling,
+    which flips exactly one qubit label, changes sign (-g_i sqrt(n+1)).
+    That is the matrix of -g_i sz_i (a + a^dag) + delta_i sx_i in the
+    sigma-x product basis, so the labels read as sigma-x eigenvalues and
+    every basis state has the definite parity (-1)^n s1 s2.  It is not a
+    frame rotation of F: the spectrum equals F's by a diagonal similarity,
+    so isospectrality with F checks the gauge, not a qubit rotation.
     """
     _check_truncation(n_max)
     dim = 4 * (n_max + 1)
@@ -98,6 +99,45 @@ def build_rotated_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
     return SymmetricMatrix(arr, tuple(labels))
 
 
+def build_parity_sector(p: ModelParams, n_max: int, parity: int) -> SymmetricMatrix:
+    """build_full_rabi restricted to the states of one parity sector.
+
+    The parity (-1)^n z1 z2 commutes with the Hamiltonian, so the full
+    matrix has no element between sectors.  Sector `parity` (+1 or -1)
+    keeps, at each photon number n, the two sigma-z product states with
+    z1 z2 = parity (-1)^n, in the order of build_full_rabi: state (n, k),
+    k the qubit index 0..3, sits at 2n + (k >> 1).  Each coupling flips one
+    qubit and raises n, so the half-bandwidth is 3.  Every entry is
+    bit-equal to the same element of build_full_rabi(p, n_max).
+    Dimension 2 (n_max + 1).
+    """
+    _check_truncation(n_max)
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    n = np.repeat(np.arange(n_max + 1), 2)
+    # z1 z2 = +1 on qubit indices (0, 3), -1 on (1, 2); k ^ 1 maps one pair
+    # onto the other in order
+    k = np.tile((0, 3), n_max + 1)
+    k[(n % 2 == 1) != (parity == -1)] ^= 1
+    z1 = 1 - 2 * (k >> 1)
+    z2 = 1 - 2 * (k & 1)
+    dim = 2 * (n_max + 1)
+    arr = np.zeros((dim, dim))
+    np.fill_diagonal(arr, p.omega * n + p.delta1 * z1 + p.delta2 * z2)
+    i = np.arange(dim - 2)
+    root = np.sqrt(n[i] + 1.0)
+    # sx1 flips q1 (k ^ 2), sx2 flips q2 (k ^ 1), both one rung up
+    j1 = 2 * (n[i] + 1) + ((k[i] ^ 2) >> 1)
+    j2 = 2 * (n[i] + 1) + ((k[i] ^ 1) >> 1)
+    arr[i, j1] = arr[j1, i] = p.g1 * root
+    arr[i, j2] = arr[j2, i] = p.g2 * root
+    labels = tuple(
+        f"|{nn},{_ZLABELS[kk][0]},{_ZLABELS[kk][1]}>"
+        for nn, kk in zip(n.tolist(), k.tolist())
+    )
+    return SymmetricMatrix(arr, labels)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Truncation check: lowest levels at n_max versus 2 n_max."""
@@ -112,9 +152,18 @@ class ConvergenceReport:
         return max(self.deltas) if self.deltas else 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = record_dict(self)
         d["max_delta"] = self.max_delta
         return d
+
+
+def _lowest_levels(p: ModelParams, n_max: int, n_levels: int) -> np.ndarray:
+    """Lowest n_levels eigenvalues of build_full_rabi(p, n_max), solved one
+    parity sector at a time and merged."""
+    vals = np.concatenate([
+        eigvals_sym(build_parity_sector(p, n_max, parity)) for parity in (1, -1)
+    ])
+    return np.sort(vals)[:n_levels]
 
 
 def exact_spectrum(
@@ -124,13 +173,15 @@ def exact_spectrum(
 
     The report passes when every level moves by at most 1e-8 * omega
     between truncations n_max and 2 n_max.  A failed report is returned,
-    not raised.
+    not raised.  Both truncations are solved one parity sector at a time
+    (build_parity_sector): two matrices of half the dimension of
+    build_full_rabi, with the same spectrum.
     """
     _check_truncation(n_max)
     if n_levels < 1 or n_levels > 4 * (n_max + 1):
         raise ValueError(f"n_levels={n_levels} outside [1, {4 * (n_max + 1)}]")
-    vals = eigvals_sym(build_full_rabi(p, n_max))[:n_levels]
-    vals_fine = eigvals_sym(build_full_rabi(p, 2 * n_max))[:n_levels]
+    vals = _lowest_levels(p, n_max, n_levels)
+    vals_fine = _lowest_levels(p, 2 * n_max, n_levels)
     deltas = tuple(float(abs(a - b)) for a, b in zip(vals, vals_fine))
     tol = 1e-8 * p.omega
     report = ConvergenceReport(
@@ -171,7 +222,7 @@ class DeviationRow:
     rel_dev: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -192,7 +243,7 @@ class TrwaExactComparison:
     convergence: ConvergenceReport
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = record_dict(self)
         d["rows"] = [r.to_dict() for r in self.rows]
         d["convergence"] = self.convergence.to_dict()
         return d

@@ -18,13 +18,14 @@ spin as it raises m (weight g_i' sqrt(m+1)); nothing else connects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .model import CoefficientMode, coeff_g0
 from .numerics import SymmetricMatrix, eigh, sym_set
+from .serialize import record_dict
 
 _SPIN_CHARS = {1: "+", -1: "-"}
 
@@ -100,7 +101,7 @@ class ReservoirCoefficients:
     lambda2: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 def _k_one(omega: float, delta: float, g: float) -> tuple[float, float, float]:
@@ -364,7 +365,7 @@ class EntryMismatch:
     generated: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 @dataclass(frozen=True)

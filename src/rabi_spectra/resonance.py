@@ -16,11 +16,12 @@ the last adjustable variable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import residual_eq8, residual_eq9, resonance_residual
 from .numerics import NoBracketError, NonFiniteError, find_root
+from .serialize import record_dict
 
 # Bracket width used by the solvers.  Downstream block-closure checks need
 # residuals near machine precision, so the solvers polish well past the
@@ -134,7 +135,7 @@ class ResonantDesign:
         return self.delta1 > 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = record_dict(self)
         d["approx_valid"] = self.approx_valid
         d["physical"] = self.physical
         return d
@@ -193,12 +194,7 @@ class WindowScanRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
-
-
-_SCAN_FIELDS = (
-    "omega", "delta2", "g2", "g1", "lambda1", "lambda2", "delta1", "in_window", "error",
-)
+        return record_dict(self)
 
 
 def _error_token(exc: Exception) -> str:

@@ -12,9 +12,33 @@ Two formats, both reproducible byte for byte on every platform:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import operator
 from typing import Iterable, Mapping, Sequence
+
+
+# field names and a getter of their values, per record class; filled on
+# first use and never changed after
+_FIELD_READERS: dict[type, tuple[tuple[str, ...], operator.attrgetter]] = {}
+
+
+def record_dict(record) -> dict:
+    """The fields of a dataclass record as a dict, in declaration order.
+
+    dataclasses.asdict without its recursive deep copy: field values are
+    passed through as they are, so a caller converts nested records
+    itself.  Every record here holds two or more fields, which is what
+    makes the attrgetter return a tuple.
+    """
+    try:
+        names, values = _FIELD_READERS[type(record)]
+    except KeyError:
+        names = tuple(f.name for f in dataclasses.fields(record))
+        values = operator.attrgetter(*names)
+        _FIELD_READERS[type(record)] = names, values
+    return dict(zip(names, values(record)))
 
 
 def fmt(value) -> str:

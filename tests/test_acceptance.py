@@ -20,6 +20,7 @@ from rabi_spectra import (
     NoBracketError,
     ReservoirParams,
     SingularError,
+    SymmetricMatrix,
     TrwaParams,
     build_block4,
     build_effective_chain_matrix,
@@ -354,7 +355,7 @@ def test_numerical_kernels_hold_their_bounds():
     for dim in (2, 3, 7, 16, 33, 64):
         arr = rng.standard_normal((dim, dim))
         arr = (arr + arr.T) / 2.0
-        dec = eigh(arr)
+        dec = eigh(SymmetricMatrix(arr))
         scale = max(1.0, float(np.max(np.abs(dec.values))))
         resid = np.max(np.abs(arr @ dec.vectors - dec.vectors * dec.values))
         gram = np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(dim)))

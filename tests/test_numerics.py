@@ -219,6 +219,19 @@ def test_eigh_random_matrices_residual_and_orthonormality():
         assert np.all(np.diff(d.values) >= 0.0)
 
 
+def test_eigensolvers_reject_anything_but_a_symmetric_matrix():
+    # LAPACK reads one triangle only: this upper-triangular array would come
+    # back with eigenvalues [1, 1] instead of raising
+    raw = np.array([[1.0, 5.0], [0.0, 1.0]])
+    for solve in (eigh, eigvals_sym):
+        with pytest.raises(TypeError):
+            solve(raw)
+        with pytest.raises(TypeError):
+            solve(raw.tolist())
+    with pytest.raises(ValueError):
+        SymmetricMatrix(raw)
+
+
 def test_eigvals_stacked_matches_one_eigh_per_matrix():
     rng = np.random.default_rng(11)
     a = rng.uniform(-5.0, 5.0, size=(9, 4, 4))

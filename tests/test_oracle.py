@@ -1,5 +1,6 @@
 """Brute-force diagonalization cross-checks for the effective treatment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from rabi_spectra import (
     SymmetricMatrix,
     build_full_pseudomode,
     build_full_rabi,
+    build_parity_sector,
     build_rotated_rabi,
     compare_trwa_exact,
     eigvals_sym,
@@ -59,6 +61,47 @@ def test_rotated_and_plain_forms_are_isospectral_but_distinct():
         eigvals_sym(plain), eigvals_sym(rotated), rtol=0, atol=1e-10
     )
     assert np.max(np.abs(np.asarray(plain.data) - np.asarray(rotated.data))) > 0.1
+
+
+def test_rotated_rabi_is_a_sign_gauge_of_the_plain_matrix():
+    # G F G with G = 1 (x) sz (x) sz, bit for bit: the "rotated" builder
+    # only negates the couplings, each of which flips one qubit label
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
+    for n_max in (4, 10):
+        g = np.tile([1.0, -1.0, -1.0, 1.0], n_max + 1)  # z1 z2 per state
+        plain = build_full_rabi(p, n_max).data
+        gauged = g[:, None] * plain * g[None, :]
+        assert np.array_equal(build_rotated_rabi(p, n_max).data, gauged)
+
+
+def test_explicit_qubit_rotation_is_isospectral_with_rotated_rabi():
+    # rotate each qubit by Ry(pi/2): sx -> -sz, sz -> sx, so the couplings
+    # become -g_i sz_i (a + a^dag) and keep both qubit labels while the
+    # splittings delta_i sx_i flip them; the rotation acts on the qubits
+    # only, so it commutes with the photon cutoff
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
+    n_max = 20
+    c = math.sqrt(0.5)
+    ry = np.array([[c, -c], [c, c]])
+    r = np.kron(np.eye(n_max + 1), np.kron(ry, ry))
+    rotated = r @ build_full_rabi(p, n_max).data @ r.T
+    rotated = (rotated + rotated.T) / 2.0
+    for n in range(n_max):
+        photon_step = rotated[4 * (n + 1):4 * (n + 2), 4 * n:4 * (n + 1)]
+        assert np.max(np.abs(photon_step - np.diag(np.diag(photon_step)))) <= 1e-12
+        np.testing.assert_allclose(
+            np.diag(photon_step),
+            -math.sqrt(n + 1) * np.array([p.g1 + p.g2, p.g1 - p.g2,
+                                          -p.g1 + p.g2, -p.g1 - p.g2]),
+            rtol=0, atol=1e-12,
+        )
+        same_n = rotated[4 * n:4 * (n + 1), 4 * n:4 * (n + 1)]
+        assert abs(same_n[0, 2] - p.delta1) <= 1e-12  # delta1 sx1 flips q1
+        assert abs(same_n[0, 1] - p.delta2) <= 1e-12  # delta2 sx2 flips q2
+    np.testing.assert_allclose(
+        eigvals_sym(SymmetricMatrix(rotated)),
+        eigvals_sym(build_rotated_rabi(p, n_max)), rtol=0, atol=1e-10,
+    )
 
 
 def test_exact_spectrum_decoupled_energies():
@@ -121,6 +164,88 @@ def test_parity_defect_detector_reads_injected_term():
     assert parity[i] * parity[j] == -1
     arr[i, j] = arr[j, i] = eps
     assert _max_defect(SymmetricMatrix(arr, labels=h.labels), parity) == eps
+
+
+def _sigma_z_parity(h):
+    """(-1)^n z1 z2 of each state, read from the sigma-z labels."""
+    signs = {"e": 1, "g": -1}
+    parity = np.empty(h.dim)
+    for i, lab in enumerate(h.labels):
+        n_txt, q1, q2 = lab[1:-1].split(",")
+        parity[i] = (-1) ** int(n_txt) * signs[q1] * signs[q2]
+    return parity
+
+
+@pytest.mark.parametrize("n_max", [6, 20, 40])
+def test_parity_sectors_are_the_diagonal_blocks_of_the_full_matrix(n_max):
+    rng = np.random.default_rng(2718 + n_max)
+    for _ in range(3):
+        p = ModelParams(
+            omega=float(rng.uniform(0.5, 1.5)),
+            delta1=float(rng.uniform(0.0, 2.5)),
+            delta2=float(rng.uniform(0.0, 2.5)),
+            g1=float(rng.uniform(0.0, 1.2)),
+            g2=float(rng.uniform(0.0, 1.2)),
+        )
+        full = build_full_rabi(p, n_max)
+        parity = _sigma_z_parity(full)
+        even, odd = np.flatnonzero(parity == 1), np.flatnonzero(parity == -1)
+        assert np.all(full.data[np.ix_(even, odd)] == 0.0)
+        merged = []
+        for par, idx in ((1, even), (-1, odd)):
+            sector = build_parity_sector(p, n_max, par)
+            assert np.array_equal(sector.data, full.data[np.ix_(idx, idx)])
+            assert sector.labels == tuple(full.labels[i] for i in idx)
+            rows, cols = np.nonzero(sector.data)
+            assert np.max(np.abs(rows - cols)) == 3
+            merged.extend(eigvals_sym(sector))
+        np.testing.assert_allclose(
+            np.sort(merged), eigvals_sym(full), rtol=0, atol=1e-12
+        )
+
+
+def test_parity_sector_rejects_an_unknown_parity():
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
+    for bad in (0, 2):
+        with pytest.raises(ValueError):
+            build_parity_sector(p, 6, bad)
+
+
+def test_cross_sector_detector_reads_injected_term():
+    # the zero cross-sector block above must be able to fail: one element
+    # between |0,e,e> (parity +1) and |0,e,g> (parity -1) reads back
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
+    full = build_full_rabi(p, 6)
+    parity = _sigma_z_parity(full)
+    assert _max_defect(full, parity) == 0.0
+    eps = 1e-3
+    arr = np.asarray(full.data).copy()
+    i, j = 0, 1
+    assert parity[i] * parity[j] == -1
+    arr[i, j] = arr[j, i] = eps
+    assert _max_defect(SymmetricMatrix(arr, labels=full.labels), parity) == eps
+
+
+@pytest.mark.parametrize("n_max", [6, 12, 20])
+def test_truncation_check_still_fails_when_levels_move(n_max):
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    _, report = exact_spectrum(p, n_max, 6)
+    assert not report.passed
+    coarse = eigvals_sym(build_full_rabi(p, n_max))[:6]
+    fine = eigvals_sym(build_full_rabi(p, 2 * n_max))[:6]
+    np.testing.assert_allclose(report.deltas, np.abs(coarse - fine), rtol=0, atol=1e-10)
+
+
+def test_oracle_to_dict_equals_asdict_in_field_order():
+    cmp = compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=4, n_max=30, n_blocks=6)
+    for row in cmp.rows:
+        assert list(row.to_dict().items()) == list(dataclasses.asdict(row).items())
+    conv = cmp.convergence
+    expected = {**dataclasses.asdict(conv), "max_delta": conv.max_delta}
+    assert list(conv.to_dict().items()) == list(expected.items())
+    expected = {**dataclasses.asdict(cmp), "rows": [r.to_dict() for r in cmp.rows],
+                "convergence": conv.to_dict()}
+    assert list(cmp.to_dict().items()) == list(expected.items())
 
 
 def test_compare_trwa_exact_tiny_couplings():

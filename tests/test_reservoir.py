@@ -372,3 +372,12 @@ def test_params_validation_and_symmetry_flag():
         dataclasses.replace(SYM, v=-0.1)
     assert SYM.symmetric
     assert not ASYM.symmetric
+
+
+def test_record_to_dict_equals_asdict_in_field_order():
+    coeffs = compute_K(SYM)
+    assert list(coeffs.to_dict().items()) == list(dataclasses.asdict(coeffs).items())
+    mismatches = verify_eq24(SYM, k_value=0.1).entry_mismatches
+    assert mismatches
+    for m in mismatches:
+        assert list(m.to_dict().items()) == list(dataclasses.asdict(m).items())

@@ -170,3 +170,17 @@ def test_scan_grids_must_be_strictly_increasing():
         scan_lambda2_window([1.0], [2.0], [0.3, 0.3])
     with pytest.raises(ValueError):
         scan_lambda2_window([1.0], [2.0], [])
+
+
+def test_to_dict_equals_asdict_in_field_order():
+    import dataclasses
+
+    rows = scan_lambda2_window([1.0], [2.0], [0.0, 0.3, 0.9])
+    rows += scan_delta1_window([1.0], [2.0], g1=0.9, g2_grid=[0.7])
+    assert any(r.error for r in rows) and any(r.error is None for r in rows)
+    for r in rows:
+        assert list(r.to_dict().items()) == list(dataclasses.asdict(r).items())
+    d = design_resonant(1.0, 2.0, 0.7, 0.9)
+    expected = {**dataclasses.asdict(d), "approx_valid": d.approx_valid,
+                "physical": d.physical}
+    assert list(d.to_dict().items()) == list(expected.items())
