@@ -157,15 +157,33 @@ def parse_grid(text: str) -> list[float]:
         if stop < start:
             raise ValueError(f"grid stop {stop} below start {start}")
         return _grid(start, stop, step)
-    return [float(x) for x in text.split(",")]
+    return _finite_entries([float(x) for x in text.split(",")])
+
+
+def _finite_entries(values: list[float]) -> list[float]:
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"grid entries must be finite, got {x!r}")
+    return values
 
 
 def _as_floats(value) -> list[float]:
     if isinstance(value, str):
         return parse_grid(value)
     if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(x) for x in value]
+        value = [value]
+    return _finite_entries([float(x) for x in value])
+
+
+def _check_increasing(field: str, values: list[float]) -> None:
+    """Raise ValueError unless values are strictly increasing.
+
+    spectrum numbers the levels of each g1 point from zero, so a repeated
+    g1 would give two rows per level index at one g1.
+    """
+    for a, b in zip(values, values[1:]):
+        if not a < b:
+            raise ValueError(f"{field} must be strictly increasing, got {b!r} after {a!r}")
 
 
 def _merge_settings(args, command: str) -> dict:
@@ -372,6 +390,7 @@ def cmd_spectrum(args) -> int:
         delta2 = float(settings["delta2"])
         g2 = float(settings["g2"])
         g1_grid = _as_floats(settings["g1_grid"])
+        _check_increasing("g1_grid", g1_grid)
         n_blocks = int(settings.get("n_blocks", 8))
         mode = _mode(settings)
         jobs = _resolve_jobs(args)
@@ -521,6 +540,11 @@ def _check_grid(field: str, value, bad) -> None:
         if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
             bad(field, f"grid entries must be finite numbers, got {x!r}")
             return
+    if field == "g1_grid":
+        try:
+            _check_increasing(field, seq)
+        except ValueError as exc:
+            bad(field, str(exc))
 
 
 def validate_settings(command: str, settings: dict) -> list[dict]:

@@ -141,30 +141,41 @@ def _hop_element(p: ModelParams, t: TrwaParams, n_lo: int, qubit: int, s_hi: int
     return (g + lam * p.omega) * math.sqrt(n_lo + 1.0) + s_hi * delta * coeff_f1(lam, n_lo, mode)
 
 
-def build_effective_chain_matrix(
+def _chain_layout(parity, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Photon number, s1 and s2 of every chain index, in build_parity_chain order.
+
+    At photon number n the spin product s1*s2 is parity*(-1)^n; the first
+    member of the pair has s1 equal to that product, the second its negative.
+    """
+    par = _normalize_parity(parity)
+    idx = np.arange(2 * n_max + 2)
+    ns = idx // 2
+    product = par * (1 - 2 * (ns % 2))
+    s1 = product * (1 - 2 * (idx % 2))
+    return ns, s1, product * s1
+
+
+def _chain_band(
     p: ModelParams,
     t: TrwaParams,
-    chain: ParityChain,
-    mode: CoefficientMode = CoefficientMode.APPROX,
-) -> SymmetricMatrix:
-    """Assemble the effective Hamiltonian restricted to one parity chain.
+    parity,
+    n_max: int,
+    mode: CoefficientMode,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and upper off-diagonal entries (rows, cols, vals) of one chain.
 
     Element formulas are those of _diag_element and _hop_element, applied
     elementwise over coefficient tables of the chain (one Laguerre
     recurrence per displacement and order), so every entry is bit-equal to
-    the scalar formulas.  Chain index 2n + r holds photon number n.
+    the scalar formulas.  Chain index 2n + r holds photon number n; every
+    pair has rows < cols and lies within photon numbers n, n+1.  Raises
+    NonFiniteError when an entry is not finite.
     """
-    states = chain.states
-    dim = len(states)
-    ns = np.array([s.n for s in states])
-    s1 = np.array([s.s1 for s in states])
-    s2 = np.array([s.s2 for s in states])
-    if dim % 2 or not np.array_equal(ns, np.arange(dim) // 2):
-        raise ValueError("chain must hold two states per photon number, ascending from 0")
-    n_top = dim // 2 - 1
+    ns, s1, s2 = _chain_layout(parity, n_max)
+    dim = len(ns)
 
-    g0_1 = coeff_g0_table(t.lambda1, n_top, mode)
-    g0_2 = coeff_g0_table(t.lambda2, n_top, mode)
+    g0_1 = coeff_g0_table(t.lambda1, n_max, mode)
+    g0_2 = coeff_g0_table(t.lambda2, n_max, mode)
     diag = (
         p.omega * ns
         + constant_offset(p, t)
@@ -181,10 +192,10 @@ def build_effective_chain_matrix(
 
     # n <-> n+1: linked when exactly one qubit flips; s_hi is the flipped
     # qubit's sign in the higher-photon state
-    n_lo = np.arange(n_top)
+    n_lo = np.arange(n_max)
     root = np.sqrt(n_lo + 1.0)
-    f1_1 = coeff_f1_table(t.lambda1, n_top, mode)[:n_top]
-    f1_2 = coeff_f1_table(t.lambda2, n_top, mode)[:n_top]
+    f1_1 = coeff_f1_table(t.lambda1, n_max, mode)[:n_max]
+    f1_2 = coeff_f1_table(t.lambda2, n_max, mode)[:n_max]
     base1 = (p.g1 + t.lambda1 * p.omega) * root
     base2 = (p.g2 + t.lambda2 * p.omega) * root
     for a in (0, 1):
@@ -203,10 +214,49 @@ def build_effective_chain_matrix(
             vals.append(np.where(flip1 != flip2, hop, 0.0))
 
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    # The dense matrix is allocated after every temporary: temporaries made
-    # after it kept a second matrix-sized region resident in the allocator
-    # (+4.6 MiB peak RSS at 200 blocks).
-    arr = np.zeros((dim, dim))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(vals))):
+        raise NonFiniteError("chain matrix entries must be finite")
+    return diag, rows, cols, vals
+
+
+def _band_blocks(band, first: int, size: int, count: int) -> np.ndarray:
+    """(count, size, size) stack of diagonal blocks of a chain band.
+
+    Block k covers chain indices first + size*k .. first + size*(k+1) - 1;
+    band entries that couple two blocks, or leave them, are dropped.
+    """
+    diag, rows, cols, vals = band
+    stack = np.zeros((count, size, size))
+    local = np.arange(size)
+    stack[:, local, local] = diag[first:first + size * count].reshape(count, size)
+    i, j = rows - first, cols - first
+    inside = (i >= 0) & (i // size == j // size) & (j < size * count)
+    k, i, j = i[inside] // size, i[inside] % size, j[inside] % size
+    stack[k, i, j] = stack[k, j, i] = vals[inside]
+    return stack
+
+
+def build_effective_chain_matrix(
+    p: ModelParams,
+    t: TrwaParams,
+    chain: ParityChain,
+    mode: CoefficientMode = CoefficientMode.APPROX,
+) -> SymmetricMatrix:
+    """Assemble the effective Hamiltonian restricted to one parity chain.
+
+    The dense form of the chain band (_chain_band), labeled by the chain's
+    kets.  The chain must be laid out as build_parity_chain lays it out.
+    """
+    states = chain.states
+    n_max = len(states) // 2 - 1
+    layout = np.array([(s.n, s.s1, s.s2) for s in states]).reshape(-1, 3).T
+    if n_max < 0 or not np.array_equal(layout, _chain_layout(chain.parity, n_max)):
+        raise ValueError(
+            "chain must hold two states per photon number, ascending from 0, "
+            "in build_parity_chain order"
+        )
+    diag, rows, cols, vals = _chain_band(p, t, chain.parity, n_max, mode)
+    arr = np.zeros((len(diag), len(diag)))
     np.fill_diagonal(arr, diag)
     arr[rows, cols] = arr[cols, rows] = vals
     return SymmetricMatrix(arr, chain.labels())
@@ -336,25 +386,17 @@ def trwa_block_energies(
 ) -> list[float]:
     """Eigenvalues of all closed blocks of one parity chain, ascending.
 
-    The 4x4 blocks are diagonalized in one stacked call; the boundary
-    group at photon number zero on its own.
+    Blocks are cut from the chain band (_chain_band) without building the
+    dense chain matrix.  The 4x4 blocks are diagonalized in one stacked
+    call; the boundary group at photon number zero on its own.
     """
     par = _normalize_parity(parity)
-    chain = build_parity_chain(par, chain_n_max_for_blocks(n_blocks))
-    h = build_effective_chain_matrix(p, t, chain, mode)
-    energies: list[float] = []
-    quads = []
-    for group in closed_block_index_groups(par, n_blocks):
-        if len(group) == 4:
-            quads.append(group)
-            continue
-        sub = h.submatrix(group)
-        if sub.dim == 1:
-            energies.append(sub.entry(0, 0))
-        else:
-            energies.extend(float(v) for v in eigh(sub).values)
-    idx = np.array(quads)
-    energies.extend(eigvals_stacked(h.data[idx[:, :, None], idx[:, None, :]]).ravel().tolist())
+    groups = closed_block_index_groups(par, n_blocks)
+    band = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode)
+    edge = _band_blocks(band, 0, len(groups[0]), 1)[0]
+    quads = _band_blocks(band, groups[1][0], 4, n_blocks)
+    energies = [float(v) for v in eigh(SymmetricMatrix(edge)).values]
+    energies.extend(eigvals_stacked(quads).ravel().tolist())
     energies.sort()
     return energies
 

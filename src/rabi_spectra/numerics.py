@@ -235,7 +235,8 @@ def eigvals_stacked(blocks: np.ndarray) -> np.ndarray:
     LAPACK routine per matrix as eigh(), so row i is bit-equal to
     eigh(SymmetricMatrix(blocks[i])).values; numpy.linalg.eigvalsh takes
     another path and differs in the last bits.  The stack is not
-    revalidated: callers pass submatrices of a validated SymmetricMatrix.
+    revalidated: callers pass blocks assembled from a chain band whose
+    entries were checked finite, and write both triangles from one value.
     """
     try:
         return np.linalg.eigh(blocks)[0]

@@ -262,6 +262,46 @@ def test_parse_grid_rejects_nonfinite_range():
     assert any(v["field"] == "g2_grid" for v in json.loads(out)["violations"])
 
 
+SPECTRUM_DESIGN = ["--omega", "1", "--delta2", "2.0", "--g2", "0.7"]
+
+
+def test_grid_lists_reject_nonfinite_entries(tmp_path):
+    for text in ("nan,0.5", "0.5,inf", "-inf"):
+        with pytest.raises(ValueError):
+            parse_grid(text)
+    code, out, _ = run(["spectrum", *SPECTRUM_DESIGN, "--g1-grid", "nan,0.5",
+                        "--n-blocks", "2"])
+    assert code == 1
+    assert json.loads(out)["error"] == "Value"
+    # the config-list form; json writes the float as the bare token NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g1_grid": [0.5, float("nan")]}))
+    code, out, _ = run(["spectrum", *SPECTRUM_DESIGN, "--config", str(cfg),
+                        "--n-blocks", "2"])
+    assert code == 1
+    assert json.loads(out)["error"] == "Value"
+    code, out, _ = run(["validate", "--for", "spectrum", *SPECTRUM_DESIGN,
+                        "--config", str(cfg)])
+    assert code == 1
+    assert [v["field"] for v in json.loads(out)["violations"]] == ["g1_grid"]
+
+
+@pytest.mark.parametrize("grid", ["0.9,0.5,0.9", "0.5,0.5", "0.9,0.5"])
+def test_spectrum_and_validate_reject_an_unordered_g1_grid(grid):
+    code, out, _ = run(["spectrum", *SPECTRUM_DESIGN, "--g1-grid", grid,
+                        "--n-blocks", "2"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "Value"
+    assert "strictly increasing" in record["message"]
+    code, out, _ = run(["validate", "--for", "spectrum", *SPECTRUM_DESIGN,
+                        "--g1-grid", grid])
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"field": "g1_grid", "message": record["message"]}
+    ]
+
+
 def test_parse_grid_tiny_step_keeps_points_distinct():
     grid = parse_grid("0:1e-10:3e-11")
     assert grid == [0.0, 3e-11, 6e-11, 9e-11]

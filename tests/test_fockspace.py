@@ -3,6 +3,7 @@ four-state blocks under a joint resonant design."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,15 @@ from rabi_spectra import (
     spectrum_vs_g1,
     trwa_block_energies,
 )
-from rabi_spectra.fockspace import _diag_element, _hop_element
+from rabi_spectra import fockspace
+from rabi_spectra.fockspace import (
+    _band_blocks,
+    _chain_band,
+    _chain_layout,
+    _diag_element,
+    _hop_element,
+)
+from rabi_spectra.numerics import NonFiniteError, eigvals_stacked
 
 # Hand-expanded closed forms of the low-order Laguerre polynomials; kept
 # deliberately independent of the evaluator inside the package so the matrix
@@ -233,6 +242,108 @@ def test_chain_matrix_rejects_a_chain_out_of_photon_order():
     shuffled = ParityChain(chain.parity, chain.n_max, chain.states[2:] + chain.states[:2])
     with pytest.raises(ValueError):
         build_effective_chain_matrix(GENERIC_P, GENERIC_T, shuffled)
+
+
+def test_chain_matrix_rejects_a_pair_in_the_other_spin_order():
+    # the band takes its spins from parity arithmetic, so a chain whose
+    # pair at one photon number is swapped would get another chain's matrix
+    states = build_parity_chain(-1, 2).states
+    swapped = ParityChain(-1, 2, states[:2] + (states[3], states[2]) + states[4:])
+    with pytest.raises(ValueError):
+        build_effective_chain_matrix(GENERIC_P, GENERIC_T, swapped)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 17])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_parity_arithmetic_layout_matches_the_enumerated_chain(parity, n_max):
+    ns, s1, s2 = _chain_layout(parity, n_max)
+    states = build_parity_chain(parity, n_max).states
+    assert list(zip(ns.tolist(), s1.tolist(), s2.tolist())) == [
+        (s.n, s.s1, s.s2) for s in states
+    ]
+
+
+def dense_route_block_energies(p, t, parity, n_blocks, mode):
+    """Block energies cut from the dense chain matrix: the boundary group
+    through eigh, the 4x4 submatrices through one stacked solve.  The
+    reference for the band-assembled route of trwa_block_energies."""
+    chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
+    h = build_effective_chain_matrix(p, t, chain, mode)
+    energies = []
+    quads = []
+    for group in closed_block_index_groups(parity, n_blocks):
+        if len(group) == 4:
+            quads.append(group)
+        elif len(group) == 1:
+            energies.append(h.entry(group[0], group[0]))
+        else:
+            energies.extend(float(v) for v in eigh(h.submatrix(group)).values)
+    idx = np.array(quads)
+    energies.extend(eigvals_stacked(h.data[idx[:, :, None], idx[:, None, :]]).ravel().tolist())
+    energies.sort()
+    return energies
+
+
+DESIGN_POINTS = [(1.0, 2.0, 0.7, 0.9), (1.0, 1.5, 0.4, 0.6), (0.5, 2.0, 0.3, 0.2)]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 8, 200])
+@pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
+@pytest.mark.parametrize("point", DESIGN_POINTS)
+def test_band_block_energies_equal_the_dense_route(point, mode, n_blocks):
+    omega, delta2, g2, g1 = point
+    d = design_resonant(omega, delta2, g2, g1)
+    p = ModelParams(omega=omega, delta1=d.delta1, delta2=delta2, g1=g1, g2=g2)
+    t = TrwaParams(lambda1=d.lambda1, lambda2=d.lambda2)
+    for parity in (+1, -1):
+        got = trwa_block_energies(p, t, parity, n_blocks, mode)
+        assert got == dense_route_block_energies(p, t, parity, n_blocks, mode)
+
+
+@pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_band_blocks_equal_the_dense_submatrices(parity, mode):
+    # energies alone would miss a wrong upper triangle: LAPACK reads one
+    p, t = fig3_design()
+    n_blocks = 12
+    groups = closed_block_index_groups(parity, n_blocks)
+    chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
+    h = build_effective_chain_matrix(p, t, chain, mode).data
+    band = _chain_band(p, t, parity, chain.n_max, mode)
+    edge = _band_blocks(band, 0, len(groups[0]), 1)
+    quads = _band_blocks(band, groups[1][0], 4, n_blocks)
+    idx = np.array(groups[1:])
+    assert np.array_equal(edge[0], h[np.ix_(groups[0], groups[0])])
+    assert np.array_equal(quads, h[idx[:, :, None], idx[:, None, :]])
+
+
+@pytest.mark.parametrize("table", ["coeff_g0_table", "coeff_f1_table"])
+def test_block_energies_reject_a_nonfinite_band(monkeypatch, table):
+    p, t = fig3_design()
+    original = getattr(fockspace, table)
+
+    def poisoned(lam, n_max, mode):
+        values = original(lam, n_max, mode).copy()
+        values[1] = math.nan
+        return values
+
+    monkeypatch.setattr(fockspace, table, poisoned)
+    for parity in (+1, -1):
+        with pytest.raises(NonFiniteError):
+            trwa_block_energies(p, t, parity, 8, CoefficientMode.EXACT)
+
+
+def test_block_energies_allocate_no_dense_chain_matrix():
+    # the dense 806 x 806 chain matrix alone is 5.2 MB
+    p, t = fig3_design()
+    trwa_block_energies(p, t, +1, 2, CoefficientMode.EXACT)  # warm caches
+    tracemalloc.start()
+    try:
+        trwa_block_energies(p, t, +1, 200, CoefficientMode.EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("mode, n_blocks", [
