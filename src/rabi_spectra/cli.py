@@ -27,7 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .fockspace import spectrum_vs_g1
 from .model import CoefficientMode, residual_eq8, residual_eq9
-from .numerics import ConvergenceFailureError, NoBracketError, NonFiniteError
+from .numerics import (
+    ConvergenceFailureError,
+    NoBracketError,
+    NonFiniteError,
+    check_increasing,
+)
 from .oracle import compare_trwa_exact
 from .reservoir import (
     ReservoirParams,
@@ -157,33 +162,28 @@ def parse_grid(text: str) -> list[float]:
         if stop < start:
             raise ValueError(f"grid stop {stop} below start {start}")
         return _grid(start, stop, step)
-    return _finite_entries([float(x) for x in text.split(",")])
-
-
-def _finite_entries(values: list[float]) -> list[float]:
-    for x in values:
-        if not math.isfinite(x):
-            raise ValueError(f"grid entries must be finite, got {x!r}")
-    return values
+    return _as_floats([float(x) for x in text.split(",")])
 
 
 def _as_floats(value) -> list[float]:
+    """The entries of a grid setting: a grid string, one number or a list
+    of numbers.
+
+    This is the one rule for what a grid is: the commands read their grids
+    through it and validate reports its ValueError message.
+    """
     if isinstance(value, str):
         return parse_grid(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = [value]
-    return _finite_entries([float(x) for x in value])
-
-
-def _check_increasing(field: str, values: list[float]) -> None:
-    """Raise ValueError unless values are strictly increasing.
-
-    spectrum numbers the levels of each g1 point from zero, so a repeated
-    g1 would give two rows per level index at one g1.
-    """
-    for a, b in zip(values, values[1:]):
-        if not a < b:
-            raise ValueError(f"{field} must be strictly increasing, got {b!r} after {a!r}")
+    elif not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a grid, got {value!r}")
+    if not value:
+        raise ValueError("grid is empty")
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise ValueError(f"grid entries must be finite numbers, got {x!r}")
+    return [float(x) for x in value]
 
 
 def _merge_settings(args, command: str) -> dict:
@@ -243,12 +243,14 @@ def _mode(settings: dict) -> CoefficientMode:
 
 
 def _emit(args, fieldnames, rows, header) -> int:
+    """Write a table; rows are dicts or result records with to_dict."""
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "json" if (out or "").endswith(".json") else "csv"
     if fmt == "json":
-        text = json_text({"header": dict(header), "rows": list(rows)})
+        rows = [row if isinstance(row, dict) else row.to_dict() for row in rows]
+        text = json_text({"header": dict(header), "rows": rows})
     else:
         text = csv_text(fieldnames, rows, header)
     if out:
@@ -367,7 +369,7 @@ def cmd_scan_window(args) -> int:
         pairs = [(w, d2) for w in omegas for d2 in deltas]
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             chunks = list(ex.map(task, pairs))
-        rows = [r.to_dict() for chunk in chunks for r in chunk]
+        rows = [r for chunk in chunks for r in chunk]
         header = _header(
             "scan-window", settings, kind=kind,
             omega_values=omegas, delta2_values=deltas, g2_grid=g2_grid,
@@ -390,7 +392,7 @@ def cmd_spectrum(args) -> int:
         delta2 = float(settings["delta2"])
         g2 = float(settings["g2"])
         g1_grid = _as_floats(settings["g1_grid"])
-        _check_increasing("g1_grid", g1_grid)
+        check_increasing("g1_grid", g1_grid)
         n_blocks = int(settings.get("n_blocks", 8))
         mode = _mode(settings)
         jobs = _resolve_jobs(args)
@@ -400,7 +402,7 @@ def cmd_spectrum(args) -> int:
 
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             chunks = list(ex.map(task, g1_grid))
-        rows = [r.to_dict() for chunk in chunks for r in chunk]
+        rows = [r for chunk in chunks for r in chunk]
         header = _header(
             "spectrum", settings, omega=omega, delta2=delta2, g2=g2,
             g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value,
@@ -520,31 +522,12 @@ def _check_number(field: str, value, bad) -> float | None:
 
 
 def _check_grid(field: str, value, bad) -> None:
-    if isinstance(value, str):
-        try:
-            seq = parse_grid(value)
-        except ValueError as exc:
-            bad(field, str(exc))
-            return
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        seq = [value]
-    else:
-        bad(field, f"expected a grid, got {value!r}")
-        return
-    if not seq:
-        bad(field, "grid is empty")
-        return
-    for x in seq:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-            bad(field, f"grid entries must be finite numbers, got {x!r}")
-            return
-    if field == "g1_grid":
-        try:
-            _check_increasing(field, seq)
-        except ValueError as exc:
-            bad(field, str(exc))
+    try:
+        seq = _as_floats(value)
+        if field == "g1_grid":
+            check_increasing(field, seq)
+    except ValueError as exc:
+        bad(field, str(exc))
 
 
 def validate_settings(command: str, settings: dict) -> list[dict]:

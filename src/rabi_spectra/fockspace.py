@@ -38,6 +38,7 @@ from .numerics import (
     NoBracketError,
     NonFiniteError,
     SymmetricMatrix,
+    check_increasing,
     eigh,
     eigvals_stacked,
     sym_set,
@@ -471,8 +472,10 @@ def spectrum_vs_g1(
     ascending across both parities), the parity label of the block the
     level came from, and the constant diagonal offset so spectra can be
     compared shift-free.  Design failures become single rows with the
-    error token and empty numeric fields.
+    error token and empty numeric fields.  Raises ValueError unless g1_grid
+    is strictly increasing.
     """
+    check_increasing("g1_grid", g1_grid)
     rows: list[SpectrumRow] = []
     for g1 in g1_grid:
         try:

@@ -24,6 +24,17 @@ class ConvergenceFailureError(RuntimeError):
     """The underlying eigensolver failed to converge."""
 
 
+def check_increasing(name: str, values: Sequence[float]) -> None:
+    """Raise ValueError unless values are strictly increasing.
+
+    A sweep numbers the levels of each grid point from zero, so a repeated
+    point would give two rows per level index at one value.
+    """
+    for a, b in zip(values, values[1:]):
+        if not a < b:
+            raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
+
+
 def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:
     """Generalized Laguerre polynomials L_0^k(x) .. L_{n_max}^k(x).
 

@@ -8,6 +8,21 @@ Two formats, both reproducible byte for byte on every platform:
 * JSON: ``json.dump`` with ``indent=2, sort_keys=True``.  Floats go
   through Python's repr, the shortest string that round-trips, which is
   deterministic for a given value.
+
+A CSV table is formatted one column at a time.  The rows may be mappings
+(a missing key is an empty cell) or records read by attribute.  A cell
+whose value is the same object as the cell above it (``is``, never ``==``:
+``0.0 == -0.0``, yet they print as ``0`` and ``-0``) reuses that cell's
+text; a sweep repeats its point's parameters on every level row.
+
+The writer owns its quoting rule instead of leaving it to ``csv.writer``:
+numbers, booleans and None are never quoted; any other cell is quoted,
+with ``"`` doubled, when its text contains ``,``, ``"``, ``\r`` or
+``\n``; an empty cell that is the only cell of its row is written ``""``.
+This is what ``csv.writer`` writes for every cell the CLI produces, and
+it does not depend on the Python version: ``csv.writer`` leaves a lone
+``\r`` bare before 3.13 and quotes it from 3.13 on, where this rule
+always quotes it.
 """
 from __future__ import annotations
 
@@ -16,6 +31,7 @@ import dataclasses
 import io
 import json
 import operator
+import re
 from typing import Iterable, Mapping, Sequence
 
 
@@ -53,20 +69,61 @@ def fmt(value) -> str:
     return str(value)
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+# the "cell above" of a column's first row: no cell value is this object
+_NO_CELL = object()
+
+
+def _cell(value, lone: bool) -> str:
+    """fmt(value), quoted as the CSV quoting rule of this module says."""
+    text = fmt(value)
+    if lone and not text:
+        return '""'
+    if value is None or isinstance(value, (int, float)):
+        return text
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(values: Iterable, lone: bool) -> list[str]:
+    """The cell texts of one column, formatting each new object once."""
+    texts = []
+    append = texts.append
+    above = _NO_CELL
+    for value in values:
+        if value is not above:
+            above = value
+            text = _cell(value, lone)
+        append(text)
+    return texts
+
+
 def csv_text(
     fieldnames: Sequence[str],
-    rows: Iterable[Mapping],
+    rows: Iterable,
     header: Mapping | None = None,
 ) -> str:
-    """Build the full CSV document as a string."""
-    buf = io.StringIO()
+    """Build the full CSV document as a string.
+
+    rows are mappings or records with an attribute per field name.
+    """
+    if not fieldnames:
+        raise ValueError("a CSV table needs at least one column")
+    rows = list(rows)
+    lone = len(fieldnames) == 1
+    lines = []
     if header is not None:
-        buf.write("# " + json.dumps(dict(header), sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([fmt(row.get(name)) for name in fieldnames])
-    return buf.getvalue()
+        lines.append("# " + json.dumps(dict(header), sort_keys=True))
+    lines.append(",".join(_cell(name, lone) for name in fieldnames))
+    if rows and isinstance(rows[0], Mapping):
+        columns = [_column([row.get(name) for row in rows], lone) for name in fieldnames]
+    else:
+        columns = [_column(map(operator.attrgetter(name), rows), lone) for name in fieldnames]
+    lines.extend(map(",".join, zip(*columns)))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def json_text(payload) -> str:

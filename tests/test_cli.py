@@ -302,6 +302,28 @@ def test_spectrum_and_validate_reject_an_unordered_g1_grid(grid):
     ]
 
 
+SCAN_SETTINGS = {"omega_values": [1.0], "delta2_values": [2.0], "g2_grid": [0.3, 0.7]}
+
+
+@pytest.mark.parametrize("command, field, settings", [
+    ("spectrum", "g1_grid", {"omega": 1, "delta2": 2.0, "g2": 0.7, "n_blocks": 2}),
+    ("scan-window", "g2_grid", SCAN_SETTINGS),
+    ("scan-window", "omega_values", SCAN_SETTINGS),
+])
+@pytest.mark.parametrize("grid", [["0.5", "0.9"], [], [True, 2], True, {"a": 1}])
+def test_commands_reject_the_grids_validate_rejects(tmp_path, command, field, settings, grid):
+    # the commands and validate read a grid through one rule
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**settings, field: grid}))
+    code, out, _ = run([command, "--config", str(cfg)])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "Value"
+    code, out, _ = run(["validate", "--for", command, "--config", str(cfg)])
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"field": field, "message": record["message"]}]
+
+
 def test_parse_grid_tiny_step_keeps_points_distinct():
     grid = parse_grid("0:1e-10:3e-11")
     assert grid == [0.0, 3e-11, 6e-11, 9e-11]

@@ -561,6 +561,14 @@ def test_spectrum_vs_g1_rows_and_error_tokens():
     assert all(math.isfinite(e) for e in levels)
 
 
+@pytest.mark.parametrize("grid", [[0.9, 0.9], [0.9, 0.5], [0.5, 0.9, 0.7]])
+def test_spectrum_vs_g1_rejects_a_grid_that_is_not_strictly_increasing(grid):
+    # a repeated g1 used to give two rows per level index at one g1, which
+    # energies_for then merged
+    with pytest.raises(ValueError, match="g1_grid must be strictly increasing"):
+        spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=1)
+
+
 def test_spectrum_row_to_dict_matches_asdict():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1)
     assert [r.to_dict() for r in table.rows] == [dataclasses.asdict(r) for r in table.rows]
