@@ -4,10 +4,15 @@ Subcommands: lambda, design, scan-window, spectrum, oracle-compare,
 reservoir-dark, reservoir-quasi, validate.
 
 Settings resolve in three layers, strongest last: named preset, JSON
-config file (--config), explicit flags.  Tables are emitted as CSV (with a
-'#'-prefixed JSON header record) or as a JSON object; either way the bytes
-are deterministic for a given version and parameter set, including under
---jobs parallelism (workers only change wall time, never row order).
+config file (--config), explicit flags.  One table, COMMANDS, gives each
+command's settings (rule, default, help) and generates all flags.  Commands
+and validate read settings through it (read_settings), so a command fails
+with the first violation that validate reports for the same settings.
+
+Tables are emitted as CSV (with a '#'-prefixed JSON header record) or as a
+JSON object; either way the bytes are deterministic for a given version and
+parameter set, including under --jobs parallelism (workers only change wall
+time, never row order).
 
 Exit codes: 0 success, 1 invalid or degenerate inputs, 2 numerical failure
 (no bracket, singular resonance condition, non-finite evaluation, failed
@@ -18,20 +23,23 @@ and still exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .fockspace import spectrum_vs_g1
-from .model import CoefficientMode, residual_eq8, residual_eq9
+from .model import LAMBDA_WINDOW, CoefficientMode, ModelParams, residual_eq8, residual_eq9
 from .numerics import (
     ConvergenceFailureError,
     NoBracketError,
     NonFiniteError,
     check_increasing,
+    error_token,
 )
 from .oracle import compare_trwa_exact
 from .reservoir import (
@@ -85,53 +93,16 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
 
 _G_GRID = _grid(0.1, 1.0, 0.05)
 
-PRESETS = {
-    "fig1a": {
-        "omega_values": [1.0],
-        "delta2_values": [1.0, 1.5, 2.0, 2.5],
-        "g2_grid": _G_GRID,
-    },
-    "fig1b": {
-        "omega_values": [0.5, 1.0, 1.5],
-        "delta2_values": [2.0],
-        "g2_grid": _G_GRID,
-    },
-    "fig2a": {
-        "omega_values": [1.0],
-        "delta2_values": [1.0, 1.5, 2.0, 2.5],
-        "g2_grid": _G_GRID,
-        "g1": 0.9,
-    },
-    "fig2b": {
-        "omega_values": [0.5, 1.0, 1.5],
-        "delta2_values": [2.0],
-        "g2_grid": _G_GRID,
-        "g1": 0.9,
-    },
-    "fig3": {
-        "omega": 1.0,
-        "delta2": 2.0,
-        "g2": 0.7,
-        "g1_grid": _G_GRID,
-        "n_blocks": 8,
-        "mode": "approx",
-    },
-}
+_FIG1A = {"omega_values": [1.0], "delta2_values": [1.0, 1.5, 2.0, 2.5], "g2_grid": _G_GRID}
+_FIG1B = {"omega_values": [0.5, 1.0, 1.5], "delta2_values": [2.0], "g2_grid": _G_GRID}
 
-_COMMAND_KEYS = {
-    "lambda": ("omega", "delta1", "g1", "delta2", "g2"),
-    "design": ("omega", "delta2", "g2", "g1"),
-    "scan-window": ("omega_values", "delta2_values", "g2_grid", "g1", "threshold"),
-    "spectrum": ("omega", "delta2", "g2", "g1_grid", "n_blocks", "mode"),
-    "oracle-compare": ("omega", "delta2", "g2", "g1", "n_levels", "n_max", "n_blocks", "mode"),
-    "reservoir-dark": (
-        "omega", "omega1", "v", "g1", "g2", "g1p", "g2p", "delta1", "delta2",
-        "m_max", "n_max",
-    ),
-    "reservoir-quasi": (
-        "omega", "omega1", "v", "g1", "g2", "g1p", "g2p", "delta1", "delta2",
-        "m", "n", "k_value",
-    ),
+PRESETS = {
+    "fig1a": _FIG1A,
+    "fig1b": _FIG1B,
+    "fig2a": {**_FIG1A, "g1": 0.9},
+    "fig2b": {**_FIG1B, "g1": 0.9},
+    "fig3": {"omega": 1.0, "delta2": 2.0, "g2": 0.7, "g1_grid": _G_GRID, "n_blocks": 8,
+             "mode": "approx"},
 }
 
 
@@ -141,11 +112,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
-
-
-def _token(exc: Exception) -> str:
-    name = type(exc).__name__
-    return name[:-5] if name.endswith("Error") else name
 
 
 def parse_grid(text: str) -> list[float]:
@@ -167,11 +133,7 @@ def parse_grid(text: str) -> list[float]:
 
 def _as_floats(value) -> list[float]:
     """The entries of a grid setting: a grid string, one number or a list
-    of numbers.
-
-    This is the one rule for what a grid is: the commands read their grids
-    through it and validate reports its ValueError message.
-    """
+    of numbers."""
     if isinstance(value, str):
         return parse_grid(value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -186,40 +148,150 @@ def _as_floats(value) -> list[float]:
     return [float(x) for x in value]
 
 
+def _number(name: str, value, owner: str | None = None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite, got {float(value)}")
+    return float(value)
+
+
+def _bounded(op: str, low: int, integer: bool = False) -> Callable:
+    """A number rule with the bound `op low` (op is '>' or '>=')."""
+    def check(name: str, value, owner: str | None) -> float | int:
+        x = _number(name, value)
+        if integer:
+            if x != int(x):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            x = int(x)
+        if not (x > low if op == ">" else x >= low):
+            raise ValueError(f"{owner} requires {name} {op} {low}, got {x}" if owner
+                             else f"{name} must be {op} {low}, got {x}")
+        return x
+    return check
+
+
+def _grid_rule(name: str, value, owner: str | None) -> list[float]:
+    try:
+        values = _as_floats(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    check_increasing(name, values)
+    return values
+
+
+def _mode(name: str, value, owner: str | None) -> CoefficientMode:
+    if value not in ("approx", "exact"):
+        raise ValueError(f"mode must be 'approx' or 'exact', got {value!r}")
+    return CoefficientMode(value)
+
+
+# Each rule reads one raw value and returns it typed, or raises ValueError
+# with a message that names the setting: rule -> (check, type of its flag).
+RULES: dict[str, tuple[Callable, Callable]] = {
+    "positive": (_bounded(">", 0), float),
+    "non-negative": (_bounded(">=", 0), float),
+    "number": (_number, float),
+    "grid": (_grid_rule, str),
+    "count >= 1": (_bounded(">=", 1, integer=True), int),
+    "index >= 0": (_bounded(">=", 0, integer=True), int),
+    "mode": (_mode, str),
+}
+
+
+class Setting(NamedTuple):
+    """One setting: its rule (a key of RULES), the default that feeds the
+    computation when it is absent, and the help of its flag."""
+    name: str
+    rule: str
+    default: object
+    help: str
+
+
+class Command(NamedTuple):
+    """One subcommand's table entry.  owner is the parameter class named in
+    messages about its fields; each pair in pairs must come together, and
+    need_pair asks for at least one; switches are (flag, help) of store_true flags."""
+    run: Callable
+    help: str
+    owner: type
+    settings: tuple[Setting, ...]
+    required: tuple[str, ...] = ()
+    pairs: tuple[tuple[str, str], ...] = ()
+    need_pair: bool = False
+    switches: tuple[tuple[str, str], ...] = ()
+    formats: tuple[str, ...] = ("csv", "json")
+    jobs: bool = False
+
+    @property
+    def keys(self) -> set[str]:
+        return {s.name for s in self.settings}
+
+
+def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
+    """Read merged settings through the command's table.
+
+    Returns the typed value of every setting of the command (its table
+    default when absent, None when it has none) and one {field, message}
+    record per violation, in the order validate reports them.
+    """
+    cmd = COMMANDS[command]
+    violations: list[dict] = []
+
+    def bad(field: str, message: str) -> None:
+        violations.append({"field": field, "message": message})
+
+    for field in sorted(set(settings) - cmd.keys):
+        bad(field, f"{field}: not a setting of {command}")
+    values = dict.fromkeys(cmd.keys)
+    for s in sorted(cmd.settings):
+        if s.name not in settings and s.default is None:
+            continue
+        owner = cmd.owner.__name__ if s.name in cmd.owner.__dataclass_fields__ else None
+        try:
+            values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default), owner)
+        except ValueError as exc:
+            bad(s.name, str(exc))
+    for field in cmd.required:
+        if field not in settings:
+            bad(field, f"{field}: required by {command}")
+    given = [pair for pair in cmd.pairs if pair[0] in settings or pair[1] in settings]
+    for pair in given:
+        for field, other in (pair, pair[::-1]):
+            if field not in settings:
+                bad(field, f"{field}: required with {other}")
+    if cmd.need_pair and not given:
+        alternatives = " and/or ".join(f"{a}/{b}" for a, b in cmd.pairs)
+        bad("settings", f"{command} needs {alternatives}")
+    return values, violations
+
+
+def validate_settings(command: str, settings: dict) -> list[dict]:
+    """Check every invariant; one {field, message} record per violation."""
+    if command not in COMMANDS:
+        return [{"field": "command", "message": f"unknown command {command!r}"}]
+    return read_settings(command, settings)[1]
+
+
 def _merge_settings(args, command: str) -> dict:
-    keys = _COMMAND_KEYS[command]
+    """Preset, then config file, then flags; read_settings reports stray keys."""
+    keys = COMMANDS[command].keys
     settings: dict = {}
     fig = getattr(args, "fig", None)
     if fig is not None:
-        preset = "fig" + fig
-        base = PRESETS[preset]
-        stray = set(base) - set(keys)
-        if stray:
-            raise ValueError(
-                f"preset {preset!r} does not apply to {command} (keys {sorted(stray)})"
-            )
-        settings.update(base)
+        settings.update(PRESETS["fig" + fig])
     config = getattr(args, "config", None)
     if config is not None:
         with open(config, encoding="utf-8") as f:
             data = json.load(f)
         if not isinstance(data, dict):
             raise ValueError("config root must be a JSON object")
-        unknown = set(data) - set(keys)
-        if unknown:
-            raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         settings.update(data)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
     return settings
-
-
-def _require(settings: dict, names: tuple[str, ...], command: str) -> None:
-    missing = [n for n in names if n not in settings]
-    if missing:
-        raise ValueError(f"{command}: missing required settings {missing}")
 
 
 def _resolve_jobs(args) -> int:
@@ -238,21 +310,8 @@ def _resolve_jobs(args) -> int:
     return jobs
 
 
-def _mode(settings: dict) -> CoefficientMode:
-    return CoefficientMode(str(settings.get("mode", "approx")))
-
-
-def _emit(args, fieldnames, rows, header) -> int:
-    """Write a table; rows are dicts or result records with to_dict."""
+def _write(args, text: str) -> int:
     out = getattr(args, "out", None)
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "json" if (out or "").endswith(".json") else "csv"
-    if fmt == "json":
-        rows = [row if isinstance(row, dict) else row.to_dict() for row in rows]
-        text = json_text({"header": dict(header), "rows": rows})
-    else:
-        text = csv_text(fieldnames, rows, header)
     if out:
         write_text(out, text)
     else:
@@ -260,9 +319,20 @@ def _emit(args, fieldnames, rows, header) -> int:
     return EXIT_OK
 
 
+def _emit(args, fieldnames, rows, header) -> int:
+    """Write a table; rows are dicts or result records with to_dict."""
+    fmt = getattr(args, "format", None)
+    if fmt is None:
+        fmt = "json" if (getattr(args, "out", None) or "").endswith(".json") else "csv"
+    if fmt == "json":
+        rows = [row if isinstance(row, dict) else row.to_dict() for row in rows]
+        return _write(args, json_text({"header": dict(header), "rows": rows}))
+    return _write(args, csv_text(fieldnames, rows, header))
+
+
 def _fail(command: str, exc: Exception, params: dict, code: int) -> int:
     record = {
-        "error": _token(exc),
+        "error": error_token(exc),
         "message": str(exc),
         "command": command,
         "params": params,
@@ -271,71 +341,58 @@ def _fail(command: str, exc: Exception, params: dict, code: int) -> int:
     return code
 
 
-def _guarded(command: str, args, body) -> int:
-    """Run body(settings); translate failures into error records."""
+def _run(command: str, args) -> int:
+    """Merge and read the settings, run the command on the typed values,
+    and translate failures into error records."""
     settings: dict = {}
     try:
         settings = _merge_settings(args, command)
-        return body(settings)
+        values, violations = read_settings(command, settings)
+        if violations:
+            raise ValueError(violations[0]["message"])
+        return COMMANDS[command].run(args, settings, values)
     except _NUMERICAL_ERRORS as exc:
         return _fail(command, exc, settings, EXIT_NUMERICAL)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(command, exc, settings, EXIT_VALIDATION)
 
 
+def _sweep(args, task, points) -> list:
+    """Rows of task(point) for each point, run on --jobs worker threads and
+    joined in point order."""
+    with ThreadPoolExecutor(max_workers=_resolve_jobs(args)) as ex:
+        return [row for rows in ex.map(task, points) for row in rows]
+
+
 def _header(command: str, settings: dict, **extra) -> dict:
-    h = {"command": command, "version": __version__}
-    h.update(settings)
-    h.update(extra)
-    return h
+    return {"command": command, "version": __version__, **settings, **extra}
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: (args, merged settings, typed values) -> exit code
 # ---------------------------------------------------------------------------
 
-def cmd_lambda(args) -> int:
-    def body(settings: dict) -> int:
-        _require(settings, ("omega",), "lambda")
-        omega = float(settings["omega"])
-        rows = []
-        plan = (
-            (1, "delta1", "g1", solve_lambda1, residual_eq8),
-            (2, "delta2", "g2", solve_lambda2, residual_eq9),
-        )
-        for qubit, dkey, gkey, solve, resid in plan:
-            if dkey not in settings and gkey not in settings:
-                continue
-            _require(settings, (dkey, gkey), "lambda")
-            delta = float(settings[dkey])
-            g = float(settings[gkey])
-            lam = solve(omega, delta, g)
-            rows.append({
-                "qubit": qubit, "omega": omega, "delta": delta, "g": g,
-                "lam": lam, "residual": resid(omega, delta, g, lam),
-                "in_window": abs(lam) <= 0.1,
-            })
-        if not rows:
-            raise ValueError("lambda: give --delta1/--g1 and/or --delta2/--g2")
-        fields = ("qubit", "omega", "delta", "g", "lam", "residual", "in_window")
-        return _emit(args, fields, rows, _header("lambda", settings))
-    return _guarded("lambda", args, body)
+def cmd_lambda(args, settings: dict, values: dict) -> int:
+    omega = values["omega"]
+    rows = []
+    for qubit, solve, resid in ((1, solve_lambda1, residual_eq8),
+                                (2, solve_lambda2, residual_eq9)):
+        delta, g = values[f"delta{qubit}"], values[f"g{qubit}"]
+        if delta is None:
+            continue
+        lam = solve(omega, delta, g)
+        rows.append({
+            "qubit": qubit, "omega": omega, "delta": delta, "g": g,
+            "lam": lam, "residual": resid(omega, delta, g, lam),
+            "in_window": abs(lam) <= LAMBDA_WINDOW,
+        })
+    fields = ("qubit", "omega", "delta", "g", "lam", "residual", "in_window")
+    return _emit(args, fields, rows, _header("lambda", settings))
 
 
-def cmd_design(args) -> int:
-    def body(settings: dict) -> int:
-        _require(settings, ("omega", "delta2", "g2", "g1"), "design")
-        des = design_resonant(
-            float(settings["omega"]), float(settings["delta2"]),
-            float(settings["g2"]), float(settings["g1"]),
-        )
-        row = des.to_dict()
-        fields = (
-            "omega", "delta2", "g2", "g1", "lambda1", "lambda2", "delta1",
-            "res_eq8", "res_eq9", "res_eq10", "approx_valid", "physical",
-        )
-        return _emit(args, fields, [row], _header("design", settings))
-    return _guarded("design", args, body)
+def cmd_design(args, settings: dict, values: dict) -> int:
+    row = design_resonant(**values).to_dict()
+    return _emit(args, tuple(row), [row], _header("design", settings))
 
 
 _SCAN_FIELDS = (
@@ -343,40 +400,21 @@ _SCAN_FIELDS = (
 )
 
 
-def cmd_scan_window(args) -> int:
-    def body(settings: dict) -> int:
-        _require(settings, ("omega_values", "delta2_values", "g2_grid"), "scan-window")
-        omegas = _as_floats(settings["omega_values"])
-        deltas = _as_floats(settings["delta2_values"])
-        g2_grid = _as_floats(settings["g2_grid"])
-        threshold = float(settings.get("threshold", 0.1))
-        g1 = settings.get("g1")
-        jobs = _resolve_jobs(args)
+def cmd_scan_window(args, settings: dict, values: dict) -> int:
+    omegas, deltas, g2_grid = values["omega_values"], values["delta2_values"], values["g2_grid"]
+    threshold, g1 = values["threshold"], values["g1"]
 
+    def task(pair):
+        w, d2 = pair
         if g1 is None:
-            def task(pair):
-                w, d2 = pair
-                return scan_lambda2_window([w], [d2], g2_grid, threshold)
-            kind = "lambda2"
-        else:
-            g1f = float(g1)
+            return scan_lambda2_window([w], [d2], g2_grid, threshold)
+        return scan_delta1_window([w], [d2], g1, g2_grid, threshold)
 
-            def task(pair):
-                w, d2 = pair
-                return scan_delta1_window([w], [d2], g1f, g2_grid, threshold)
-            kind = "delta1"
-
-        pairs = [(w, d2) for w in omegas for d2 in deltas]
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(task, pairs))
-        rows = [r for chunk in chunks for r in chunk]
-        header = _header(
-            "scan-window", settings, kind=kind,
-            omega_values=omegas, delta2_values=deltas, g2_grid=g2_grid,
-            threshold=threshold,
-        )
-        return _emit(args, _SCAN_FIELDS, rows, header)
-    return _guarded("scan-window", args, body)
+    kind = "lambda2" if g1 is None else "delta1"
+    rows = _sweep(args, task, [(w, d2) for w in omegas for d2 in deltas])
+    header = _header("scan-window", settings, kind=kind, omega_values=omegas,
+                     delta2_values=deltas, g2_grid=g2_grid, threshold=threshold)
+    return _emit(args, _SCAN_FIELDS, rows, header)
 
 
 _SPECTRUM_FIELDS = (
@@ -385,228 +423,62 @@ _SPECTRUM_FIELDS = (
 )
 
 
-def cmd_spectrum(args) -> int:
-    def body(settings: dict) -> int:
-        _require(settings, ("omega", "delta2", "g2", "g1_grid"), "spectrum")
-        omega = float(settings["omega"])
-        delta2 = float(settings["delta2"])
-        g2 = float(settings["g2"])
-        g1_grid = _as_floats(settings["g1_grid"])
-        check_increasing("g1_grid", g1_grid)
-        n_blocks = int(settings.get("n_blocks", 8))
-        mode = _mode(settings)
-        jobs = _resolve_jobs(args)
+def cmd_spectrum(args, settings: dict, values: dict) -> int:
+    omega, delta2, g2, g1_grid = values["omega"], values["delta2"], values["g2"], values["g1_grid"]
+    n_blocks, mode = values["n_blocks"], values["mode"]
 
-        def task(g1: float):
-            return spectrum_vs_g1(omega, delta2, g2, [g1], n_blocks, mode).rows
+    def task(g1: float):
+        return spectrum_vs_g1(omega, delta2, g2, [g1], n_blocks, mode).rows
 
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(task, g1_grid))
-        rows = [r for chunk in chunks for r in chunk]
-        header = _header(
-            "spectrum", settings, omega=omega, delta2=delta2, g2=g2,
-            g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value,
-        )
-        return _emit(args, _SPECTRUM_FIELDS, rows, header)
-    return _guarded("spectrum", args, body)
+    rows = _sweep(args, task, g1_grid)
+    header = _header("spectrum", settings, omega=omega, delta2=delta2, g2=g2,
+                     g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value)
+    return _emit(args, _SPECTRUM_FIELDS, rows, header)
 
 
-def cmd_oracle_compare(args) -> int:
-    def body(settings: dict) -> int:
-        _require(settings, ("omega", "delta2", "g2", "g1"), "oracle-compare")
-        comp = compare_trwa_exact(
-            float(settings["omega"]), float(settings["delta2"]),
-            float(settings["g2"]), float(settings["g1"]),
-            n_levels=int(settings.get("n_levels", 6)),
-            n_max=int(settings.get("n_max", 60)),
-            n_blocks=int(settings.get("n_blocks", 8)),
-            mode=_mode(settings),
-        )
-        summary = comp.to_dict()
-        rows = summary.pop("rows")
-        fields = ("level_index", "e_trwa", "e_exact", "abs_dev", "rel_dev")
-        return _emit(args, fields, rows, _header("oracle-compare", settings, **summary))
-    return _guarded("oracle-compare", args, body)
+def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
+    summary = compare_trwa_exact(**values).to_dict()
+    rows = summary.pop("rows")
+    fields = ("level_index", "e_trwa", "e_exact", "abs_dev", "rel_dev")
+    return _emit(args, fields, rows, _header("oracle-compare", settings, **summary))
 
 
-def _reservoir_params(settings: dict, command: str) -> ReservoirParams:
-    _require(
-        settings,
-        ("omega", "omega1", "v", "g1", "g2", "g1p", "g2p", "delta1", "delta2"),
-        command,
-    )
-    return ReservoirParams(
-        omega=float(settings["omega"]), omega1=float(settings["omega1"]),
-        v=float(settings["v"]),
-        g1=float(settings["g1"]), g2=float(settings["g2"]),
-        g1p=float(settings["g1p"]), g2p=float(settings["g2p"]),
-        delta1=float(settings["delta1"]), delta2=float(settings["delta2"]),
-    )
+def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
+    r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
+    m_max, n_max = values["m_max"], values["n_max"]
+    require_symmetric = not args.allow_asymmetric
+    coeffs = compute_K(r)
+    rows = []
+    for m in range(m_max + 1):
+        for n in range(m % 2, n_max + 1, 2):  # even m + n only
+            rows.append({
+                "m": m, "n": n,
+                "energy": dark_state_energy(r, coeffs, m, n),
+                "residual": dark_state_residual(r, m, n, require_symmetric),
+            })
+    header = _header("reservoir-dark", settings, m_max=m_max, n_max=n_max,
+                     constant=reservoir_constant(r, coeffs), **coeffs.to_dict())
+    return _emit(args, ("m", "n", "energy", "residual"), rows, header)
 
 
-def cmd_reservoir_dark(args) -> int:
-    def body(settings: dict) -> int:
-        r = _reservoir_params(settings, "reservoir-dark")
-        m_max = int(settings.get("m_max", 4))
-        n_max = int(settings.get("n_max", 4))
-        require_symmetric = not args.allow_asymmetric
-        coeffs = compute_K(r)
-        rows = []
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                if (m + n) % 2 != 0:
-                    continue
-                rows.append({
-                    "m": m, "n": n,
-                    "energy": dark_state_energy(r, coeffs, m, n),
-                    "residual": dark_state_residual(r, m, n, require_symmetric),
-                })
-        header = _header(
-            "reservoir-dark", settings, m_max=m_max, n_max=n_max,
-            constant=reservoir_constant(r, coeffs), **coeffs.to_dict(),
-        )
-        return _emit(args, ("m", "n", "energy", "residual"), rows, header)
-    return _guarded("reservoir-dark", args, body)
-
-
-def cmd_reservoir_quasi(args) -> int:
-    def body(settings: dict) -> int:
-        r = _reservoir_params(settings, "reservoir-quasi")
-        m = settings.get("m")
-        n = settings.get("n")
-        want_window = bool(args.window)
-        if (m is None) != (n is None):
-            raise ValueError("reservoir-quasi needs both --m and --n, or neither")
-        if m is None and not want_window:
-            raise ValueError("reservoir-quasi: give --m/--n, --window, or both")
-        payload: dict = {"header": _header("reservoir-quasi", settings)}
-        if m is not None:
-            _, report = quasi_exact_subspace(r, int(m), int(n))
-            payload["subspace"] = report.to_dict()
-        if want_window:
-            k_value = settings.get("k_value")
-            k_value = None if k_value is None else float(k_value)
-            payload["window"] = verify_eq24(r, k_value=k_value).to_dict()
-        text = json_text(payload)
-        out = getattr(args, "out", None)
-        if out:
-            write_text(out, text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    return _guarded("reservoir-quasi", args, body)
-
-
-_REQUIRED = {
-    "design": ("omega", "delta2", "g2", "g1"),
-    "scan-window": ("omega_values", "delta2_values", "g2_grid"),
-    "spectrum": ("omega", "delta2", "g2", "g1_grid"),
-    "oracle-compare": ("omega", "delta2", "g2", "g1"),
-    "reservoir-dark": _COMMAND_KEYS["reservoir-dark"][:9],
-    "reservoir-quasi": _COMMAND_KEYS["reservoir-quasi"][:9],
-}
-
-_GRID_FIELDS = ("omega_values", "delta2_values", "g2_grid", "g1_grid")
-_NONNEG_FIELDS = ("v", "g1", "g2", "g1p", "g2p", "delta1", "delta2")
-
-
-def _check_number(field: str, value, bad) -> float | None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        bad(field, f"expected a number, got {value!r}")
-        return None
-    x = float(value)
-    if not math.isfinite(x):
-        bad(field, f"must be finite, got {x}")
-        return None
-    return x
-
-
-def _check_grid(field: str, value, bad) -> None:
-    try:
-        seq = _as_floats(value)
-        if field == "g1_grid":
-            check_increasing(field, seq)
-    except ValueError as exc:
-        bad(field, str(exc))
-
-
-def validate_settings(command: str, settings: dict) -> list[dict]:
-    """Check every invariant; one {field, message} record per violation."""
-    violations: list[dict] = []
-
-    def bad(field: str, message: str) -> None:
-        violations.append({"field": field, "message": message})
-
-    if command not in _COMMAND_KEYS:
-        bad("command", f"unknown command {command!r}")
-        return violations
-    keys = set(_COMMAND_KEYS[command])
-
-    for field in sorted(set(settings) - keys):
-        bad(field, f"not a setting of {command}")
-
-    reservoir = command.startswith("reservoir-")
-    for field in sorted(set(settings) & keys):
-        value = settings[field]
-        if field in ("omega", "omega1"):
-            owner = "ReservoirParams" if (reservoir or field == "omega1") else "ModelParams"
-            x = _check_number(field, value, bad)
-            if x is not None and not x > 0.0:
-                bad(field, f"{owner} requires {field} > 0, got {x}")
-        elif field in _NONNEG_FIELDS:
-            owner = "ReservoirParams" if reservoir else "ModelParams"
-            x = _check_number(field, value, bad)
-            if x is not None and x < 0.0:
-                bad(field, f"{owner} requires {field} >= 0, got {x}")
-        elif field in _GRID_FIELDS:
-            _check_grid(field, value, bad)
-        elif field == "threshold":
-            x = _check_number(field, value, bad)
-            if x is not None and not x > 0.0:
-                bad(field, f"threshold must be > 0, got {x}")
-        elif field == "k_value":
-            _check_number(field, value, bad)
-        elif field == "mode":
-            if value not in ("approx", "exact"):
-                bad(field, f"mode must be 'approx' or 'exact', got {value!r}")
-        else:
-            # counting fields: truncations at least 1, indices at least 0
-            x = _check_number(field, value, bad)
-            if x is None:
-                continue
-            if x != int(x):
-                bad(field, f"{field} must be an integer, got {value!r}")
-                continue
-            low = 0 if field in ("m", "n", "m_max") or command == "reservoir-dark" else 1
-            if int(x) < low:
-                bad(field, f"{field} must be >= {low}, got {int(x)}")
-
-    for field in _REQUIRED.get(command, ()):
-        if field not in settings:
-            bad(field, f"required by {command}")
-    if command == "lambda":
-        if "omega" not in settings:
-            bad("omega", "required by lambda")
-        pairs = 0
-        for dkey, gkey in (("delta1", "g1"), ("delta2", "g2")):
-            if dkey in settings or gkey in settings:
-                pairs += 1
-                for field in (dkey, gkey):
-                    if field not in settings:
-                        bad(field, f"required with {gkey if field == dkey else dkey}")
-        if pairs == 0:
-            bad("settings", "lambda needs delta1/g1 and/or delta2/g2")
-    if command == "reservoir-quasi" and (("m" in settings) != ("n" in settings)):
-        field = "n" if "m" in settings else "m"
-        bad(field, "m and n must be given together")
-    return violations
+def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:
+    r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
+    if values["m"] is None and not args.window:
+        raise ValueError("reservoir-quasi: give --m/--n, --window, or both")
+    payload: dict = {"header": _header("reservoir-quasi", settings)}
+    if values["m"] is not None:
+        _, report = quasi_exact_subspace(r, values["m"], values["n"])
+        payload["subspace"] = report.to_dict()
+    if args.window:
+        payload["window"] = verify_eq24(r, k_value=values["k_value"]).to_dict()
+    return _write(args, json_text(payload))
 
 
 def cmd_validate(args) -> int:
     command = args.for_command
     try:
         settings = _merge_settings(args, command)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail("validate", exc, {"for": command}, EXIT_VALIDATION)
     violations = validate_settings(command, settings)
     sys.stdout.write(json_text({
@@ -618,23 +490,106 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
+_OMEGA = Setting("omega", "positive", None, "mode frequency")
+_DELTA1 = Setting("delta1", "non-negative", None, "qubit-1 splitting")
+_DELTA2 = Setting("delta2", "non-negative", None, "qubit-2 splitting")
+_G1 = Setting("g1", "non-negative", None, "qubit-1 coupling")
+_G2 = Setting("g2", "non-negative", None, "qubit-2 coupling")
+_N_BLOCKS = Setting("n_blocks", "count >= 1", 8, "closed 4x4 blocks per parity chain")
+_MODE = Setting("mode", "mode", "approx", "exact: full Laguerre weights; approx: small lambda")
+_GRID_HELP = "comma list or start:stop:step"
+_RESERVOIR = (
+    _OMEGA, Setting("omega1", "positive", None, "pseudomode frequency"),
+    Setting("v", "non-negative", None, "cavity-pseudomode exchange"), _G1, _G2,
+    Setting("g1p", "non-negative", None, "qubit-1 pseudomode coupling"),
+    Setting("g2p", "non-negative", None, "qubit-2 pseudomode coupling"), _DELTA1, _DELTA2,
+)
+_RESERVOIR_KEYS = tuple(s.name for s in _RESERVOIR)
+_DESIGN_KEYS = ("omega", "delta2", "g2", "g1")
+
+COMMANDS = {
+    "lambda": Command(
+        cmd_lambda, "solve the displacement root(s) for the given qubit(s)", ModelParams,
+        (_OMEGA, _DELTA1, _G1, _DELTA2, _G2),
+        required=("omega",), pairs=(("delta1", "g1"), ("delta2", "g2")), need_pair=True,
+    ),
+    "design": Command(
+        cmd_design, "complete a resonant parameter set from (omega, delta2, g2, g1)",
+        ModelParams, (_OMEGA, _DELTA2, _G2, _G1), required=_DESIGN_KEYS,
+    ),
+    "scan-window": Command(
+        cmd_scan_window, "sweep the displacement window over parameter grids", ModelParams,
+        (
+            Setting("omega_values", "grid", None, _GRID_HELP),
+            Setting("delta2_values", "grid", None, _GRID_HELP),
+            Setting("g2_grid", "grid", None, _GRID_HELP),
+            Setting("g1", "non-negative", None, "fixed g1: scan the derived-delta1 window"),
+            Setting("threshold", "positive", LAMBDA_WINDOW, "window half-width on |lambda|"),
+        ),
+        required=("omega_values", "delta2_values", "g2_grid"), jobs=True,
+    ),
+    "spectrum": Command(
+        cmd_spectrum, "block spectrum swept over g1 at a resonant design", ModelParams,
+        (_OMEGA, _DELTA2, _G2, Setting("g1_grid", "grid", None, _GRID_HELP), _N_BLOCKS, _MODE),
+        required=("omega", "delta2", "g2", "g1_grid"), jobs=True,
+    ),
+    "oracle-compare": Command(
+        cmd_oracle_compare, "block spectrum vs exact diagonalization, ground-aligned",
+        ModelParams,
+        (_OMEGA, _DELTA2, _G2, _G1, Setting("n_levels", "count >= 1", 6, "lowest levels compared"),
+         Setting("n_max", "count >= 1", 60, "photon truncation of the exact solve"),
+         _N_BLOCKS, _MODE),
+        required=_DESIGN_KEYS,
+    ),
+    "reservoir-dark": Command(
+        cmd_reservoir_dark, "dark-state energies and residuals on an (m, n) grid",
+        ReservoirParams,
+        (*_RESERVOIR, Setting("m_max", "index >= 0", 4, "largest pseudomode number m"),
+         Setting("n_max", "index >= 0", 4, "largest photon number n")),
+        required=_RESERVOIR_KEYS,
+        switches=(("--allow-asymmetric", "compute residuals even for asymmetric qubits"),),
+    ),
+    "reservoir-quasi": Command(
+        cmd_reservoir_quasi, "quasi-exact subspace and printed-window reports (JSON)",
+        ReservoirParams,
+        (*_RESERVOIR, Setting("m", "index >= 0", None, "pseudomode number of the subspace"),
+         Setting("n", "index >= 0", None, "photon number of the subspace"),
+         Setting("k_value", "number", None, "folded coupling K to use in the window check")),
+        required=_RESERVOIR_KEYS, pairs=(("m", "n"),),
+        switches=(("--window", "add the printed 6x6 window check at E = 2*omega1 + 2*omega"),),
+        formats=("json",),
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, formats=("csv", "json"), jobs=False) -> None:
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=list(formats), default=None,
-                   help="output format (default: json when --out ends in .json, else csv)")
-    p.add_argument("--config", help="JSON file with default settings")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker threads (default ${JOBS_ENV} or 1)")
+def _flags(settings, command: bool) -> tuple[tuple[str, dict], ...]:
+    """(option, add_argument keywords) of --fig, offering the presets whose
+    keys are all among settings, and of each setting.  A command's flags
+    restrict mode and show defaults; validate's take any value to report on.
+    """
+    keys = {s.name for s in settings}
+    figs = [name[3:] for name, preset in PRESETS.items() if keys.issuperset(preset)]
+    flags = [("--fig", {"choices": figs, "help": "published grid preset"})] if figs else []
+    for s in settings:
+        kw = {"dest": s.name, "type": RULES[s.rule][1], "help": s.help}
+        if command and s.default is not None:
+            kw["help"] = f"{s.help} (default {s.default})"
+        if command and s.rule == "mode":
+            kw["choices"] = ("approx", "exact")
+        flags.append((f"--{s.name.replace('_', '-')}", kw))
+    return tuple(flags)
 
 
-def _add_reservoir_args(p: argparse.ArgumentParser) -> None:
-    for name in ("omega", "omega1", "v", "g1", "g2", "g1p", "g2p", "delta1", "delta2"):
-        p.add_argument(f"--{name}", type=float, default=None)
+# Built once: every command's generated flags, and validate's flags for
+# every setting of every command.
+_FLAGS = {name: _flags(cmd.settings, True) for name, cmd in COMMANDS.items()}
+_FLAGS["validate"] = _flags(
+    {s.name: s for cmd in COMMANDS.values() for s in cmd.settings}.values(), False
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,101 +597,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
 
-    p = sub.add_parser("lambda",
-                       help="solve the displacement root(s) for the given qubit(s)")
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--delta1", type=float, default=None,
-                   help="qubit-1 splitting (with --g1)")
-    p.add_argument("--g1", type=float, default=None)
-    p.add_argument("--delta2", type=float, default=None,
-                   help="qubit-2 splitting (with --g2)")
-    p.add_argument("--g2", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_lambda)
-
-    p = sub.add_parser("design",
-                       help="complete a resonant parameter set from (omega, delta2, g2, g1)")
-    for name in ("omega", "delta2", "g2", "g1"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("scan-window",
-                       help="sweep the displacement window over parameter grids")
-    p.add_argument("--fig", choices=("1a", "1b", "2a", "2b"), default=None,
-                   help="published grid preset (fig1a..fig2b)")
-    p.add_argument("--omega-values", dest="omega_values", default=None,
-                   help="comma list or start:stop:step")
-    p.add_argument("--delta2-values", dest="delta2_values", default=None)
-    p.add_argument("--g2-grid", dest="g2_grid", default=None)
-    p.add_argument("--g1", type=float, default=None,
-                   help="fixed g1 switches the scan to the derived-delta1 window")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="window half-width on |lambda| (default 0.1)")
-    _add_common(p, jobs=True)
-    p.set_defaults(func=cmd_scan_window)
-
-    p = sub.add_parser("spectrum",
-                       help="block spectrum swept over g1 at a resonant design")
-    p.add_argument("--fig", choices=("3",), default=None,
-                   help="published grid preset (fig3)")
-    for name in ("omega", "delta2", "g2"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--g1-grid", dest="g1_grid", default=None,
-                   help="comma list or start:stop:step")
-    p.add_argument("--n-blocks", dest="n_blocks", type=int, default=None)
-    p.add_argument("--mode", choices=("approx", "exact"), default=None)
-    _add_common(p, jobs=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("oracle-compare",
-                       help="block spectrum vs exact diagonalization, ground-aligned")
-    for name in ("omega", "delta2", "g2", "g1"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--n-levels", dest="n_levels", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--n-blocks", dest="n_blocks", type=int, default=None)
-    p.add_argument("--mode", choices=("approx", "exact"), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("reservoir-dark",
-                       help="dark-state energies and residuals on an (m, n) grid")
-    _add_reservoir_args(p)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--allow-asymmetric", action="store_true",
-                   help="compute residuals even when the qubits are not symmetric")
-    _add_common(p)
-    p.set_defaults(func=cmd_reservoir_dark)
-
-    p = sub.add_parser("reservoir-quasi",
-                       help="quasi-exact subspace and printed-window reports (JSON)")
-    _add_reservoir_args(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--window", action="store_true",
-                   help="add the printed 6x6 window check at E = 2*omega1 + 2*omega")
-    p.add_argument("--k-value", dest="k_value", type=float, default=None,
-                   help="override the folded coupling K in the window check")
-    _add_common(p, formats=("json",))
-    p.set_defaults(func=cmd_reservoir_quasi)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for option, kw in _FLAGS[name]:
+            p.add_argument(option, **kw)
+        for flag, text in cmd.switches:
+            p.add_argument(flag, action="store_true", help=text)
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--format", choices=cmd.formats,
+                       help="output format (default: json when --out ends in .json, else csv)")
+        p.add_argument("--config", help="JSON file with default settings")
+        if cmd.jobs:
+            p.add_argument("--jobs", type=int, help=f"worker threads (default ${JOBS_ENV} or 1)")
+        p.set_defaults(func=functools.partial(_run, name))
 
     p = sub.add_parser("validate",
                        help="check a merged preset/config/flag set and list violations")
-    p.add_argument("--for", dest="for_command", required=True,
-                   choices=sorted(_COMMAND_KEYS))
-    p.add_argument("--fig", choices=("1a", "1b", "2a", "2b", "3"), default=None)
+    p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
     p.add_argument("--config", help="JSON file with default settings")
-    for name in ("omega", "omega1", "v", "g1", "g2", "g1p", "g2p",
-                 "delta1", "delta2", "threshold", "k_value"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       type=float, default=None)
-    for name in ("n_blocks", "n_levels", "n_max", "m_max", "m", "n"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       type=int, default=None)
-    for name in ("omega_values", "delta2_values", "g2_grid", "g1_grid", "mode"):
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
+    for option, kw in _FLAGS["validate"]:
+        p.add_argument(option, **kw)
     p.set_defaults(func=cmd_validate)
 
     return parser

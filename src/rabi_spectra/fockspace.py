@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    SPIN_CHARS,
     CoefficientMode,
     ModelParams,
     TrwaParams,
@@ -41,13 +42,11 @@ from .numerics import (
     check_increasing,
     eigh,
     eigvals_stacked,
+    error_token,
     sym_set,
 )
 from .resonance import DegenerateDesignError, SingularError, design_resonant
 from .serialize import record_dict
-
-_SPIN_CHARS = {1: "+", -1: "-"}
-
 
 @dataclass(frozen=True)
 class ChainState:
@@ -68,7 +67,7 @@ class ChainState:
         return (1 if self.n % 2 == 0 else -1) * self.s1 * self.s2
 
     def ket(self) -> str:
-        return f"|{self.n},{_SPIN_CHARS[self.s1]},{_SPIN_CHARS[self.s2]}>"
+        return f"|{self.n},{SPIN_CHARS[self.s1]},{SPIN_CHARS[self.s2]}>"
 
 
 def _normalize_parity(parity) -> int:
@@ -481,9 +480,8 @@ def spectrum_vs_g1(
         try:
             des = design_resonant(omega, delta2, g2, g1)
         except _SPECTRUM_ERRORS as exc:
-            name = type(exc).__name__
-            token = name[:-5] if name.endswith("Error") else name
-            rows.append(SpectrumRow(g1, None, None, None, "", None, None, None, token))
+            rows.append(SpectrumRow(g1, None, None, None, "", None, None, None,
+                                    error_token(exc)))
             continue
         if not des.physical:
             rows.append(SpectrumRow(

@@ -23,6 +23,13 @@ import numpy as np
 
 from .numerics import eval_laguerre, laguerre_table
 
+# Half-width of the small-displacement window |lambda| <= LAMBDA_WINDOW, where
+# the small-lambda treatment of the Laguerre weights is controlled.
+LAMBDA_WINDOW = 0.1
+
+# Ket labels of the spin-x eigenvalues +1 and -1.
+SPIN_CHARS = {1: "+", -1: "-"}
+
 
 class CoefficientMode(str, enum.Enum):
     """Laguerre treatment: full polynomials or the small-lambda limit."""
@@ -70,7 +77,7 @@ class TrwaParams:
     @property
     def approx_valid(self) -> bool:
         """Small-displacement regime where the Laguerre truncation is controlled."""
-        return abs(self.lambda1) <= 0.1 and abs(self.lambda2) <= 0.1
+        return abs(self.lambda1) <= LAMBDA_WINDOW and abs(self.lambda2) <= LAMBDA_WINDOW
 
 
 def coeff_g0(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) -> float:

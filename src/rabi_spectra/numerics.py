@@ -24,6 +24,13 @@ class ConvergenceFailureError(RuntimeError):
     """The underlying eigensolver failed to converge."""
 
 
+def error_token(exc: BaseException) -> str:
+    """Short name of a failure for error records and per-row error columns:
+    the exception's class name without its "Error" suffix."""
+    name = type(exc).__name__
+    return name[:-5] if name.endswith("Error") else name
+
+
 def check_increasing(name: str, values: Sequence[float]) -> None:
     """Raise ValueError unless values are strictly increasing.
 

@@ -27,18 +27,6 @@ _XLABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _XSIGNS = _ZSIGNS
 
 
-@dataclass(frozen=True)
-class ProductBasisState:
-    """|n, q1, q2> with qubit labels in the sigma-z eigenbasis {e, g}
-    (or the sigma-x basis {+, -} where a builder states so)."""
-    n: int
-    q1: str
-    q2: str
-
-    def ket(self) -> str:
-        return f"|{self.n},{self.q1},{self.q2}>"
-
-
 def _check_truncation(n_max: int) -> None:
     if n_max < 4:
         raise ValueError(f"truncation n_max={n_max} too small (need >= 4)")

@@ -23,12 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CoefficientMode, coeff_g0
+from .model import SPIN_CHARS, CoefficientMode, coeff_g0
 from .numerics import SymmetricMatrix, eigh, sym_set
 from .serialize import record_dict
-
-_SPIN_CHARS = {1: "+", -1: "-"}
-
 
 class SingularEtaError(ArithmeticError):
     """omega = 2*delta makes the eta exponent blow up."""
@@ -159,7 +156,7 @@ class ReservoirChainState:
         return (1 if (self.m + self.n) % 2 == 0 else -1) * self.s1 * self.s2
 
     def ket(self) -> str:
-        return f"|{self.m},{self.n},{_SPIN_CHARS[self.s1]},{_SPIN_CHARS[self.s2]}>"
+        return f"|{self.m},{self.n},{SPIN_CHARS[self.s1]},{SPIN_CHARS[self.s2]}>"
 
 
 def _shell_states(m0: int, n0: int, k: int) -> list[ReservoirChainState]:

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import residual_eq8, residual_eq9, resonance_residual
-from .numerics import NoBracketError, NonFiniteError, find_root
+from .model import LAMBDA_WINDOW, residual_eq8, residual_eq9, resonance_residual
+from .numerics import NoBracketError, NonFiniteError, check_increasing, error_token, find_root
 from .serialize import record_dict
 
 # Bracket width used by the solvers.  Downstream block-closure checks need
@@ -127,7 +127,7 @@ class ResonantDesign:
 
     @property
     def approx_valid(self) -> bool:
-        return abs(self.lambda1) <= 0.1 and abs(self.lambda2) <= 0.1
+        return abs(self.lambda1) <= LAMBDA_WINDOW and abs(self.lambda2) <= LAMBDA_WINDOW
 
     @property
     def physical(self) -> bool:
@@ -197,35 +197,37 @@ class WindowScanRow:
         return record_dict(self)
 
 
-def _error_token(exc: Exception) -> str:
-    name = type(exc).__name__
-    return name[:-5] if name.endswith("Error") else name
-
-
-def _check_grid(name: str, values: Sequence[float]) -> None:
-    vals = list(values)
-    if not vals:
-        raise ValueError(f"{name} grid is empty")
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} grid contains non-finite value {v}")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError(f"{name} grid must be strictly increasing")
+def _check_scan(
+    omega_values: Sequence[float],
+    delta2_values: Sequence[float],
+    g2_grid: Sequence[float],
+    threshold: float,
+) -> None:
+    for name, values in (("omega", omega_values), ("delta2", delta2_values), ("g2", g2_grid)):
+        vals = list(values)
+        if not vals:
+            raise ValueError(f"{name} grid is empty")
+        for v in vals:
+            if not math.isfinite(v):
+                raise ValueError(f"{name} grid contains non-finite value {v}")
+        check_increasing(f"{name} grid", vals)
+    if not (threshold > 0.0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
 
 
 def scan_lambda2_window(
     omega_values: Sequence[float],
     delta2_values: Sequence[float],
     g2_grid: Sequence[float],
-    threshold: float = 0.1,
+    threshold: float = LAMBDA_WINDOW,
 ) -> list[WindowScanRow]:
     """Sweep lambda2 over (omega, delta2, g2) and flag |lambda2| <= threshold.
 
     Row order is the nested grid order: omega outermost, g2 innermost.
+    Raises ValueError unless every grid is non-empty, finite and strictly
+    increasing and threshold is positive and finite.
     """
-    _check_grid("omega", omega_values)
-    _check_grid("delta2", delta2_values)
-    _check_grid("g2", g2_grid)
+    _check_scan(omega_values, delta2_values, g2_grid, threshold)
     rows = []
     for omega in omega_values:
         for delta2 in delta2_values:
@@ -233,7 +235,7 @@ def scan_lambda2_window(
                 try:
                     lam2 = solve_lambda2(omega, delta2, g2)
                 except (NoBracketError, SingularError, NonFiniteError) as exc:
-                    rows.append(WindowScanRow(omega, delta2, g2, error=_error_token(exc)))
+                    rows.append(WindowScanRow(omega, delta2, g2, error=error_token(exc)))
                 else:
                     rows.append(WindowScanRow(
                         omega, delta2, g2,
@@ -248,16 +250,14 @@ def scan_delta1_window(
     delta2_values: Sequence[float],
     g1: float,
     g2_grid: Sequence[float],
-    threshold: float = 0.1,
+    threshold: float = LAMBDA_WINDOW,
 ) -> list[WindowScanRow]:
     """Sweep the designed delta1 over (omega, delta2, g2) at fixed g1.
 
     A point is in the window when the derived delta1 is physical (> 0) and
-    |lambda1| <= threshold.
+    |lambda1| <= threshold.  Inputs are checked as in scan_lambda2_window.
     """
-    _check_grid("omega", omega_values)
-    _check_grid("delta2", delta2_values)
-    _check_grid("g2", g2_grid)
+    _check_scan(omega_values, delta2_values, g2_grid, threshold)
     rows = []
     for omega in omega_values:
         for delta2 in delta2_values:
@@ -265,7 +265,7 @@ def scan_delta1_window(
                 try:
                     des = design_resonant(omega, delta2, g2, g1)
                 except (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError) as exc:
-                    rows.append(WindowScanRow(omega, delta2, g2, g1=g1, error=_error_token(exc)))
+                    rows.append(WindowScanRow(omega, delta2, g2, g1=g1, error=error_token(exc)))
                 else:
                     rows.append(WindowScanRow(
                         omega, delta2, g2, g1=g1,

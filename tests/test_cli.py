@@ -1,13 +1,16 @@
 """Command-line surface: exit codes, formats, presets, determinism."""
 
+import argparse
 import io
 import json
 import os
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from rabi_spectra.cli import PRESETS, main, parse_grid
+from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -324,6 +327,79 @@ def test_commands_reject_the_grids_validate_rejects(tmp_path, command, field, se
     assert json.loads(out)["violations"] == [{"field": field, "message": record["message"]}]
 
 
+RESERVOIR_FLAGS = ["--omega", "1", "--omega1", "0.8", "--v", "0.2", "--g1", "0.3",
+                   "--g2", "0.3", "--g1p", "0.2", "--g2p", "0.2", "--delta1", "1",
+                   "--delta2", "1"]
+SCAN_FLAGS = ["--omega-values", "1", "--delta2-values", "2", "--g2-grid", "0.3,0.7"]
+
+
+@pytest.mark.parametrize("command, field, config, flags", [
+    ("spectrum", "omega", {"omega": "1.0"}, []),
+    ("spectrum", "delta2", {"delta2": True}, []),
+    ("spectrum", "n_blocks", {"n_blocks": 2.5}, []),
+    ("spectrum", "n_blocks", {"n_blocks": True}, []),
+    ("spectrum", "mode", {"mode": "sloppy"}, []),
+    ("scan-window", "threshold", {}, [*SCAN_FLAGS, "--threshold", "-1"]),
+    ("scan-window", "threshold", {}, [*SCAN_FLAGS, "--threshold", "nan"]),
+    ("reservoir-dark", "m_max", {}, [*RESERVOIR_FLAGS, "--m-max", "-1"]),
+    ("scan-window", "omega_values", {}, [*SCAN_FLAGS, "--omega-values", "1,0.5"]),
+    ("scan-window", "delta2_values", {}, [*SCAN_FLAGS, "--delta2-values", "2,2"]),
+])
+def test_commands_reject_the_settings_validate_rejects(tmp_path, command, field, config, flags):
+    # the commands read every setting through the table that validate checks
+    base = {"omega": 1, "delta2": 2.0, "g2": 0.7, "g1_grid": [0.5, 0.9], "n_blocks": 2}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, **config} if command == "spectrum" else config))
+    code, out, _ = run([command, "--config", str(cfg), *flags])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "Value"
+    assert record["message"].startswith(field)
+    code, out, _ = run(["validate", "--for", command, "--config", str(cfg), *flags])
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"field": field, "message": record["message"]}]
+
+
+# every subcommand's option strings, frozen: the parser that the settings
+# table generates must add and drop no flag
+OPTION_STRINGS = {
+    "lambda": ["--config", "--delta1", "--delta2", "--format", "--g1", "--g2", "--help",
+               "--omega", "--out", "-h"],
+    "design": ["--config", "--delta2", "--format", "--g1", "--g2", "--help", "--omega",
+               "--out", "-h"],
+    "scan-window": ["--config", "--delta2-values", "--fig", "--format", "--g1", "--g2-grid",
+                    "--help", "--jobs", "--omega-values", "--out", "--threshold", "-h"],
+    "spectrum": ["--config", "--delta2", "--fig", "--format", "--g1-grid", "--g2", "--help",
+                 "--jobs", "--mode", "--n-blocks", "--omega", "--out", "-h"],
+    "oracle-compare": ["--config", "--delta2", "--format", "--g1", "--g2", "--help", "--mode",
+                       "--n-blocks", "--n-levels", "--n-max", "--omega", "--out", "-h"],
+    "reservoir-dark": ["--allow-asymmetric", "--config", "--delta1", "--delta2", "--format",
+                       "--g1", "--g1p", "--g2", "--g2p", "--help", "--m-max", "--n-max",
+                       "--omega", "--omega1", "--out", "--v", "-h"],
+    "reservoir-quasi": ["--config", "--delta1", "--delta2", "--format", "--g1", "--g1p",
+                        "--g2", "--g2p", "--help", "--k-value", "--m", "--n", "--omega",
+                        "--omega1", "--out", "--v", "--window", "-h"],
+    "validate": ["--config", "--delta1", "--delta2", "--delta2-values", "--fig", "--for",
+                 "--g1", "--g1-grid", "--g1p", "--g2", "--g2-grid", "--g2p", "--help",
+                 "--k-value", "--m", "--m-max", "--mode", "--n", "--n-blocks", "--n-levels",
+                 "--n-max", "--omega", "--omega-values", "--omega1", "--threshold", "--v", "-h"],
+}
+
+
+def test_generated_parser_keeps_every_option():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == OPTION_STRINGS
+    figs = {name: [list(a.choices) for a in p._actions if "--fig" in a.option_strings]
+            for name, p in sub.choices.items()}
+    assert figs == {
+        "lambda": [], "design": [], "scan-window": [["1a", "1b", "2a", "2b"]],
+        "spectrum": [["3"]], "oracle-compare": [], "reservoir-dark": [],
+        "reservoir-quasi": [], "validate": [["1a", "1b", "2a", "2b", "3"]],
+    }
+
+
 def test_parse_grid_tiny_step_keeps_points_distinct():
     grid = parse_grid("0:1e-10:3e-11")
     assert grid == [0.0, 3e-11, 6e-11, 9e-11]
@@ -368,7 +444,7 @@ def test_validate_settings_rejects_stray_key():
     violations = validate_settings(
         "design", {"omega": 1.0, "delta2": 2.0, "g2": 0.7, "g1": 0.9, "v": 0.2}
     )
-    assert violations == [{"field": "v", "message": "not a setting of design"}]
+    assert violations == [{"field": "v", "message": "v: not a setting of design"}]
 
 
 def test_validate_ignores_inapplicable_flags():
@@ -392,3 +468,36 @@ def test_no_command_prints_help_and_fails():
     code, _, err = run([])
     assert code == 1
     assert "COMMAND" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch):
+    # every command of the first sh block under "Command line" runs as written
+    block = _readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert {argv[1] for argv in commands} == {*COMMANDS, "validate"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "rabi-spectra"
+        code, out, err = run(argv[1:])
+        assert code == 0, (argv, out, err)
+
+
+def test_readme_settings_tables_match_the_table():
+    text = _readme_section("Command line")
+    for name, cmd in COMMANDS.items():
+        after = text.split(f"`{name}` settings", 1)[1]
+        lines = after[after.index("| setting"):].split("\n\n", 1)[0].splitlines()[2:]
+        documented = [tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+                      for line in lines]
+        expected = [(s.name, s.rule, "required" if s.name in cmd.required
+                     else "—" if s.default is None else str(s.default))
+                    for s in cmd.settings]
+        assert documented == expected, name

@@ -257,3 +257,21 @@ def test_eigen_decomposition_residual_of_exact_pair_is_zero():
     vals = np.array([-1.0, 1.0])
     vecs = np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     assert EigenDecomposition(vals, vecs).residual(m) < 1e-15
+
+
+@pytest.mark.parametrize("error, token", [
+    ("NoBracketError", "NoBracket"),
+    ("NonFiniteError", "NonFinite"),
+    ("ConvergenceFailureError", "ConvergenceFailure"),
+    ("SingularError", "Singular"),
+    ("DegenerateDesignError", "DegenerateDesign"),
+    ("SingularEtaError", "SingularEta"),
+    ("SingularDenominatorError", "SingularDenominator"),
+    ("AsymmetricParamsError", "AsymmetricParams"),
+])
+def test_error_token_of_each_named_error(error, token):
+    import rabi_spectra
+    from rabi_spectra.numerics import error_token
+
+    assert error_token(getattr(rabi_spectra, error)("message")) == token
+    assert error_token(ValueError("message")) == "Value"

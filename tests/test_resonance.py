@@ -172,6 +172,14 @@ def test_scan_grids_must_be_strictly_increasing():
         scan_lambda2_window([1.0], [2.0], [])
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 0.0])
+def test_scans_reject_a_threshold_that_is_not_finite_and_positive(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        scan_lambda2_window([1.0], [2.0], [0.3], threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        scan_delta1_window([1.0], [2.0], 0.9, [0.3], threshold)
+
+
 def test_to_dict_equals_asdict_in_field_order():
     import dataclasses
 
