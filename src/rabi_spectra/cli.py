@@ -41,7 +41,7 @@ from .numerics import (
     check_increasing,
     error_token,
 )
-from .oracle import compare_trwa_exact
+from .oracle import MIN_N_MAX, compare_trwa_exact
 from .reservoir import (
     ReservoirParams,
     SingularDenominatorError,
@@ -143,17 +143,27 @@ def _as_floats(value) -> list[float]:
     if not value:
         raise ValueError("grid is empty")
     for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(_float(x)):
             raise ValueError(f"grid entries must be finite numbers, got {x!r}")
     return [float(x) for x in value]
+
+
+def _float(x: int | float) -> float:
+    """float(x), or an infinity of x's sign for an integer past the float
+    range, where float() raises OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _number(name: str, value, owner: str | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name}: must be finite, got {float(value)}")
-    return float(value)
+    x = _float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name}: must be finite, got {x}")
+    return x
 
 
 def _bounded(op: str, low: int, integer: bool = False) -> Callable:
@@ -186,6 +196,9 @@ def _mode(name: str, value, owner: str | None) -> CoefficientMode:
     return CoefficientMode(value)
 
 
+# the photon truncation of the exact oracle: the least that its builders take
+_TRUNCATION = f"count >= {MIN_N_MAX}"
+
 # Each rule reads one raw value and returns it typed, or raises ValueError
 # with a message that names the setting: rule -> (check, type of its flag).
 RULES: dict[str, tuple[Callable, Callable]] = {
@@ -194,6 +207,7 @@ RULES: dict[str, tuple[Callable, Callable]] = {
     "number": (_number, float),
     "grid": (_grid_rule, str),
     "count >= 1": (_bounded(">=", 1, integer=True), int),
+    _TRUNCATION: (_bounded(">=", MIN_N_MAX, integer=True), int),
     "index >= 0": (_bounded(">=", 0, integer=True), int),
     "mode": (_mode, str),
 }
@@ -537,7 +551,7 @@ COMMANDS = {
         cmd_oracle_compare, "block spectrum vs exact diagonalization, ground-aligned",
         ModelParams,
         (_OMEGA, _DELTA2, _G2, _G1, Setting("n_levels", "count >= 1", 6, "lowest levels compared"),
-         Setting("n_max", "count >= 1", 60, "photon truncation of the exact solve"),
+         Setting("n_max", _TRUNCATION, 60, "photon truncation of the exact solve"),
          _N_BLOCKS, _MODE),
         required=_DESIGN_KEYS,
     ),

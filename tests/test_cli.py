@@ -5,12 +5,15 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
+from rabi_spectra.oracle import MIN_N_MAX
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -303,6 +306,66 @@ def test_spectrum_and_validate_reject_an_unordered_g1_grid(grid):
     assert json.loads(out)["violations"] == [
         {"field": "g1_grid", "message": record["message"]}
     ]
+
+
+ORACLE_FLAGS = ["oracle-compare", "--omega", "1.0", "--delta2", "2.0", "--g2", "0.7",
+                "--g1", "0.9"]
+
+
+@pytest.mark.parametrize("n_max", ["1", "3"])
+def test_oracle_compare_and_validate_reject_the_same_truncations(n_max):
+    # the truncation rule comes from oracle.MIN_N_MAX, which the builders check
+    code, out, _ = run([*ORACLE_FLAGS, "--n-max", n_max])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "Value"
+    assert record["message"] == f"n_max must be >= {MIN_N_MAX}, got {n_max}"
+    code, out, _ = run(["validate", "--for", *ORACLE_FLAGS, "--n-max", n_max])
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"field": "n_max", "message": record["message"]}]
+    assert run([*ORACLE_FLAGS, "--n-max", str(MIN_N_MAX)])[0] == 0
+
+
+HUGE = int("9" * 400)  # past the float range: float() raises OverflowError
+
+
+@pytest.mark.parametrize("command, field, config, message", [
+    ("design", "g1", {"omega": 1, "delta2": 2, "g2": 0.7, "g1": HUGE},
+     "g1: must be finite, got inf"),
+    ("design", "omega", {"omega": -HUGE, "delta2": 2, "g2": 0.7, "g1": 0.9},
+     "omega: must be finite, got -inf"),
+    ("spectrum", "g1_grid", {"omega": 1, "delta2": 2, "g2": 0.7, "g1_grid": [0.5, HUGE]},
+     f"g1_grid: grid entries must be finite numbers, got {HUGE!r}"),
+], ids=["design-g1", "design-omega", "spectrum-g1_grid"])
+def test_an_integer_past_the_float_range_is_a_named_violation(tmp_path, command, field,
+                                                              config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run([command, "--config", str(cfg)])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["message"] == message
+    code, out, err = run(["validate", "--for", command, "--config", str(cfg)])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["violations"] == [{"field": field, "message": message}]
+
+
+def test_oracle_compare_runs_without_scipy():
+    # the package is numpy only; importing scipy.linalg would cost more
+    # time and memory than the whole exact solve at n_max 300
+    script = (
+        "import sys\n"
+        "from rabi_spectra.cli import main\n"
+        f"code = main({[*ORACLE_FLAGS, '--n-max', '300', '--out', os.devnull]!r})\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 SCAN_SETTINGS = {"omega_values": [1.0], "delta2_values": [2.0], "g2_grid": [0.3, 0.7]}

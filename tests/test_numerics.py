@@ -1,23 +1,36 @@
 """Checks for the shared numerical kernel: generalized Laguerre evaluation,
-bracketed root finding, and the symmetric eigensolver wrapper."""
+bracketed root finding, the symmetric eigensolver wrapper, and the
+certified lowest-k band solve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rabi_spectra import (
+    ConvergenceFailureError,
     EigenDecomposition,
+    ModelParams,
     NoBracketError,
     NonFiniteError,
     SymmetricMatrix,
+    build_parity_sector,
     eigh,
     eigvals_sym,
     eval_laguerre,
     find_root,
     laguerre_table,
 )
-from rabi_spectra.numerics import eigvals_stacked, sym_set
+from rabi_spectra import numerics
+from rabi_spectra.numerics import (
+    band_to_dense,
+    eigvals_lowest,
+    eigvals_stacked,
+    inertia_count,
+    sym_set,
+)
+from rabi_spectra.oracle import _sector_band
 
 
 def laguerre_series(n, k, x):
@@ -275,3 +288,155 @@ def test_error_token_of_each_named_error(error, token):
 
     assert error_token(getattr(rabi_spectra, error)("message")) == token
     assert error_token(ValueError("message")) == "Value"
+
+
+# --- certified lowest-k solve of a block-tridiagonal band ------------------
+
+def _random_params(rng, equal_qubits=False):
+    g1, d1 = float(rng.uniform(0.0, 1.2)), float(rng.uniform(0.0, 2.5))
+    g2, d2 = (g1, d1) if equal_qubits else (float(rng.uniform(0.0, 1.2)),
+                                            float(rng.uniform(0.0, 2.5)))
+    return ModelParams(omega=float(rng.uniform(0.5, 1.5)), delta1=d1, delta2=d2, g1=g1, g2=g2)
+
+
+def _lowest_error(band, dense, k):
+    """Largest deviation of eigvals_lowest on `band` from a dense solve of
+    `dense`."""
+    return float(np.max(np.abs(eigvals_lowest(*band, k) - np.linalg.eigvalsh(dense)[:k])))
+
+
+def _count_mismatches(band, dense, shifts):
+    """Shifts at which inertia_count on `band` differs from counting the
+    dense eigenvalues of `dense` below the shift."""
+    vals = np.linalg.eigvalsh(dense)
+    expected = np.sum(vals[None, :] < shifts[:, None], axis=1)
+    return int(np.sum(inertia_count(*band, shifts) != expected))
+
+
+def _sector(p, n_max, parity):
+    return _sector_band(p, n_max, parity), build_parity_sector(p, n_max, parity).data
+
+
+# n_max 6 and 20 fit in the first leading block (32 rungs); 40 and 90 do not
+@pytest.mark.parametrize("n_max", [6, 20, 40, 90])
+@pytest.mark.parametrize("equal_qubits", [False, True])
+def test_eigvals_lowest_matches_a_dense_solve_of_the_sector(n_max, equal_qubits):
+    # equal_qubits is the exchange-symmetric point g1 = g2, delta1 = delta2,
+    # where the singlet decouples from the field
+    rng = np.random.default_rng(31 * n_max + equal_qubits)
+    for _ in range(3):
+        p = _random_params(rng, equal_qubits)
+        for parity in (1, -1):
+            band, dense = _sector(p, n_max, parity)
+            for k in (1, 6, 12):
+                assert _lowest_error(band, dense, k) <= 1e-12
+
+
+def test_eigvals_lowest_holds_on_exactly_degenerate_levels():
+    # g1 = g2 = 0 and delta1 = delta2: every rung of the odd-qubit pair holds
+    # a double level n omega, so the certificate meets exact degeneracies
+    p = ModelParams(omega=1.0, delta1=0.7, delta2=0.7, g1=0.0, g2=0.0)
+    for parity in (1, -1):
+        band, dense = _sector(p, 40, parity)
+        vals = eigvals_lowest(*band, 8)
+        assert np.any(np.diff(vals) == 0.0)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(dense)[:8], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [6, 40, 90])
+def test_inertia_count_matches_the_dense_spectrum(n_max):
+    rng = np.random.default_rng(7 + n_max)
+    for _ in range(3):
+        band, dense = _sector(_random_params(rng), n_max, 1)
+        vals = np.linalg.eigvalsh(dense)
+        shifts = np.concatenate([
+            rng.uniform(vals[0] - 1.0, vals[min(20, len(vals) - 1)], 12),
+            rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, 12),
+        ])
+        assert _count_mismatches(band, dense, shifts) == 0
+
+
+def test_inertia_count_of_a_random_band():
+    # couplings of both signs and a diagonal that is not increasing
+    rng = np.random.default_rng(11)
+    diag, couple = rng.normal(size=(30, 2)), rng.normal(size=(29, 2, 2))
+    dense = band_to_dense(diag, couple)
+    shifts = rng.uniform(-6.0, 6.0, 40)
+    assert _count_mismatches((diag, couple), dense, shifts) == 0
+
+
+def test_solver_checks_fail_when_a_coupling_diagonal_is_dropped():
+    # the two checks above against a band that lost the couplings
+    # couple[:, 0, 1] while the dense sector keeps them
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    for n_max in (20, 90):
+        (diag, couple), dense = _sector(p, n_max, 1)
+        mutated = couple.copy()
+        mutated[:, 0, 1] = 0.0
+        assert _lowest_error((diag, couple), dense, 6) <= 1e-12
+        assert _lowest_error((diag, mutated), dense, 6) > 1e-3
+        shifts = np.linspace(-5.0, 3.0, 17)
+        assert _count_mismatches((diag, couple), dense, shifts) == 0
+        assert _count_mismatches((diag, mutated), dense, shifts) > 0
+
+
+@pytest.mark.parametrize("offset", [1e-6, -1e-6])
+def test_eigvals_lowest_raises_when_the_certificate_fails(monkeypatch, offset):
+    # leading-block levels off by 1e-6 are refused at every block size
+    leading = numerics._leading_levels
+    sizes = []
+
+    def shifted(diag, couple, rungs, k):
+        sizes.append(rungs)
+        return leading(diag, couple, rungs, k) + offset
+
+    monkeypatch.setattr(numerics, "_leading_levels", shifted)
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    with pytest.raises(ConvergenceFailureError, match="not certified"):
+        eigvals_lowest(*_sector_band(p, 90, 1), 6)
+    assert sizes == [32, 64, 91]
+
+
+def test_eigvals_lowest_grows_the_leading_block_until_certified(monkeypatch):
+    # at g1 = 1.2 the lowest six levels move by more than the tolerance
+    # between 32 and 601 rungs, so the first certificate fails
+    leading = numerics._leading_levels
+    sizes = []
+
+    def recorded(diag, couple, rungs, k):
+        sizes.append(rungs)
+        return leading(diag, couple, rungs, k)
+
+    monkeypatch.setattr(numerics, "_leading_levels", recorded)
+    p = ModelParams(omega=1.0, delta1=1.2, delta2=2.0, g1=1.2, g2=0.7)
+    band, dense = _sector(p, 300, 1)
+    assert _lowest_error(band, dense, 6) <= 1e-12
+    assert sizes == [32, 64]
+
+
+def test_inertia_count_handles_zero_pivots_without_warnings():
+    # shifts equal to diagonal entries give exactly zero pivots: at every
+    # rung of a decoupled band, and at the first rung of a coupled one
+    p = ModelParams(omega=1.0, delta1=0.7, delta2=0.7, g1=0.0, g2=0.0)
+    diag, couple = _sector_band(p, 10, 1)
+    coupled = (diag, couple + 0.3)
+    shifts = np.unique(diag)
+    vals = np.linalg.eigvalsh(band_to_dense(*coupled))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decoupled_count = inertia_count(diag, couple, shifts)
+        coupled_count = inertia_count(*coupled, [diag[0, 0]])
+    # a zero pivot counts as negative: a level at the shift is counted
+    assert decoupled_count.tolist() == [int(np.sum(diag <= s)) for s in shifts]
+    assert coupled_count.tolist() == [int(np.sum(vals < diag[0, 0]))]
+
+
+def test_band_solver_rejects_bad_input():
+    diag, couple = np.zeros((4, 2)), np.zeros((3, 2, 2))
+    with pytest.raises(ValueError, match="couplings"):
+        eigvals_lowest(diag, couple[:2], 1)
+    with pytest.raises(ValueError, match="k=9"):
+        eigvals_lowest(diag, couple, 9)
+    with pytest.raises(NonFiniteError):
+        inertia_count(np.full((4, 2), np.nan), couple, [0.0])
+    assert eigvals_lowest(diag, couple, 8).tolist() == [0.0] * 8
