@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .fockspace import spectrum_vs_g1
+from .fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
 from .model import LAMBDA_WINDOW, CoefficientMode, ModelParams, residual_eq8, residual_eq9
 from .numerics import (
     ConvergenceFailureError,
@@ -41,7 +42,7 @@ from .numerics import (
     check_increasing,
     error_token,
 )
-from .oracle import MIN_N_MAX, compare_trwa_exact
+from .oracle import MIN_N_MAX, check_n_levels, compare_trwa_exact
 from .reservoir import (
     ReservoirParams,
     SingularDenominatorError,
@@ -61,7 +62,7 @@ from .resonance import (
     solve_lambda1,
     solve_lambda2,
 )
-from .serialize import csv_text, json_text, write_text
+from .serialize import columns_of, csv_text, json_text, write_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -225,7 +226,9 @@ class Setting(NamedTuple):
 class Command(NamedTuple):
     """One subcommand's table entry.  owner is the parameter class named in
     messages about its fields; each pair in pairs must come together, and
-    need_pair asks for at least one; switches are (flag, help) of store_true flags."""
+    need_pair asks for at least one; switches are (flag, help) of store_true
+    flags.  relation is (field, check) of a rule across settings: check
+    reads the typed values and raises ValueError, reported against field."""
     run: Callable
     help: str
     owner: type
@@ -236,6 +239,7 @@ class Command(NamedTuple):
     switches: tuple[tuple[str, str], ...] = ()
     formats: tuple[str, ...] = ("csv", "json")
     jobs: bool = False
+    relation: tuple[str, Callable[[dict], None]] | None = None
 
     @property
     def keys(self) -> set[str]:
@@ -258,6 +262,7 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
     for field in sorted(set(settings) - cmd.keys):
         bad(field, f"{field}: not a setting of {command}")
     values = dict.fromkeys(cmd.keys)
+    typed = True
     for s in sorted(cmd.settings):
         if s.name not in settings and s.default is None:
             continue
@@ -266,6 +271,13 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
             values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default), owner)
         except ValueError as exc:
             bad(s.name, str(exc))
+            typed = False
+    if cmd.relation is not None and typed:
+        field, check = cmd.relation
+        try:
+            check(values)
+        except ValueError as exc:
+            bad(field, str(exc))
     for field in cmd.required:
         if field not in settings:
             bad(field, f"{field}: required by {command}")
@@ -333,15 +345,16 @@ def _write(args, text: str) -> int:
     return EXIT_OK
 
 
-def _emit(args, fieldnames, rows, header) -> int:
-    """Write a table; rows are dicts or result records with to_dict."""
+def _emit(args, fieldnames, columns, header) -> int:
+    """Write a table given as one sequence of cells per field name; JSON
+    rows are the {field: cell} dicts of its rows."""
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "json" if (getattr(args, "out", None) or "").endswith(".json") else "csv"
     if fmt == "json":
-        rows = [row if isinstance(row, dict) else row.to_dict() for row in rows]
+        rows = [dict(zip(fieldnames, cells)) for cells in zip(*columns)]
         return _write(args, json_text({"header": dict(header), "rows": rows}))
-    return _write(args, csv_text(fieldnames, rows, header))
+    return _write(args, csv_text(fieldnames, columns, header))
 
 
 def _fail(command: str, exc: Exception, params: dict, code: int) -> int:
@@ -372,10 +385,10 @@ def _run(command: str, args) -> int:
 
 
 def _sweep(args, task, points) -> list:
-    """Rows of task(point) for each point, run on --jobs worker threads and
-    joined in point order."""
+    """task(point) for each point, run on --jobs worker threads, in point
+    order."""
     with ThreadPoolExecutor(max_workers=_resolve_jobs(args)) as ex:
-        return [row for rows in ex.map(task, points) for row in rows]
+        return list(ex.map(task, points))
 
 
 def _header(command: str, settings: dict, **extra) -> dict:
@@ -401,12 +414,13 @@ def cmd_lambda(args, settings: dict, values: dict) -> int:
             "in_window": abs(lam) <= LAMBDA_WINDOW,
         })
     fields = ("qubit", "omega", "delta", "g", "lam", "residual", "in_window")
-    return _emit(args, fields, rows, _header("lambda", settings))
+    return _emit(args, fields, columns_of(fields, rows), _header("lambda", settings))
 
 
 def cmd_design(args, settings: dict, values: dict) -> int:
     row = design_resonant(**values).to_dict()
-    return _emit(args, tuple(row), [row], _header("design", settings))
+    fields = tuple(row)
+    return _emit(args, fields, columns_of(fields, [row]), _header("design", settings))
 
 
 _SCAN_FIELDS = (
@@ -425,16 +439,11 @@ def cmd_scan_window(args, settings: dict, values: dict) -> int:
         return scan_delta1_window([w], [d2], g1, g2_grid, threshold)
 
     kind = "lambda2" if g1 is None else "delta1"
-    rows = _sweep(args, task, [(w, d2) for w in omegas for d2 in deltas])
+    parts = _sweep(args, task, [(w, d2) for w in omegas for d2 in deltas])
     header = _header("scan-window", settings, kind=kind, omega_values=omegas,
                      delta2_values=deltas, g2_grid=g2_grid, threshold=threshold)
-    return _emit(args, _SCAN_FIELDS, rows, header)
-
-
-_SPECTRUM_FIELDS = (
-    "g1", "delta1", "lambda1", "lambda2", "parity", "level_index", "energy",
-    "offset", "error",
-)
+    return _emit(args, _SCAN_FIELDS,
+                 columns_of(_SCAN_FIELDS, itertools.chain.from_iterable(parts)), header)
 
 
 def cmd_spectrum(args, settings: dict, values: dict) -> int:
@@ -442,19 +451,22 @@ def cmd_spectrum(args, settings: dict, values: dict) -> int:
     n_blocks, mode = values["n_blocks"], values["mode"]
 
     def task(g1: float):
-        return spectrum_vs_g1(omega, delta2, g2, [g1], n_blocks, mode).rows
+        return spectrum_vs_g1(omega, delta2, g2, [g1], n_blocks, mode).columns
 
-    rows = _sweep(args, task, g1_grid)
+    # each field's cells of every point, in point order
+    columns = [list(itertools.chain.from_iterable(parts))
+               for parts in zip(*_sweep(args, task, g1_grid))]
     header = _header("spectrum", settings, omega=omega, delta2=delta2, g2=g2,
                      g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value)
-    return _emit(args, _SPECTRUM_FIELDS, rows, header)
+    return _emit(args, SPECTRUM_FIELDS, columns, header)
 
 
 def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
     summary = compare_trwa_exact(**values).to_dict()
     rows = summary.pop("rows")
     fields = ("level_index", "e_trwa", "e_exact", "abs_dev", "rel_dev")
-    return _emit(args, fields, rows, _header("oracle-compare", settings, **summary))
+    return _emit(args, fields, columns_of(fields, rows),
+                 _header("oracle-compare", settings, **summary))
 
 
 def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
@@ -472,7 +484,8 @@ def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
             })
     header = _header("reservoir-dark", settings, m_max=m_max, n_max=n_max,
                      constant=reservoir_constant(r, coeffs), **coeffs.to_dict())
-    return _emit(args, ("m", "n", "energy", "residual"), rows, header)
+    fields = ("m", "n", "energy", "residual")
+    return _emit(args, fields, columns_of(fields, rows), header)
 
 
 def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:
@@ -554,6 +567,8 @@ COMMANDS = {
          Setting("n_max", _TRUNCATION, 60, "photon truncation of the exact solve"),
          _N_BLOCKS, _MODE),
         required=_DESIGN_KEYS,
+        relation=("n_levels",
+                  lambda v: check_n_levels(v["n_levels"], v["n_max"], v["n_blocks"])),
     ),
     "reservoir-dark": Command(
         cmd_reservoir_dark, "dark-state energies and residuals on an (m, n) grid",
@@ -606,13 +621,19 @@ _FLAGS["validate"] = _flags(
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The rabi-spectra parser.  Every subcommand is listed with its help;
+    with command given, only that subcommand gets its flags, which is all
+    that parsing an argv naming it needs."""
     parser = _Parser(prog="rabi-spectra", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
 
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        p.set_defaults(func=functools.partial(_run, name))
+        if command not in (None, name):
+            continue
         for option, kw in _FLAGS[name]:
             p.add_argument(option, **kw)
         for flag, text in cmd.switches:
@@ -623,21 +644,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with default settings")
         if cmd.jobs:
             p.add_argument("--jobs", type=int, help=f"worker threads (default ${JOBS_ENV} or 1)")
-        p.set_defaults(func=functools.partial(_run, name))
 
     p = sub.add_parser("validate",
                        help="check a merged preset/config/flag set and list violations")
-    p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
-    p.add_argument("--config", help="JSON file with default settings")
-    for option, kw in _FLAGS["validate"]:
-        p.add_argument(option, **kw)
     p.set_defaults(func=cmd_validate)
+    if command in (None, "validate"):
+        p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
+        p.add_argument("--config", help="JSON file with default settings")
+        for option, kw in _FLAGS["validate"]:
+            p.add_argument(option, **kw)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option value, so the first word that is
+    # not an option names the subcommand
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = build_parser(command)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)

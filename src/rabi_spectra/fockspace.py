@@ -17,8 +17,9 @@ closed 4x4 blocks plus a small boundary block at photon number zero.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -435,25 +436,80 @@ class SpectrumRow:
         return record_dict(self)
 
 
+SPECTRUM_FIELDS = tuple(f.name for f in fields(SpectrumRow))
+
+
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Block-spectrum sweep over g1 at fixed (omega, delta2, g2)."""
+    """Block-spectrum sweep over g1 at fixed (omega, delta2, g2).
+
+    The levels are stored as columns: one tuple per SpectrumRow field, in
+    SPECTRUM_FIELDS order, with one cell per level row.  A point's
+    parameter and offset cells repeat one float object.  rows and
+    energies_for are views of the columns.
+    """
     omega: float
     delta2: float
     g2: float
     mode: str
     n_blocks: int
-    rows: tuple[SpectrumRow, ...]
+    columns: tuple[tuple, ...]
+
+    @property
+    def rows(self) -> tuple[SpectrumRow, ...]:
+        return tuple(SpectrumRow(*cells) for cells in zip(*self.columns))
 
     def energies_for(self, g1: float) -> list[tuple[int, str, float]]:
+        col = dict(zip(SPECTRUM_FIELDS, self.columns))
         return [
-            (r.level_index, r.parity, r.energy)
-            for r in self.rows
-            if r.g1 == g1 and r.error is None
+            (i, tag, e)
+            for x, tag, i, e, err in zip(col["g1"], col["parity"], col["level_index"],
+                                         col["energy"], col["error"])
+            if x == g1 and err is None
         ]
 
 
 _SPECTRUM_ERRORS = (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError)
+
+# parity tag of each chain, in the order its energies are concatenated
+_PARITY_TAGS = np.array(["+", "-"], dtype=object)
+
+
+def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]:
+    """The columns of a g1 point whose design failed: one row, no level."""
+    return tuple((cell,) for cell in (g1, delta1, lambda1, lambda2, "", None, None, None, token))
+
+
+def _point_columns(
+    omega: float,
+    delta2: float,
+    g2: float,
+    g1: float,
+    n_blocks: int,
+    mode: CoefficientMode,
+) -> tuple[Sequence, ...]:
+    """The SPECTRUM_FIELDS columns of one g1 point: its levels, or one
+    error row."""
+    try:
+        des = design_resonant(omega, delta2, g2, g1)
+    except _SPECTRUM_ERRORS as exc:
+        return _failed_point(g1, None, None, None, error_token(exc))
+    if not des.physical:
+        return _failed_point(g1, des.delta1, des.lambda1, des.lambda2, "NonphysicalDesign")
+    p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
+    t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
+    plus = trwa_block_energies(p, t, 1, n_blocks, mode)
+    minus = trwa_block_energies(p, t, -1, n_blocks, mode)
+    energies = np.array(plus + minus)
+    # stable: a tie keeps the plus level first, as it is concatenated first
+    order = np.argsort(energies, kind="stable")
+    tags = np.repeat(_PARITY_TAGS, (len(plus), len(minus)))[order]
+    n = len(order)
+    return (
+        (g1,) * n, (des.delta1,) * n, (des.lambda1,) * n, (des.lambda2,) * n,
+        tags.tolist(), range(n), energies[order].tolist(),
+        (constant_offset(p, t),) * n, (None,) * n,
+    )
 
 
 def spectrum_vs_g1(
@@ -467,41 +523,20 @@ def spectrum_vs_g1(
     """Sweep g1, re-deriving the resonant design at each point, and emit the
     sorted block eigenvalues of both parity chains.
 
-    Each row carries the global level index within its g1 point (energies
-    ascending across both parities), the parity label of the block the
-    level came from, and the constant diagonal offset so spectra can be
-    compared shift-free.  Design failures become single rows with the
-    error token and empty numeric fields.  Raises ValueError unless g1_grid
-    is strictly increasing.
+    Each level row carries the global level index within its g1 point
+    (energies ascending across both parities, a tie putting the + level
+    first), the parity label of the block the level came from, and the
+    constant diagonal offset so spectra can be compared shift-free.  Design
+    failures become single rows with the error token and empty numeric
+    fields.  Raises ValueError unless g1_grid is strictly increasing.
     """
     check_increasing("g1_grid", g1_grid)
-    rows: list[SpectrumRow] = []
-    for g1 in g1_grid:
-        try:
-            des = design_resonant(omega, delta2, g2, g1)
-        except _SPECTRUM_ERRORS as exc:
-            rows.append(SpectrumRow(g1, None, None, None, "", None, None, None,
-                                    error_token(exc)))
-            continue
-        if not des.physical:
-            rows.append(SpectrumRow(
-                g1, des.delta1, des.lambda1, des.lambda2, "", None, None, None,
-                "NonphysicalDesign",
-            ))
-            continue
-        p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
-        t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
-        c0 = constant_offset(p, t)
-        labeled: list[tuple[float, str]] = []
-        for par, tag in ((1, "+"), (-1, "-")):
-            labeled.extend((e, tag) for e in trwa_block_energies(p, t, par, n_blocks, mode))
-        labeled.sort(key=lambda pair: pair[0])
-        for idx, (energy, tag) in enumerate(labeled):
-            rows.append(SpectrumRow(
-                g1=g1, delta1=des.delta1, lambda1=des.lambda1, lambda2=des.lambda2,
-                parity=tag, level_index=idx, energy=energy, offset=c0,
-            ))
+    points = [_point_columns(omega, delta2, g2, g1, n_blocks, mode) for g1 in g1_grid]
+    columns = tuple(
+        tuple(itertools.chain.from_iterable(point[k] for point in points))
+        for k in range(len(SPECTRUM_FIELDS))
+    )
     return SpectrumTable(
         omega=omega, delta2=delta2, g2=g2, mode=str(mode.value),
-        n_blocks=n_blocks, rows=tuple(rows),
+        n_blocks=n_blocks, columns=columns,
     )

@@ -36,6 +36,21 @@ def _check_truncation(n_max: int) -> None:
         raise ValueError(f"truncation n_max={n_max} too small (need >= {MIN_N_MAX})")
 
 
+def check_n_levels(n_levels: int, n_max: int, n_blocks: int | None = None) -> None:
+    """Raise ValueError unless 1 <= n_levels <= the levels there are.
+
+    The exact truncation at n_max holds 4 (n_max + 1) levels; with
+    n_blocks, the closed blocks of both parity chains hold 8 n_blocks + 4
+    (3 + 4 n_blocks in the plus chain, 1 + 4 n_blocks in the minus chain).
+    """
+    top = 4 * (n_max + 1)
+    if n_blocks is not None:
+        top = min(top, 8 * n_blocks + 4)
+    if not 1 <= n_levels <= top:
+        where = f"n_max={n_max}" + ("" if n_blocks is None else f", n_blocks={n_blocks}")
+        raise ValueError(f"n_levels={n_levels} outside [1, {top}] at {where}")
+
+
 def build_full_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
     """Untransformed Hamiltonian in the sigma-z product Fock basis.
 
@@ -201,8 +216,7 @@ def exact_spectrum(
     more than this whole solve at n_max = 300.
     """
     _check_truncation(n_max)
-    if n_levels < 1 or n_levels > 4 * (n_max + 1):
-        raise ValueError(f"n_levels={n_levels} outside [1, {4 * (n_max + 1)}]")
+    check_n_levels(n_levels, n_max)
     vals = _lowest_levels(p, n_max, n_levels)
     vals_fine = _lowest_levels(p, 2 * n_max, n_levels)
     deltas = tuple(float(abs(a - b)) for a, b in zip(vals, vals_fine))
@@ -286,8 +300,11 @@ def compare_trwa_exact(
 
     Both spectra are offset-aligned by their own ground energies before the
     per-level deviations are taken (the block energies contain the global
-    displacement constant, the exact ones do not).
+    displacement constant, the exact ones do not).  Raises ValueError unless
+    check_n_levels accepts n_levels.
     """
+    _check_truncation(n_max)
+    check_n_levels(n_levels, n_max, n_blocks)
     des = design_resonant(omega, delta2, g2, g1)
     p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
     t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
@@ -296,8 +313,6 @@ def compare_trwa_exact(
     for par in (1, -1):
         trwa.extend(trwa_block_energies(p, t, par, n_blocks, mode))
     trwa.sort()
-    if len(trwa) < n_levels:
-        raise ValueError(f"only {len(trwa)} block levels for n_levels={n_levels}")
 
     exact, report = exact_spectrum(p, n_max, n_levels)
     rows = []

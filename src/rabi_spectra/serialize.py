@@ -9,8 +9,9 @@ Two formats, both reproducible byte for byte on every platform:
   through Python's repr, the shortest string that round-trips, which is
   deterministic for a given value.
 
-A CSV table is formatted one column at a time.  The rows may be mappings
-(a missing key is an empty cell) or records read by attribute.  A cell
+A CSV table is given and formatted as columns, one sequence of cells per
+field.  Tables held as rows, mappings (a missing key is an empty cell) or
+records read by attribute, become columns through ``columns_of``.  A cell
 whose value is the same object as the cell above it (``is``, never ``==``:
 ``0.0 == -0.0``, yet they print as ``0`` and ``-0``) reuses that cell's
 text; a sweep repeats its point's parameters on every level row.
@@ -88,40 +89,66 @@ def _cell(value, lone: bool) -> str:
 
 
 def _column(values: Iterable, lone: bool) -> list[str]:
-    """The cell texts of one column, formatting each new object once."""
+    """The cell texts of one column, formatting each new object once.
+
+    A float or int (exactly that type, so never a bool) takes the text
+    _cell gives it without going through the quoting rule: never empty,
+    never quoted.
+    """
     texts = []
     append = texts.append
     above = _NO_CELL
     for value in values:
         if value is not above:
             above = value
-            text = _cell(value, lone)
+            kind = type(value)
+            if kind is float:
+                text = format(value, ".17g")
+            elif kind is int:
+                text = str(value)
+            else:
+                text = _cell(value, lone)
         append(text)
     return texts
 
 
+def columns_of(fieldnames: Sequence[str], rows: Iterable) -> list[list]:
+    """The cells of rows as one list per field name.
+
+    rows are mappings, where a missing key is None, or records with an
+    attribute per field name.
+    """
+    rows = list(rows)
+    if rows and isinstance(rows[0], Mapping):
+        return [[row.get(name) for row in rows] for name in fieldnames]
+    return [list(map(operator.attrgetter(name), rows)) for name in fieldnames]
+
+
 def csv_text(
     fieldnames: Sequence[str],
-    rows: Iterable,
+    columns: Sequence[Sequence],
     header: Mapping | None = None,
 ) -> str:
     """Build the full CSV document as a string.
 
-    rows are mappings or records with an attribute per field name.
+    columns holds one sequence of cells per field name, all of one length;
+    row i of the table is the i-th cell of every column.
     """
     if not fieldnames:
         raise ValueError("a CSV table needs at least one column")
-    rows = list(rows)
+    if any(isinstance(c, Mapping) for c in columns):
+        raise TypeError("csv_text takes columns; columns_of turns rows into columns")
+    if len(columns) != len(fieldnames) or len({len(c) for c in columns}) > 1:
+        raise ValueError(
+            f"need {len(fieldnames)} columns of one length, got lengths "
+            f"{[len(c) for c in columns]}"
+        )
     lone = len(fieldnames) == 1
     lines = []
     if header is not None:
         lines.append("# " + json.dumps(dict(header), sort_keys=True))
     lines.append(",".join(_cell(name, lone) for name in fieldnames))
-    if rows and isinstance(rows[0], Mapping):
-        columns = [_column([row.get(name) for row in rows], lone) for name in fieldnames]
-    else:
-        columns = [_column(map(operator.attrgetter(name), rows), lone) for name in fieldnames]
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(",".join, zip(*[_column(c, lone) for c in columns])))
     lines.append("")
     return "\n".join(lines)
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, presets, determinism."""
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
-from rabi_spectra.oracle import MIN_N_MAX
+from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -148,6 +149,29 @@ def test_spectrum_reports_design_failures_per_row():
     bad = [r for r in rows if r["error"]]
     assert len(bad) == 1
     assert bad[0]["g1"] == "0" and bad[0]["error"] == "DegenerateDesign"
+
+
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, WORKLOADS.HELD_OUT_SEED])
+@pytest.mark.parametrize("workload", ["sweep-exact", "sweep-approx"])
+def test_spectrum_csv_equals_the_benchmark_reference_bytes(tmp_path, workload, seed):
+    # the benchmark's gate compares to 1e-10; the bytes are kept exactly
+    wl = WORKLOADS.build(workload, seed)
+    out = tmp_path / "out.csv"
+    assert run([*wl.argv, "--out", str(out)])[0] == 0
+    reference = _perfbench_module("gate").load_reference(workload, wl.variant)
+    assert out.read_bytes() == reference.encode("utf-8")
 
 
 def test_spectrum_jobs_do_not_change_bytes():
@@ -326,6 +350,30 @@ def test_oracle_compare_and_validate_reject_the_same_truncations(n_max):
     assert run([*ORACLE_FLAGS, "--n-max", str(MIN_N_MAX)])[0] == 0
 
 
+@pytest.mark.parametrize("n_max, n_levels, top", [
+    ("4", "30", 20),  # the exact truncation holds 4 (n_max + 1) levels
+    ("10", "70", 44),
+    ("30", "70", 68),  # 8 default blocks hold 8 * 8 + 4 levels
+])
+def test_oracle_compare_and_validate_reject_the_same_level_counts(n_max, n_levels, top):
+    # the bound comes from oracle.check_n_levels, which compare_trwa_exact checks
+    flags = [*ORACLE_FLAGS, "--n-max", n_max, "--n-levels", n_levels]
+    code, out, _ = run(flags)
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "Value"
+    assert record["message"].startswith(f"n_levels={n_levels} outside [1, {top}]")
+    code, out, _ = run(["validate", "--for", *flags])
+    assert code == 1
+    assert json.loads(out)["violations"] == [{"field": "n_levels", "message": record["message"]}]
+    with pytest.raises(ValueError) as exc:
+        compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=int(n_levels), n_max=int(n_max))
+    assert str(exc.value) == record["message"]
+    code, out, _ = run(["validate", "--for", *ORACLE_FLAGS, "--n-max", n_max,
+                        "--n-levels", str(top)])
+    assert code == 0, out
+
+
 HUGE = int("9" * 400)  # past the float range: float() raises OverflowError
 
 
@@ -461,6 +509,24 @@ def test_generated_parser_keeps_every_option():
         "spectrum": [["3"]], "oracle-compare": [], "reservoir-dark": [],
         "reservoir-quasi": [], "validate": [["1a", "1b", "2a", "2b", "3"]],
     }
+
+
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "validate"])
+def test_a_parser_for_one_command_flags_only_that_command(command):
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    for name, p in _subparsers(one).items():
+        options = sorted(s for a in p._actions for s in a.option_strings)
+        if name == command:
+            assert options == OPTION_STRINGS[name]
+            assert p.format_help() == _subparsers(full)[name].format_help()
+        else:
+            assert options == ["--help", "-h"]
 
 
 def test_parse_grid_tiny_step_keeps_points_distinct():

@@ -40,7 +40,8 @@ from rabi_spectra.fockspace import (
     _diag_element,
     _hop_element,
 )
-from rabi_spectra.numerics import NonFiniteError, eigvals_stacked
+from rabi_spectra.numerics import NoBracketError, NonFiniteError, eigvals_stacked, error_token
+from rabi_spectra.resonance import DegenerateDesignError, SingularError
 
 # Hand-expanded closed forms of the low-order Laguerre polynomials; kept
 # deliberately independent of the evaluator inside the package so the matrix
@@ -573,6 +574,73 @@ def test_spectrum_row_to_dict_matches_asdict():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1)
     assert [r.to_dict() for r in table.rows] == [dataclasses.asdict(r) for r in table.rows]
     assert list(table.rows[0].to_dict()) == [f.name for f in dataclasses.fields(table.rows[0])]
+
+
+def reference_spectrum_rows(omega, delta2, g2, g1_grid, n_blocks, mode):
+    """The row-by-row builder that the columnar sweep replaced, kept as the
+    reference its rows are checked against: one record per level, sorted
+    as (energy, parity tag) pairs by a stable sort on the energy."""
+    rows = []
+    for g1 in g1_grid:
+        try:
+            des = design_resonant(omega, delta2, g2, g1)
+        except (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError) as exc:
+            rows.append(fockspace.SpectrumRow(g1, None, None, None, "", None, None, None,
+                                              error_token(exc)))
+            continue
+        if not des.physical:
+            rows.append(fockspace.SpectrumRow(g1, des.delta1, des.lambda1, des.lambda2, "",
+                                              None, None, None, "NonphysicalDesign"))
+            continue
+        p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
+        t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
+        c0 = constant_offset(p, t)
+        labeled = []
+        for par, tag in ((1, "+"), (-1, "-")):
+            energies = fockspace.trwa_block_energies(p, t, par, n_blocks, mode)
+            labeled.extend((e, tag) for e in energies)
+        labeled.sort(key=lambda pair: pair[0])
+        for idx, (energy, tag) in enumerate(labeled):
+            rows.append(fockspace.SpectrumRow(g1, des.delta1, des.lambda1, des.lambda2, tag, idx,
+                                              energy, c0))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("omega, delta2, g2, grid, n_blocks, mode", [
+    (1.0, 2.0, 0.7, [0.0, 0.45, 0.9], 3, CoefficientMode.APPROX),  # a DegenerateDesign point
+    (1.0, 0.2, 0.5, [0.3], 3, CoefficientMode.APPROX),  # a NonphysicalDesign point
+    (1.0, 2.0, 0.7, [0.0, 0.45, 0.9], 20, CoefficientMode.EXACT),
+    (1.0, 2.0, 0.7, [0.1, 0.35, 0.6, 0.85, 1.1], 8, CoefficientMode.APPROX),
+])
+def test_table_rows_equal_the_row_by_row_reference(omega, delta2, g2, grid, n_blocks, mode):
+    table = spectrum_vs_g1(omega, delta2, g2, grid, n_blocks, mode)
+    expected = reference_spectrum_rows(omega, delta2, g2, grid, n_blocks, mode)
+    assert table.rows == expected
+    assert repr(table.rows) == repr(expected)  # == alone lets -0.0 pass for 0.0
+    assert len(table.columns) == len(fockspace.SPECTRUM_FIELDS)
+    assert all(len(column) == len(expected) for column in table.columns)
+    for g1 in grid:
+        assert table.energies_for(g1) == [
+            (r.level_index, r.parity, r.energy) for r in expected
+            if r.g1 == g1 and r.error is None
+        ]
+
+
+def test_tied_levels_put_the_plus_chain_first(monkeypatch):
+    # both chains return the same 200 levels, each value repeated: every
+    # level ties one of the other chain, in an array long enough that an
+    # unstable sort moves ties
+    levels = sorted(float(k % 7) for k in range(200))
+    monkeypatch.setattr(fockspace, "trwa_block_energies", lambda *args: list(levels))
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.9], n_blocks=1)
+    col = dict(zip(fockspace.SPECTRUM_FIELDS, table.columns))
+    energy, tags = col["energy"], col["parity"]
+    assert list(energy) == sorted(levels + levels)
+    for value in set(levels):
+        run = [tag for e, tag in zip(energy, tags) if e == value]
+        half = len(run) // 2
+        assert run == ["+"] * half + ["-"] * half, value
+    assert table.rows == reference_spectrum_rows(1.0, 2.0, 0.7, [0.9], 1, CoefficientMode.APPROX)
 
 
 def test_spectrum_vs_g1_nonphysical_design_row():

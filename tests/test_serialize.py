@@ -8,11 +8,11 @@ import math
 
 import pytest
 
-from rabi_spectra.cli import _SCAN_FIELDS, _SPECTRUM_FIELDS
-from rabi_spectra.fockspace import spectrum_vs_g1
+from rabi_spectra.cli import _SCAN_FIELDS
+from rabi_spectra.fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
 from rabi_spectra.model import CoefficientMode
 from rabi_spectra.resonance import scan_delta1_window
-from rabi_spectra.serialize import csv_text, fmt, json_text, read_csv_text
+from rabi_spectra.serialize import columns_of, csv_text, fmt, json_text, read_csv_text
 
 
 def reference_csv_text(fieldnames, rows, header=None):
@@ -45,7 +45,7 @@ def test_fmt_special_values():
 def test_csv_document_layout_and_round_trip():
     header = {"command": "demo", "omega": 1.0}
     rows = [{"a": 0.5, "b": None}, {"a": 1.0 / 3.0, "b": "x"}]
-    text = csv_text(("a", "b"), rows, header)
+    text = csv_text(("a", "b"), columns_of(("a", "b"), rows), header)
     lines = text.splitlines()
     assert lines[0].startswith("# ")
     assert json.loads(lines[0][2:]) == header
@@ -59,8 +59,8 @@ def test_csv_document_layout_and_round_trip():
 
 
 def test_csv_header_key_order_is_canonical():
-    a = csv_text(("x",), [], {"b": 1, "a": 2})
-    b = csv_text(("x",), [], {"a": 2, "b": 1})
+    a = csv_text(("x",), [[]], {"b": 1, "a": 2})
+    b = csv_text(("x",), [[]], {"a": 2, "b": 1})
     assert a == b
 
 
@@ -112,31 +112,45 @@ CORPUS = {
 @pytest.mark.parametrize("header", [None, {"command": "demo", "g": [0.5, -0.0]}])
 def test_csv_text_equals_the_csv_writer_reference(case, header):
     fieldnames, rows = CORPUS[case]
-    assert csv_text(fieldnames, rows, header) == reference_csv_text(fieldnames, rows, header)
+    columns = columns_of(fieldnames, rows)
+    assert csv_text(fieldnames, columns, header) == reference_csv_text(fieldnames, rows, header)
 
 
 def test_negative_zero_below_positive_zero_keeps_its_sign():
     # equal by ==, not the same object: the cell text must not be reused
-    text = csv_text(("x",), [{"x": 0.0}, {"x": float("-0.0")}])
+    text = csv_text(("x",), [[0.0, float("-0.0")]])
     assert text == "x\n0\n-0\n"
 
 
 def test_records_read_by_attribute_equal_their_dicts():
     records = [Record(1.5, "a,b"), Record(-0.0), Record(_SHARED, True), Record(_SHARED, None)]
     dicts = [dataclasses.asdict(r) for r in records]
-    assert csv_text(("b", "a"), records) == reference_csv_text(("b", "a"), dicts)
-    assert csv_text(("b", "a"), records) == csv_text(("b", "a"), dicts)
+    columns = columns_of(("b", "a"), records)
+    assert columns == columns_of(("b", "a"), dicts)
+    assert csv_text(("b", "a"), columns) == reference_csv_text(("b", "a"), dicts)
 
 
 def test_lone_carriage_return_is_always_quoted():
     # csv.writer leaves this cell bare before Python 3.13 and quotes it from
     # 3.13 on; the writer's own rule quotes it on every version
-    assert csv_text(("s", "k"), [{"s": "a\rb", "k": 1}]) == 's,k\n"a\rb",1\n'
+    assert csv_text(("s", "k"), [["a\rb"], [1]]) == 's,k\n"a\rb",1\n'
 
 
 def test_a_table_needs_a_column():
     with pytest.raises(ValueError):
-        csv_text((), [{"a": 1}])
+        csv_text((), [])
+
+
+@pytest.mark.parametrize("columns", [[[1]], [[1], [2], [3]], [[1, 2], [3]]])
+def test_columns_must_match_the_fields_and_each_other(columns):
+    with pytest.raises(ValueError, match="columns of one length"):
+        csv_text(("a", "b"), columns)
+
+
+def test_rows_given_as_columns_are_refused():
+    # two mappings for two fields would otherwise pass the length check
+    with pytest.raises(TypeError, match="columns_of"):
+        csv_text(("a", "b"), [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
 
 
 def test_exact_spectrum_table_equals_the_reference():
@@ -144,7 +158,7 @@ def test_exact_spectrum_table_equals_the_reference():
                            mode=CoefficientMode.EXACT)
     assert any(r.error for r in table.rows)
     dicts = [r.to_dict() for r in table.rows]
-    assert csv_text(_SPECTRUM_FIELDS, table.rows) == reference_csv_text(_SPECTRUM_FIELDS, dicts)
+    assert csv_text(SPECTRUM_FIELDS, table.columns) == reference_csv_text(SPECTRUM_FIELDS, dicts)
 
 
 def test_window_scan_table_equals_the_reference():
@@ -152,4 +166,5 @@ def test_window_scan_table_equals_the_reference():
                               [0.05, 0.3, 0.7, 1.0])
     assert {r.error for r in rows} > {None}
     dicts = [r.to_dict() for r in rows]
-    assert csv_text(_SCAN_FIELDS, rows) == reference_csv_text(_SCAN_FIELDS, dicts)
+    assert (csv_text(_SCAN_FIELDS, columns_of(_SCAN_FIELDS, rows))
+            == reference_csv_text(_SCAN_FIELDS, dicts))
