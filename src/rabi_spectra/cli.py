@@ -47,6 +47,7 @@ from .reservoir import (
     ReservoirParams,
     SingularDenominatorError,
     SingularEtaError,
+    check_seed,
     compute_K,
     dark_state_energy,
     dark_state_residual,
@@ -587,6 +588,8 @@ COMMANDS = {
         required=_RESERVOIR_KEYS, pairs=(("m", "n"),),
         switches=(("--window", "add the printed 6x6 window check at E = 2*omega1 + 2*omega"),),
         formats=("json",),
+        relation=("m", lambda v: None if v["m"] is None or v["n"] is None
+                  else check_seed(v["m"], v["n"])),
     ),
 }
 

@@ -18,7 +18,6 @@ closed 4x4 blocks plus a small boundary block at photon number zero.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -29,9 +28,7 @@ from .model import (
     CoefficientMode,
     ModelParams,
     TrwaParams,
-    coeff_f1,
     coeff_f1_table,
-    coeff_g0,
     coeff_g0_table,
     constant_offset,
     resonance_residual,
@@ -44,7 +41,6 @@ from .numerics import (
     eigh,
     eigvals_stacked,
     error_token,
-    sym_set,
 )
 from .resonance import DegenerateDesignError, SingularError, design_resonant
 from .serialize import record_dict
@@ -118,30 +114,6 @@ def build_parity_chain(parity, n_max: int) -> ParityChain:
     return chain
 
 
-def _diag_element(p: ModelParams, t: TrwaParams, n: int, s1: int, s2: int,
-                  mode: CoefficientMode) -> float:
-    return (
-        p.omega * n
-        + constant_offset(p, t)
-        + s1 * p.delta1 * coeff_g0(t.lambda1, n, mode)
-        + s2 * p.delta2 * coeff_g0(t.lambda2, n, mode)
-    )
-
-
-def _hop_element(p: ModelParams, t: TrwaParams, n_lo: int, qubit: int, s_hi: int,
-                 mode: CoefficientMode) -> float:
-    """Element between |n_lo, ...> and |n_lo+1, ...> when `qubit` flips.
-
-    s_hi is the flipped qubit's sign in the higher-photon state; it sets
-    the sign of the F1 correction.
-    """
-    if qubit == 1:
-        g, lam, delta = p.g1, t.lambda1, p.delta1
-    else:
-        g, lam, delta = p.g2, t.lambda2, p.delta2
-    return (g + lam * p.omega) * math.sqrt(n_lo + 1.0) + s_hi * delta * coeff_f1(lam, n_lo, mode)
-
-
 def _chain_layout(parity, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Photon number, s1 and s2 of every chain index, in build_parity_chain order.
 
@@ -165,12 +137,12 @@ def _chain_band(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal and upper off-diagonal entries (rows, cols, vals) of one chain.
 
-    Element formulas are those of _diag_element and _hop_element, applied
-    elementwise over coefficient tables of the chain (one Laguerre
-    recurrence per displacement and order), so every entry is bit-equal to
-    the scalar formulas.  Chain index 2n + r holds photon number n; every
-    pair has rows < cols and lies within photon numbers n, n+1.  Raises
-    NonFiniteError when an entry is not finite.
+    The one source of chain elements: the three patterns of the module
+    docstring, applied elementwise over coefficient tables of the chain
+    (one Laguerre recurrence per displacement and order).  Chain index
+    2n + r holds photon number n; every pair has rows < cols and lies
+    within photon numbers n, n+1.  Raises NonFiniteError when an entry is
+    not finite.
     """
     ns, s1, s2 = _chain_layout(parity, n_max)
     dim = len(ns)
@@ -263,37 +235,34 @@ def build_effective_chain_matrix(
     return SymmetricMatrix(arr, chain.labels())
 
 
+def _block4_states(n: int) -> tuple[ChainState, ...]:
+    return (
+        ChainState(2 * n + 1, 1, -1),
+        ChainState(2 * n + 2, 1, 1),
+        ChainState(2 * n + 2, -1, -1),
+        ChainState(2 * n + 3, -1, 1),
+    )
+
+
 @dataclass(frozen=True)
 class Block4:
     """One 4x4 block of the resonant decomposition, window index n.
 
-    Basis order: |2n+1,+,->, |2n+2,+,+>, |2n+2,-,->, |2n+3,-,+>.
-    The named entries mirror the window bookkeeping: a is the 1x1 value on
-    |2n+1,-,+> (which closes the previous block), b_prime the diagonal on
-    |2n+3,+,-> (which opens the next one), x and y the upper couplings at
-    sqrt(2n+2).  The lower couplings inside `matrix` carry their exact
-    sqrt(2n+3) elements rather than reusing x and y.
+    Basis order: |2n+1,+,->, |2n+2,+,+>, |2n+2,-,->, |2n+3,-,+>.  The
+    elements are those of the plus chain; couplings that leave the block
+    are dropped.
     """
     n: int
-    a: float
-    b: float
-    c: float
-    d: float
-    a_prime: float
-    b_prime: float
-    x: float
-    y: float
     matrix: SymmetricMatrix
 
     @property
+    def x(self) -> float:
+        """Upper coupling of |2n+1,+,-> to |2n+2,+,+> (qubit 2 raised)."""
+        return self.matrix.entry(0, 1)
+
+    @property
     def states(self) -> tuple[ChainState, ...]:
-        n = self.n
-        return (
-            ChainState(2 * n + 1, 1, -1),
-            ChainState(2 * n + 2, 1, 1),
-            ChainState(2 * n + 2, -1, -1),
-            ChainState(2 * n + 3, -1, 1),
-        )
+        return _block4_states(self.n)
 
 
 def build_block4(
@@ -302,38 +271,13 @@ def build_block4(
     n: int,
     mode: CoefficientMode = CoefficientMode.APPROX,
 ) -> Block4:
-    """Build the window-n block of the plus chain (photons 2n+1 .. 2n+3)."""
+    """The window-n block of the plus chain (photons 2n+1 .. 2n+3), cut
+    from the chain band (_chain_band)."""
     if n < 0:
         raise ValueError(f"block index must be nonnegative, got {n}")
-    diag = lambda nn, s1, s2: _diag_element(p, t, nn, s1, s2, mode)
-    a = diag(2 * n + 1, -1, 1)
-    b = diag(2 * n + 1, 1, -1)
-    c = diag(2 * n + 2, 1, 1)
-    d = diag(2 * n + 2, -1, -1)
-    a_prime = diag(2 * n + 3, -1, 1)
-    b_prime = diag(2 * n + 3, 1, -1)
-    x = _hop_element(p, t, 2 * n + 1, 2, 1, mode)    # (B, C): qubit 2 raised
-    y = _hop_element(p, t, 2 * n + 1, 1, -1, mode)   # (B, D): qubit 1 lowered
-    y_lo = _hop_element(p, t, 2 * n + 2, 1, -1, mode)  # (C, A'): qubit 1 lowered
-    x_lo = _hop_element(p, t, 2 * n + 2, 2, 1, mode)   # (D, A'): qubit 2 raised
-    same_n = resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
-    arr = np.zeros((4, 4))
-    arr[0, 0], arr[1, 1], arr[2, 2], arr[3, 3] = b, c, d, a_prime
-    sym_set(arr, 0, 1, x)
-    sym_set(arr, 0, 2, y)
-    sym_set(arr, 1, 2, same_n)
-    sym_set(arr, 1, 3, y_lo)
-    sym_set(arr, 2, 3, x_lo)
-    labels = (
-        ChainState(2 * n + 1, 1, -1).ket(),
-        ChainState(2 * n + 2, 1, 1).ket(),
-        ChainState(2 * n + 2, -1, -1).ket(),
-        ChainState(2 * n + 3, -1, 1).ket(),
-    )
-    return Block4(
-        n=n, a=a, b=b, c=c, d=d, a_prime=a_prime, b_prime=b_prime, x=x, y=y,
-        matrix=SymmetricMatrix(arr, labels),
-    )
+    arr = _band_blocks(_chain_band(p, t, 1, 2 * n + 3, mode), 3 + 4 * n, 4, 1)[0]
+    labels = tuple(s.ket() for s in _block4_states(n))
+    return Block4(n=n, matrix=SymmetricMatrix(arr, labels))
 
 
 def block_eigenvector_to_wavefunction(

@@ -1,30 +1,30 @@
 """Exact-diagonalization oracles in truncated product Fock bases.
 
-These builders transcribe the Hamiltonians term by term, with no displaced
-frame and no rotating truncation, so they serve as an independent check on
-the block machinery.  Basis ordering everywhere: photon number outermost,
+The Hamiltonians here are the untransformed ones, with no displaced frame
+and no rotating truncation, so they serve as an independent check on the
+block machinery.  Each family has one source of matrix elements.  The
+single-mode Rabi matrices come from the band of each parity sector
+(_sector_band): build_parity_sector is its dense form, build_full_rabi
+scatters both sectors into the product basis, and build_rotated_rabi is a
+sign gauge of that.  The two-mode pseudomode Hamiltonian is one Kronecker
+sum of its operators.  Basis ordering everywhere: photon number outermost,
 then pseudomode number, then the two qubit labels lexicographically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fockspace import trwa_block_energies
-from .model import CoefficientMode, ModelParams, TrwaParams, constant_offset
-from .numerics import SymmetricMatrix, band_to_dense, eigvals_lowest, sym_set
+from .model import CoefficientMode, ModelParams, TrwaParams
+from .numerics import SymmetricMatrix, band_to_dense, eigvals_lowest
 from .reservoir import ReservoirParams
 from .resonance import design_resonant
 from .serialize import record_dict
 
 # sigma-z product labels, lexicographic: e < g, e -> +1, g -> -1
 _ZLABELS = (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
-_ZSIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-# sigma-x product labels: + before -
-_XLABELS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
-_XSIGNS = _ZSIGNS
 
 
 # smallest photon truncation of the exact builders
@@ -51,66 +51,11 @@ def check_n_levels(n_levels: int, n_max: int, n_blocks: int | None = None) -> No
         raise ValueError(f"n_levels={n_levels} outside [1, {top}] at {where}")
 
 
-def build_full_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
-    """Untransformed Hamiltonian in the sigma-z product Fock basis.
-
-    omega a^dag a + g1 sx1 (a + a^dag) + g2 sx2 (a + a^dag)
-    + delta1 sz1 + delta2 sz2, truncated at n_max photons.
-    Dimension 4 (n_max + 1).
-    """
-    _check_truncation(n_max)
-    dim = 4 * (n_max + 1)
-    arr = np.zeros((dim, dim))
-    labels = []
-    for n in range(n_max + 1):
-        for k, (z1, z2) in enumerate(_ZSIGNS):
-            i = 4 * n + k
-            labels.append(f"|{n},{_ZLABELS[k][0]},{_ZLABELS[k][1]}>")
-            arr[i, i] = p.omega * n + p.delta1 * z1 + p.delta2 * z2
-            if n < n_max:
-                root = math.sqrt(n + 1.0)
-                # sx1 flips q1: (e,q2) <-> (g,q2)
-                j = 4 * (n + 1) + (k ^ 2)
-                sym_set(arr, i, j, p.g1 * root)
-                # sx2 flips q2
-                j = 4 * (n + 1) + (k ^ 1)
-                sym_set(arr, i, j, p.g2 * root)
-    return SymmetricMatrix(arr, tuple(labels))
-
-
-def build_rotated_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
-    """build_full_rabi in a sign gauge, with the qubits relabeled {+, -}.
-
-    Entry for entry this is G F G with F = build_full_rabi(p, n_max) and
-    G = 1 (x) sz (x) sz: the diagonal is unchanged and every coupling,
-    which flips exactly one qubit label, changes sign (-g_i sqrt(n+1)).
-    That is the matrix of -g_i sz_i (a + a^dag) + delta_i sx_i in the
-    sigma-x product basis, so the labels read as sigma-x eigenvalues and
-    every basis state has the definite parity (-1)^n s1 s2.  It is not a
-    frame rotation of F: the spectrum equals F's by a diagonal similarity,
-    so isospectrality with F checks the gauge, not a qubit rotation.
-    """
-    _check_truncation(n_max)
-    dim = 4 * (n_max + 1)
-    arr = np.zeros((dim, dim))
-    labels = []
-    for n in range(n_max + 1):
-        for k, (s1, s2) in enumerate(_XSIGNS):
-            i = 4 * n + k
-            labels.append(f"|{n},{_XLABELS[k][0]},{_XLABELS[k][1]}>")
-            arr[i, i] = p.omega * n + p.delta1 * s1 + p.delta2 * s2
-            if n < n_max:
-                root = math.sqrt(n + 1.0)
-                sym_set(arr, i, 4 * (n + 1) + (k ^ 2), -p.g1 * root)
-                sym_set(arr, i, 4 * (n + 1) + (k ^ 1), -p.g2 * root)
-    return SymmetricMatrix(arr, tuple(labels))
-
-
 def _sector_states(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Photon numbers (R,) and qubit indices (R, 2) of one parity sector.
 
     At photon number n the sector keeps the two sigma-z product states with
-    z1 z2 = parity (-1)^n, in the order of build_full_rabi.
+    z1 z2 = parity (-1)^n, in ascending qubit index.
     """
     _check_truncation(n_max)
     if parity not in (1, -1):
@@ -130,7 +75,6 @@ def _sector_band(p: ModelParams, n_max: int, parity: int) -> tuple[np.ndarray, n
     Hamiltonian has no element inside a rung; couple[n, a, b] links state a
     of rung n to state b of rung n + 1, which differ in exactly one qubit:
     g1 sqrt(n+1) when it is q1 (k ^ 2), g2 sqrt(n+1) when it is q2 (k ^ 1).
-    Every entry is bit-equal to the same element of build_full_rabi.
     """
     n, k = _sector_states(n_max, parity)
     z1 = 1 - 2 * (k >> 1)
@@ -143,14 +87,11 @@ def _sector_band(p: ModelParams, n_max: int, parity: int) -> tuple[np.ndarray, n
 
 
 def build_parity_sector(p: ModelParams, n_max: int, parity: int) -> SymmetricMatrix:
-    """build_full_rabi restricted to the states of one parity sector.
+    """The Hamiltonian of build_full_rabi on the states of one parity sector.
 
-    The parity (-1)^n z1 z2 commutes with the Hamiltonian, so the full
-    matrix has no element between sectors.  This is the dense form of
-    _sector_band: state (n, k), k the qubit index 0..3, sits at
-    2n + (k >> 1), and each coupling flips one qubit and raises n, so the
-    half-bandwidth is 3.  Every entry is bit-equal to the same element of
-    build_full_rabi(p, n_max).  Dimension 2 (n_max + 1).
+    The dense form of _sector_band: state (n, k), k the qubit index 0..3,
+    sits at 2n + (k >> 1), and each coupling flips one qubit and raises n,
+    so the half-bandwidth is 3.  Dimension 2 (n_max + 1).
     """
     n, k = _sector_states(n_max, parity)
     labels = tuple(
@@ -158,6 +99,48 @@ def build_parity_sector(p: ModelParams, n_max: int, parity: int) -> SymmetricMat
         for nn, kk in zip(np.repeat(n, 2).tolist(), k.ravel().tolist())
     )
     return SymmetricMatrix(band_to_dense(*_sector_band(p, n_max, parity)), labels)
+
+
+def build_full_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
+    """Untransformed Hamiltonian in the sigma-z product Fock basis.
+
+    omega a^dag a + g1 sx1 (a + a^dag) + g2 sx2 (a + a^dag)
+    + delta1 sz1 + delta2 sz2, truncated at n_max photons.
+    Dimension 4 (n_max + 1); state (n, k), k the qubit index 0..3 in
+    _ZLABELS order, sits at 4n + k.  The parity (-1)^n z1 z2 commutes with
+    the Hamiltonian, so the matrix is its two parity sectors
+    (build_parity_sector) scattered into this index space, with zeros
+    between them.
+    """
+    _check_truncation(n_max)
+    dim = 4 * (n_max + 1)
+    arr = np.zeros((dim, dim))
+    labels = np.empty(dim, dtype=object)
+    for parity in (1, -1):
+        n, k = _sector_states(n_max, parity)
+        idx = (4 * n[:, None] + k).ravel()
+        sector = build_parity_sector(p, n_max, parity)
+        arr[np.ix_(idx, idx)] = sector.data
+        labels[idx] = sector.labels
+    return SymmetricMatrix(arr, tuple(labels))
+
+
+def build_rotated_rabi(p: ModelParams, n_max: int) -> SymmetricMatrix:
+    """build_full_rabi in a sign gauge, with the qubits relabeled {+, -}.
+
+    This is G F G with F = build_full_rabi(p, n_max) and
+    G = 1 (x) sz (x) sz: the diagonal is unchanged and every coupling,
+    which flips exactly one qubit label, changes sign (-g_i sqrt(n+1)).
+    That is the matrix of -g_i sz_i (a + a^dag) + delta_i sx_i in the
+    sigma-x product basis, so the labels read as sigma-x eigenvalues and
+    every basis state has the definite parity (-1)^n s1 s2.  It is not a
+    frame rotation of F: the spectrum equals F's by a diagonal similarity,
+    so isospectrality with F checks the gauge, not a qubit rotation.
+    """
+    full = build_full_rabi(p, n_max)
+    z1z2 = np.tile([1.0, -1.0, -1.0, 1.0], n_max + 1)
+    labels = tuple(lab.replace("e", "+").replace("g", "-") for lab in full.labels)
+    return SymmetricMatrix(full.data * np.outer(z1z2, z1z2), labels)
 
 
 @dataclass(frozen=True)
@@ -226,27 +209,6 @@ def exact_spectrum(
         deltas=deltas, passed=max(deltas) <= tol,
     )
     return vals, report
-
-
-def _max_defect(h: SymmetricMatrix, parity: np.ndarray) -> float:
-    mask = parity[:, None] != parity[None, :]
-    if not mask.any():
-        return 0.0
-    return float(np.max(np.abs(h.data[mask])))
-
-
-def parity_defect(p: ModelParams, n_max: int) -> float:
-    """Largest |element| of the rotated Hamiltonian between states of
-    opposite parity (-1)^n s1 s2.  Exactly zero: the builder never writes
-    a parity-violating entry, so this doubles as a detector self-test hook.
-    """
-    h = build_rotated_rabi(p, n_max)
-    parity = np.array([
-        (1 if n % 2 == 0 else -1) * s1 * s2
-        for n in range(n_max + 1)
-        for (s1, s2) in _XSIGNS
-    ])
-    return _max_defect(h, parity)
 
 
 @dataclass(frozen=True)
@@ -338,54 +300,31 @@ def build_full_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> Symmetr
     omega a^dag a + omega1 b^dag b + V (b^dag a + a^dag b)
     + sum_i [ g_i sx_i (a + a^dag) + g_i' sx_i (b + b^dag) + delta_i sz_i ]
 
+    written as a Kronecker sum over photon, pseudomode, qubit 1 and qubit 2.
     Dimension 4 (m_max + 1)(n_max + 1); index order photon n, then
     pseudomode m, then qubit labels.
     """
     if m_max < 1 or n_max < 1:
         raise ValueError(f"need m_max, n_max >= 1, got ({m_max}, {n_max})")
-    mdim = m_max + 1
-    dim = 4 * mdim * (n_max + 1)
-    arr = np.zeros((dim, dim))
-    labels = []
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    b = np.diag(np.sqrt(np.arange(1.0, m_max + 1)), 1)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    one = np.eye(2)
 
-    def at(n: int, m: int, k: int) -> int:
-        return 4 * (n * mdim + m) + k
+    def op(photon=np.eye(n_max + 1), mode=np.eye(m_max + 1), q1=one, q2=one) -> np.ndarray:
+        return np.kron(photon, np.kron(mode, np.kron(q1, q2)))
 
-    for n in range(n_max + 1):
-        for m in range(mdim):
-            for k, (z1, z2) in enumerate(_ZSIGNS):
-                i = at(n, m, k)
-                labels.append(f"|{m},{n},{_ZLABELS[k][0]},{_ZLABELS[k][1]}>")
-                arr[i, i] = r.omega * n + r.omega1 * m + r.delta1 * z1 + r.delta2 * z2
-                if n < n_max:
-                    root = math.sqrt(n + 1.0)
-                    sym_set(arr, i, at(n + 1, m, k ^ 2), r.g1 * root)
-                    sym_set(arr, i, at(n + 1, m, k ^ 1), r.g2 * root)
-                if m < m_max:
-                    root = math.sqrt(m + 1.0)
-                    sym_set(arr, i, at(n, m + 1, k ^ 2), r.g1p * root)
-                    sym_set(arr, i, at(n, m + 1, k ^ 1), r.g2p * root)
-                if m < m_max and n > 0:
-                    # V b^dag a: (m, n) -> (m+1, n-1), spins untouched
-                    sym_set(arr, i, at(n - 1, m + 1, k),
-                            r.v * math.sqrt(m + 1.0) * math.sqrt(n))
-    return SymmetricMatrix(arr, tuple(labels))
-
-
-def parity_defect_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> float:
-    """Largest |element| of the two-mode Hamiltonian between states of
-    opposite parity.
-
-    The conserved parity multiplies both photon-number parities by both
-    qubit inversions; on a sigma-z product state its eigenvalue is
-    (-1)^(m+n) z1 z2.  Exactly zero by construction.
-    """
-    h = build_full_pseudomode(r, m_max, n_max)
-    mdim = m_max + 1
-    parity = np.array([
-        (1 if (m + n) % 2 == 0 else -1) * z1 * z2
-        for n in range(n_max + 1)
-        for m in range(mdim)
-        for (z1, z2) in _ZSIGNS
-    ])
-    return _max_defect(h, parity)
+    h = (
+        r.omega * op(photon=np.diag(np.arange(n_max + 1.0)))
+        + r.omega1 * op(mode=np.diag(np.arange(m_max + 1.0)))
+        + op(photon=a, mode=r.v * b.T) + op(photon=a.T, mode=r.v * b)
+        + r.g1 * op(photon=a + a.T, q1=sx) + r.g2 * op(photon=a + a.T, q2=sx)
+        + r.g1p * op(mode=b + b.T, q1=sx) + r.g2p * op(mode=b + b.T, q2=sx)
+        + r.delta1 * op(q1=sz) + r.delta2 * op(q2=sz)
+    )
+    labels = tuple(
+        f"|{m},{n},{q1},{q2}>"
+        for n in range(n_max + 1) for m in range(m_max + 1) for q1, q2 in _ZLABELS
+    )
+    return SymmetricMatrix(h, labels)

@@ -43,10 +43,7 @@ class AsymmetricParamsError(ValueError):
 @dataclass(frozen=True)
 class ReservoirParams:
     """Cavity a (omega), pseudomode b (omega1), exchange V, qubit couplings
-    g_i to the cavity and g_i' to the pseudomode, splittings delta_i.
-
-    gamma and omega_c only enter the Lorentzian density helper.
-    """
+    g_i to the cavity and g_i' to the pseudomode, splittings delta_i."""
     omega: float
     omega1: float
     v: float
@@ -56,8 +53,6 @@ class ReservoirParams:
     g2p: float
     delta1: float
     delta2: float
-    gamma: float = 1.0
-    omega_c: float = 1.0
 
     def __post_init__(self):
         for name in ("omega", "omega1"):
@@ -73,6 +68,12 @@ class ReservoirParams:
     def symmetric(self) -> bool:
         """Exact symmetry between the two qubits (float equality intended)."""
         return self.g1 == self.g2 and self.delta1 == self.delta2 and self.g1p == self.g2p
+
+
+def check_seed(m: int, n: int) -> None:
+    """Raise ValueError unless the singlet seed (m, n) has m + n even."""
+    if (m + n) % 2 != 0:
+        raise ValueError(f"m + n must be even for a singlet seed, got ({m}, {n})")
 
 
 def lorentzian_density(omega_eval: float, gamma: float, omega_c: float) -> float:
@@ -338,8 +339,7 @@ def dark_state_residual(
     case raises AsymmetricParamsError; pass False to get the (positive)
     residual anyway.
     """
-    if (m + n) % 2 != 0:
-        raise ValueError(f"singlet seed needs m + n even, got ({m}, {n})")
+    check_seed(m, n)
     if require_symmetric and not r.symmetric:
         raise AsymmetricParamsError(
             "dark state requires g1 = g2, delta1 = delta2, g1' = g2' "
@@ -404,8 +404,7 @@ def quasi_exact_subspace(
     of the claimed eigenvalue omega1 m + omega n (+c0) from the spectrum,
     and the embedded singlet's residual.  Nothing is raised on mismatch.
     """
-    if (m + n) % 2 != 0:
-        raise ValueError(f"seed needs m + n even, got ({m}, {n})")
+    check_seed(m, n)
     coeffs = compute_K(r)
     shells: list[list[ReservoirChainState]] = []
     k = 0

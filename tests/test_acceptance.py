@@ -36,8 +36,6 @@ from rabi_spectra import (
     eigh,
     eigvals_sym,
     eval_laguerre,
-    parity_defect,
-    parity_defect_pseudomode,
     solve_lambda1,
     solve_lambda2,
     verify_eq24,
@@ -281,11 +279,25 @@ def test_window_scan_presets_record_boundaries():
 # 7. parity is conserved exactly, single mode and pseudomode
 # --------------------------------------------------------------------------
 
+def _photon_parity(n_max):
+    return np.diag((-1.0) ** np.arange(n_max + 1))
+
+
+def _commutator_max(h, parity):
+    h = np.asarray(h.data)
+    return float(np.max(np.abs(h @ parity - parity @ h)))
+
+
 def test_parity_defect_is_exactly_zero():
+    # P = diag((-1)^n) [(x) diag((-1)^m)] (x) sz (x) sz, from its definition
+    qubits = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
     p, _ = _fig3_design()
     for n_max in (20, 40, 60):
-        assert parity_defect(p, n_max) == 0.0
-    assert parity_defect_pseudomode(RESERVOIR_SYM, 12, 12) == 0.0
+        parity = np.kron(_photon_parity(n_max), qubits)
+        assert _commutator_max(build_full_rabi(p, n_max), parity) == 0.0
+        assert _commutator_max(build_rotated_rabi(p, n_max), parity) == 0.0
+    parity = np.kron(_photon_parity(12), np.kron(_photon_parity(12), qubits))
+    assert _commutator_max(build_full_pseudomode(RESERVOIR_SYM, 12, 12), parity) == 0.0
 
 
 # --------------------------------------------------------------------------

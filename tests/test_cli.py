@@ -455,6 +455,7 @@ SCAN_FLAGS = ["--omega-values", "1", "--delta2-values", "2", "--g2-grid", "0.3,0
     ("reservoir-dark", "m_max", {}, [*RESERVOIR_FLAGS, "--m-max", "-1"]),
     ("scan-window", "omega_values", {}, [*SCAN_FLAGS, "--omega-values", "1,0.5"]),
     ("scan-window", "delta2_values", {}, [*SCAN_FLAGS, "--delta2-values", "2,2"]),
+    ("reservoir-quasi", "m", {}, [*RESERVOIR_FLAGS, "--m", "1", "--n", "0"]),
 ])
 def test_commands_reject_the_settings_validate_rejects(tmp_path, command, field, config, flags):
     # the commands read every setting through the table that validate checks

@@ -24,6 +24,7 @@ from rabi_spectra import (
     chain_n_max_for_blocks,
     closed_block_index_groups,
     coeff_f1,
+    coeff_g0,
     constant_offset,
     design_resonant,
     eigh,
@@ -33,13 +34,7 @@ from rabi_spectra import (
     trwa_block_energies,
 )
 from rabi_spectra import fockspace
-from rabi_spectra.fockspace import (
-    _band_blocks,
-    _chain_band,
-    _chain_layout,
-    _diag_element,
-    _hop_element,
-)
+from rabi_spectra.fockspace import _band_blocks, _chain_band, _chain_layout
 from rabi_spectra.numerics import NoBracketError, NonFiniteError, eigvals_stacked, error_token
 from rabi_spectra.resonance import DegenerateDesignError, SingularError
 
@@ -203,14 +198,34 @@ def fig3_design():
     return p, t
 
 
+def diag_element(p, t, n, s1, s2, mode):
+    """omega n + c0 + s1 delta1 G0(n; lam1) + s2 delta2 G0(n; lam2)."""
+    return (
+        p.omega * n
+        + constant_offset(p, t)
+        + s1 * p.delta1 * coeff_g0(t.lambda1, n, mode)
+        + s2 * p.delta2 * coeff_g0(t.lambda2, n, mode)
+    )
+
+
+def hop_element(p, t, n_lo, qubit, s_hi, mode):
+    """(g_i + lam_i omega) sqrt(n+1) + s_i' delta_i F1(n+1, n; lam_i) between
+    photon numbers n_lo and n_lo + 1 when `qubit` flips, s_hi its sign in
+    the higher-photon state."""
+    if qubit == 1:
+        g, lam, delta = p.g1, t.lambda1, p.delta1
+    else:
+        g, lam, delta = p.g2, t.lambda2, p.delta2
+    return (g + lam * p.omega) * math.sqrt(n_lo + 1.0) + s_hi * delta * coeff_f1(lam, n_lo, mode)
+
+
 def reference_chain_matrix(p, t, chain, mode):
     """Element-by-element chain assembly through the scalar coefficient
-    functions (coeff_g0, coeff_f1 via _diag_element and _hop_element):
-    the reference for the table-based builder."""
+    functions (coeff_g0, coeff_f1): the reference for the band builder."""
     states = chain.states
     arr = np.zeros((len(states), len(states)))
     for i, a in enumerate(states):
-        arr[i, i] = _diag_element(p, t, a.n, a.s1, a.s2, mode)
+        arr[i, i] = diag_element(p, t, a.n, a.s1, a.s2, mode)
         for j in range(i + 1, len(states)):
             b = states[j]
             if b.n - a.n > 1:
@@ -220,8 +235,8 @@ def reference_chain_matrix(p, t, chain, mode):
             if b.n == a.n and flip1 and flip2:
                 v = resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
             elif b.n == a.n + 1 and flip1 != flip2:
-                v = (_hop_element(p, t, a.n, 1, b.s1, mode) if flip1
-                     else _hop_element(p, t, a.n, 2, b.s2, mode))
+                v = (hop_element(p, t, a.n, 1, b.s1, mode) if flip1
+                     else hop_element(p, t, a.n, 2, b.s2, mode))
             if v != 0.0:
                 arr[i, j] = arr[j, i] = v
     return arr
@@ -417,19 +432,18 @@ def test_block4_x_entry_formula():
 
 
 def test_block4_matches_chain_principal_submatrix():
+    # bit for bit against the scalar reference, not the band it is cut from
     p, t = fig3_design()
     chain = build_parity_chain(+1, chain_n_max_for_blocks(6))
-    full = build_effective_chain_matrix(p, t, chain, CoefficientMode.APPROX)
-    for n in range(5):
-        blk = build_block4(p, t, n, CoefficientMode.APPROX)
-        idx = tuple(range(4 * n + 3, 4 * n + 7))
-        sub = full.submatrix(idx)
-        np.testing.assert_allclose(
-            np.asarray(blk.matrix.data), np.asarray(sub.data), rtol=0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            eigvals_sym(blk.matrix), eigvals_sym(sub), rtol=0, atol=1e-10
-        )
+    for mode in CoefficientMode:
+        full = reference_chain_matrix(p, t, chain, mode)
+        for n in range(5):
+            blk = build_block4(p, t, n, mode)
+            idx = list(range(4 * n + 3, 4 * n + 7))
+            sub = full[np.ix_(idx, idx)]
+            assert np.array_equal(blk.matrix.data.view(np.uint64), sub.view(np.uint64))
+            assert blk.matrix.labels == tuple(chain.labels()[i] for i in idx)
+            assert blk.matrix.labels == tuple(s.ket() for s in blk.states)
 
 
 def test_decoupled_limit_energies():

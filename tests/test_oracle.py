@@ -17,10 +17,52 @@ from rabi_spectra import (
     compare_trwa_exact,
     eigvals_sym,
     exact_spectrum,
-    parity_defect,
-    parity_defect_pseudomode,
 )
-from rabi_spectra.oracle import _max_defect
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.diag([1.0, -1.0])
+ONE = np.eye(2)
+
+
+def kron_rabi(p, n_max):
+    """omega a^dag a + g_i sx_i (a + a^dag) + delta_i sz_i as Kronecker
+    products, photon number outermost: the operator definition, sharing no
+    code with the package's builders."""
+    photons = np.eye(n_max + 1)
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    x = a + a.T
+    return (
+        p.omega * np.kron(np.diag(np.arange(n_max + 1.0)), np.kron(ONE, ONE))
+        + p.delta1 * np.kron(photons, np.kron(SZ, ONE))
+        + p.delta2 * np.kron(photons, np.kron(ONE, SZ))
+        + p.g1 * np.kron(x, np.kron(SX, ONE))
+        + p.g2 * np.kron(x, np.kron(ONE, SX))
+    )
+
+
+def parity_operator(*cutoffs):
+    """P = diag((-1)^n) [(x) diag((-1)^m)] (x) sz (x) sz, one photon-number
+    parity per mode truncated at each cutoff, modes outermost."""
+    p = np.kron(SZ, SZ)
+    for cutoff in reversed(cutoffs):
+        p = np.kron(np.diag((-1.0) ** np.arange(cutoff + 1)), p)
+    return p
+
+
+def parity_defect(h, parity):
+    """Largest |element| of the commutator [H, P]."""
+    h = np.asarray(h.data)
+    return float(np.max(np.abs(h @ parity - parity @ h)))
+
+
+def random_params(rng):
+    return ModelParams(
+        omega=float(rng.uniform(0.5, 1.5)),
+        delta1=float(rng.uniform(0.0, 2.5)),
+        delta2=float(rng.uniform(0.0, 2.5)),
+        g1=float(rng.uniform(0.0, 1.2)),
+        g2=float(rng.uniform(0.0, 1.2)),
+    )
 
 
 def test_full_matrix_coupling_elements():
@@ -39,6 +81,24 @@ def test_full_matrix_coupling_elements():
     # diagonal carries omega*n + delta splittings
     assert h.entry(0, 0) == pytest.approx(0.5 + 0.5, rel=1e-15)
     assert h.entry(7, 7) == pytest.approx(1.0 - 0.5 - 0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("n_max", [4, 20, 60])
+def test_full_matrix_and_its_sectors_equal_the_kronecker_reference(n_max):
+    rng = np.random.default_rng(1618 + n_max)
+    for _ in range(5):
+        p = random_params(rng)
+        full = build_full_rabi(p, n_max)
+        ref = kron_rabi(p, n_max)
+        assert np.array_equal(full.data.view(np.uint64), ref.view(np.uint64))
+        assert full.labels == tuple(
+            f"|{n},{q1},{q2}>" for n in range(n_max + 1) for q1 in "eg" for q2 in "eg")
+        for par in (1, -1):
+            # a sector is the states whose parity eigenvalue is par
+            idx = np.flatnonzero(np.diag(parity_operator(n_max)) == par)
+            sector = build_parity_sector(p, n_max, par)
+            assert np.array_equal(sector.data.view(np.uint64),
+                                  ref[np.ix_(idx, idx)].view(np.uint64))
 
 
 def test_ground_energy_matches_second_order_perturbation():
@@ -133,37 +193,33 @@ def test_ground_energy_nonincreasing_in_truncation():
 
 
 def test_parity_defect_exactly_zero():
-    assert parity_defect(ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7), 30) == 0.0
+    # [H, P] = 0 for the plain matrix and its sign gauge; P is diagonal in
+    # both bases, sigma-x eigenvalue + and sigma-z eigenvalue e both at +1
     rng = np.random.default_rng(314)
-    for _ in range(10):
-        p = ModelParams(
-            omega=float(rng.uniform(0.5, 1.5)),
-            delta1=float(rng.uniform(0.0, 2.5)),
-            delta2=float(rng.uniform(0.0, 2.5)),
-            g1=float(rng.uniform(0.0, 1.0)),
-            g2=float(rng.uniform(0.0, 1.0)),
-        )
-        assert parity_defect(p, 20) == 0.0
+    params = [ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)]
+    params += [random_params(rng) for _ in range(10)]
+    for p in params:
+        for n_max in (4, 20):
+            parity = parity_operator(n_max)
+            assert parity_defect(build_full_rabi(p, n_max), parity) == 0.0
+            assert parity_defect(build_rotated_rabi(p, n_max), parity) == 0.0
 
 
 def test_parity_defect_detector_reads_injected_term():
     # flipping one spin label at fixed photon number connects opposite
-    # parity sectors, so seeding that element with eps must read back eps
+    # parity sectors, so seeding that element with eps must read back in
+    # the commutator, as eps (P_j - P_i) = 2 eps
     p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
     h = build_rotated_rabi(p, 6)
-    n_states = h.dim
-    signs = {"+": 1, "-": -1}
-    parity = np.empty(n_states)
-    for i, lab in enumerate(h.labels):
-        n_txt, s1, s2 = lab[1:-1].split(",")
-        parity[i] = (-1) ** int(n_txt) * signs[s1] * signs[s2]
-    assert _max_defect(h, parity) == 0.0
+    parity = parity_operator(6)
+    assert parity_defect(h, parity) == 0.0
     eps = 1e-3
     arr = np.asarray(h.data).copy()
     i, j = 0, 2  # |0,+,+> and |0,-,+>
-    assert parity[i] * parity[j] == -1
+    assert h.labels[i] == "|0,+,+>" and h.labels[j] == "|0,-,+>"
+    assert parity[i, i] * parity[j, j] == -1
     arr[i, j] = arr[j, i] = eps
-    assert _max_defect(SymmetricMatrix(arr, labels=h.labels), parity) == eps
+    assert parity_defect(SymmetricMatrix(arr, labels=h.labels), parity) == 2 * eps
 
 
 def _sigma_z_parity(h):
@@ -180,13 +236,7 @@ def _sigma_z_parity(h):
 def test_parity_sectors_are_the_diagonal_blocks_of_the_full_matrix(n_max):
     rng = np.random.default_rng(2718 + n_max)
     for _ in range(3):
-        p = ModelParams(
-            omega=float(rng.uniform(0.5, 1.5)),
-            delta1=float(rng.uniform(0.0, 2.5)),
-            delta2=float(rng.uniform(0.0, 2.5)),
-            g1=float(rng.uniform(0.0, 1.2)),
-            g2=float(rng.uniform(0.0, 1.2)),
-        )
+        p = random_params(rng)
         full = build_full_rabi(p, n_max)
         parity = _sigma_z_parity(full)
         even, odd = np.flatnonzero(parity == 1), np.flatnonzero(parity == -1)
@@ -213,17 +263,18 @@ def test_parity_sector_rejects_an_unknown_parity():
 
 def test_cross_sector_detector_reads_injected_term():
     # the zero cross-sector block above must be able to fail: one element
-    # between |0,e,e> (parity +1) and |0,e,g> (parity -1) reads back
+    # between |0,e,e> (parity +1) and |0,e,g> (parity -1) reads back in the
+    # commutator
     p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
     full = build_full_rabi(p, 6)
-    parity = _sigma_z_parity(full)
-    assert _max_defect(full, parity) == 0.0
+    parity = parity_operator(6)
+    assert parity_defect(full, parity) == 0.0
     eps = 1e-3
     arr = np.asarray(full.data).copy()
     i, j = 0, 1
-    assert parity[i] * parity[j] == -1
+    assert parity[i, i] * parity[j, j] == -1
     arr[i, j] = arr[j, i] = eps
-    assert _max_defect(SymmetricMatrix(arr, labels=full.labels), parity) == eps
+    assert parity_defect(SymmetricMatrix(arr, labels=full.labels), parity) == 2 * eps
 
 
 @pytest.mark.parametrize("n_max", [6, 12, 20])
@@ -285,6 +336,15 @@ def test_pseudomode_hopping_element():
         assert h.entry(i, j) == pytest.approx(
             0.2 * math.sqrt(m + 1) * math.sqrt(n), rel=1e-15
         )
+    # <m+1, n, flipped| g_i' sx_i (b + b^dag) |m, n, e,g> = g_i' sqrt(m+1)
+    asym = dataclasses.replace(RESERVOIR, g1p=0.2, g2p=0.05)
+    h = build_full_pseudomode(asym, 4, 4)
+    labels = list(h.labels)
+    for (m, n) in ((0, 1), (1, 2), (3, 0)):
+        i = labels.index(f"|{m},{n},e,g>")
+        for flipped, g in (("g,g", asym.g1p), ("e,e", asym.g2p)):
+            j = labels.index(f"|{m + 1},{n},{flipped}>")
+            assert h.entry(i, j) == pytest.approx(g * math.sqrt(m + 1), rel=1e-15)
 
 
 def test_pseudomode_tensor_sum_oracle():
@@ -302,8 +362,9 @@ def test_pseudomode_tensor_sum_oracle():
 
 
 def test_pseudomode_parity_defect_exactly_zero():
-    assert parity_defect_pseudomode(RESERVOIR, 6, 6) == 0.0
-    import dataclasses
-
+    # the conserved parity multiplies both photon-number parities by both
+    # qubit inversions; the index order is photon n, then pseudomode m
     asym = dataclasses.replace(RESERVOIR, g1=0.45, delta2=1.3, g2p=0.05, v=0.37)
-    assert parity_defect_pseudomode(asym, 5, 7) == 0.0
+    for r, m_max, n_max in ((RESERVOIR, 6, 6), (asym, 5, 7)):
+        h = build_full_pseudomode(r, m_max, n_max)
+        assert parity_defect(h, parity_operator(n_max, m_max)) == 0.0

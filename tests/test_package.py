@@ -1,0 +1,47 @@
+"""The package surface that the README and the benchmark tooling rely on."""
+
+import io
+import re
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import rabi_spectra
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace: dict = {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["lam2"] == pytest.approx(0.29797713043845475, rel=1e-15, abs=0)
+    assert len(namespace["vals"]) == 4
+    assert len(out.getvalue().splitlines()) == len(namespace["report"].rows) == 6
+
+
+def test_every_exported_name_resolves_once():
+    names = rabi_spectra.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(rabi_spectra, name) is not None, name
+
+
+def test_benchmark_spans_import_against_this_tree(monkeypatch):
+    # perfbench/spans.py wraps package functions by name at import time, so
+    # a deleted or renamed name fails here.  The file is read and compiled,
+    # never imported through the loader, so no bytecode is written there.
+    path = ROOT / "perfbench" / "spans.py"
+    module = ModuleType("perfbench_spans")
+    module.__file__ = str(path)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    with module.Tracer().installed(), module.Counter().installed():
+        pass
