@@ -20,6 +20,12 @@ the whole band with an inertia count:
   a margin over the rounding of the dense solve and of the count.  A
   failed certificate doubles the leading block; at the whole band it
   raises ConvergenceFailureError.
+* rungs_read (the private _certified_lowest) is how many leading rungs
+  the solve read: its largest leading block, and for each count the rungs
+  it factored before stopping plus the rung where its stop test's
+  Gershgorin bound was attained.  A shorter truncation of the same band
+  that keeps those rungs gives the same levels bit for bit, which lets the
+  oracle certify two truncations with one solve.
 
 This is numpy only on purpose.  scipy.linalg.eig_banded would solve the
 same band, but importing scipy.linalg costs 0.19-0.26 s and 28 MiB of
@@ -366,12 +372,26 @@ def inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
     to both neighbours, so it is at most T's own.)  Raises
     ConvergenceFailureError if a step overflows.
     """
+    return _inertia_count(diag, couple, shifts)[0]
+
+
+def _inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.ndarray, int]:
+    """inertia_count, plus the number of leading rungs the count read.
+
+    The factorization of rungs 0..K reads their entries and row sums, and
+    its stop test at rung n reads the smallest Gershgorin bound of the rungs
+    past n (tail[n + 1]).  That suffix minimum is first attained at a rung
+    j >= n + 1, and j does not decrease with n, so the count read rungs
+    0..j of its last stop test: j + 1 rungs, or the whole band when it
+    never stopped early.
+    """
     diag, couple = _check_band(diag, couple)
     s = np.atleast_1d(np.asarray(shifts, dtype=float))
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("shifts must be finite")
     low, rows = _row_sums(diag, couple)
-    tail = np.minimum.accumulate(low.min(axis=1)[::-1])[::-1].tolist()
+    low = low.min(axis=1)
+    tail = np.minimum.accumulate(low[::-1])[::-1].tolist()
     pivmin = np.maximum(_EPS * (rows.max(axis=1) + np.max(np.abs(s))), _TINY).tolist()
     s_max = float(np.max(s))
     shifted = diag[:, :, None] - s
@@ -409,7 +429,9 @@ def inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
                 s11 = shifted[n + 1, 1] - f11
     except FloatingPointError as exc:
         raise ConvergenceFailureError(f"inertia count failed: {exc}") from exc
-    return count
+    if n == len(diag) - 1:
+        return count, len(diag)
+    return count, n + 2 + int(np.argmin(low[n + 1:]))
 
 
 def _leading_levels(diag: np.ndarray, couple: np.ndarray, rungs: int, k: int) -> np.ndarray:
@@ -432,6 +454,21 @@ def eigvals_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
     the leading block grown to the whole band, raises
     ConvergenceFailureError.
     """
+    return _certified_lowest(diag, couple, k)[0]
+
+
+def _certified_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """eigvals_lowest, plus rungs_read: the number of leading rungs the
+    whole solve read, over every leading block, tolerance and count.
+
+    Of the rest of the band, the counts read only that no rung past
+    rungs_read has a smaller Gershgorin lower bound than the smallest one
+    they used.  So another band with the same diag[:rungs_read] and
+    couple[:rungs_read] (the last coupling enters through the row sums),
+    none of whose later rungs has a Gershgorin lower bound below the
+    smallest of this band's later rungs, gives the same theta for the same
+    k, bit for bit.
+    """
     diag, couple = _check_band(diag, couple)
     total = len(diag)
     if not 1 <= k <= 2 * total:
@@ -439,13 +476,15 @@ def eigvals_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
     rows = _row_sums(diag, couple)[1].max(axis=1)
     below = np.arange(k)
     rungs = min(total, max(_LEADING_RUNGS, (k + 1) // 2))
+    rungs_read = 0
     while True:
         theta = _leading_levels(diag, couple, rungs, k)
         # + tiny keeps tol positive on an all-zero band
         tol = _TOL_EPS * _EPS * float(rows[:rungs].max()) + _TINY
-        count = inertia_count(diag, couple, np.concatenate([theta - tol, theta + tol]))
+        count, counted = _inertia_count(diag, couple, np.concatenate([theta - tol, theta + tol]))
+        rungs_read = max(rungs_read, rungs, counted)
         if np.all(count[:k] <= below) and np.all(count[k:] > below):
-            return theta
+            return theta, rungs_read
         if rungs == total:
             raise ConvergenceFailureError(
                 f"lowest {k} levels not certified to {tol:.3g}: counts below "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fockspace import trwa_block_energies
 from .model import CoefficientMode, ModelParams, TrwaParams
-from .numerics import SymmetricMatrix, band_to_dense, eigvals_lowest
+from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense
 from .reservoir import ReservoirParams
 from .resonance import design_resonant
 from .serialize import record_dict
@@ -162,14 +162,14 @@ class ConvergenceReport:
         return d
 
 
-def _lowest_levels(p: ModelParams, n_max: int, n_levels: int) -> np.ndarray:
+def _lowest_levels(p: ModelParams, n_max: int, n_levels: int) -> tuple[np.ndarray, int]:
     """Lowest n_levels eigenvalues of build_full_rabi(p, n_max): the
-    certified lowest levels of each parity sector's band, merged."""
+    certified lowest levels of each parity sector's band, merged; and the
+    larger rungs_read of the two sector solves."""
     k = min(n_levels, 2 * (n_max + 1))
-    vals = np.concatenate([
-        eigvals_lowest(*_sector_band(p, n_max, parity), k) for parity in (1, -1)
-    ])
-    return np.sort(vals)[:n_levels]
+    solved = [_certified_lowest(*_sector_band(p, n_max, parity), k) for parity in (1, -1)]
+    vals = np.sort(np.concatenate([theta for theta, _ in solved]))[:n_levels]
+    return vals, max(rungs_read for _, rungs_read in solved)
 
 
 def exact_spectrum(
@@ -190,9 +190,30 @@ def exact_spectrum(
     64 eps times the block's largest absolute row sum (7e-13 to 1.4e-12
     on the fig-3 design).  The block grows until the certificate holds;
     ConvergenceFailureError is raised if it fails on the whole sector.  No
-    sector matrix is built.  When both truncations are certified on the
-    same leading block, they return the same values and the deltas read 0:
-    the certificate then bounds the true deltas by twice the tolerance.
+    sector matrix is built.
+
+    The 2 n_max truncation is solved first.  When both of its sector solves
+    read at most n_max rungs (rungs_read, see numerics), its values are the
+    n_max values too, and the n_max bands are not solved:
+
+    * Rung n of _sector_band depends only on n and p, so below rung n_max
+      both bands have the same entries and the same row sums (rung
+      n_max - 1 couples to rung n_max in both).  Every leading block, tol
+      and pivot threshold the fine solve used is then the coarse one's.
+      Both solve for the same k: a k above 2 (n_max + 1) would start the
+      fine leading block past rung n_max.
+    * The stop test of each count reads the smallest Gershgorin lower bound
+      of the rungs past the current one.  The fine solve found it at a rung
+      below n_max.  The coarse band's rung n_max has fewer couplings than
+      the fine band's, so its bound is not smaller, and the coarse band has
+      no rungs beyond it; so the coarse suffix minimum is the same float.
+    * So the coarse counts factor the same pivots, stop at the same rung
+      and give the same counts, the doubling rounds pass and fail alike,
+      and the coarse theta is the fine theta bit for bit.
+
+    The deltas then read 0, as they would from two solves: the certificate
+    bounds the true deltas by twice the tolerance.  Otherwise the n_max
+    bands are solved as well.
 
     No scipy path: scipy.linalg.eig_banded would solve the same band, but
     importing scipy.linalg costs 0.19-0.26 s and 28 MiB of resident memory,
@@ -200,8 +221,8 @@ def exact_spectrum(
     """
     _check_truncation(n_max)
     check_n_levels(n_levels, n_max)
-    vals = _lowest_levels(p, n_max, n_levels)
-    vals_fine = _lowest_levels(p, 2 * n_max, n_levels)
+    vals_fine, rungs_read = _lowest_levels(p, 2 * n_max, n_levels)
+    vals = vals_fine if rungs_read <= n_max else _lowest_levels(p, n_max, n_levels)[0]
     deltas = tuple(float(abs(a - b)) for a, b in zip(vals, vals_fine))
     tol = 1e-8 * p.omega
     report = ConvergenceReport(

@@ -83,6 +83,9 @@ def lorentzian_density(omega_eval: float, gamma: float, omega_c: float) -> float
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    for name, value in (("omega_eval", omega_eval), ("omega_c", omega_c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     d = omega_eval - omega_c
     half = 0.5 * gamma
     return gamma / (d * d + half * half)

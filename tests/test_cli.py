@@ -174,6 +174,20 @@ def test_spectrum_csv_equals_the_benchmark_reference_bytes(tmp_path, workload, s
     assert out.read_bytes() == reference.encode("utf-8")
 
 
+@pytest.mark.parametrize("seed", [0, WORKLOADS.HELD_OUT_SEED])
+def test_oracle_csv_passes_the_benchmark_gate(tmp_path, seed):
+    # the oracle bytes have moved in the last bits (<= 5e-13) since the
+    # references were recorded, so this holds them to the gate's 1e-10
+    gate = _perfbench_module("gate")
+    wl = WORKLOADS.build("oracle-n300", seed)
+    out = tmp_path / "out.csv"
+    assert run([*wl.argv, "--out", str(out)])[0] == 0
+    text = out.read_text(encoding="utf-8")
+    assert gate.check(text, gate.load_reference("oracle-n300", wl.variant)) == []
+    header, _, _ = read_csv_text(text)
+    assert header["convergence"]["passed"] is True
+
+
 def test_spectrum_jobs_do_not_change_bytes():
     argv = ["spectrum", "--fig", "3", "--n-blocks", "3"]
     base = run(argv + ["--jobs", "1"])

@@ -356,6 +356,27 @@ def test_inertia_count_matches_the_dense_spectrum(n_max):
         assert _count_mismatches(band, dense, shifts) == 0
 
 
+def test_rungs_read_covers_the_rung_of_the_stop_tests_gershgorin_bound():
+    # the count stops after 24 rungs of this band, where the smallest
+    # Gershgorin bound of the later rungs sits at rung 24; lowering rung 80
+    # below that bound moves it there, though no level moves
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    diag, couple = _sector_band(p, 100, 1)
+    low = numerics._row_sums(diag, couple)[0].min(axis=1)
+    shifts = [-4.0, -3.0, 0.5]
+    count, read = numerics._inertia_count(diag, couple, shifts)
+    assert read == 25 and low[24] == low[24:].min()
+    dipped = diag.copy()
+    dipped[80] -= low[80] - low[24] + 0.5
+    dipped_count, dipped_read = numerics._inertia_count(dipped, couple, shifts)
+    assert dipped_read == 81
+    assert np.array_equal(dipped_count, count)
+    theta, rungs_read = numerics._certified_lowest(diag, couple, 6)
+    dipped_theta, dipped_rungs_read = numerics._certified_lowest(dipped, couple, 6)
+    assert np.array_equal(dipped_theta, theta)
+    assert (rungs_read, dipped_rungs_read) == (32, 81)
+
+
 def test_inertia_count_of_a_random_band():
     # couplings of both signs and a diagonal that is not increasing
     rng = np.random.default_rng(11)

@@ -15,9 +15,13 @@ from rabi_spectra import (
     build_parity_sector,
     build_rotated_rabi,
     compare_trwa_exact,
+    design_resonant,
     eigvals_sym,
     exact_spectrum,
 )
+from rabi_spectra import oracle
+from rabi_spectra.numerics import eigvals_lowest
+from rabi_spectra.oracle import ConvergenceReport, _sector_band
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
@@ -285,6 +289,69 @@ def test_truncation_check_still_fails_when_levels_move(n_max):
     coarse = eigvals_sym(build_full_rabi(p, n_max))[:6]
     fine = eigvals_sym(build_full_rabi(p, 2 * n_max))[:6]
     np.testing.assert_allclose(report.deltas, np.abs(coarse - fine), rtol=0, atol=1e-10)
+
+
+def two_solve_reference(p, n_max, n_levels):
+    """exact_spectrum as two independent solves, n_max and then 2 n_max,
+    through the public eigvals_lowest."""
+    def lowest(n):
+        k = min(n_levels, 2 * (n + 1))
+        vals = [eigvals_lowest(*_sector_band(p, n, par), k) for par in (1, -1)]
+        return np.sort(np.concatenate(vals))[:n_levels]
+
+    coarse, fine = lowest(n_max), lowest(2 * n_max)
+    deltas = tuple(float(abs(a - b)) for a, b in zip(coarse, fine))
+    tol = 1e-8 * p.omega
+    return coarse, ConvergenceReport(n_max=n_max, n_levels=n_levels, tol=tol,
+                                     deltas=deltas, passed=max(deltas) <= tol)
+
+
+def fig3_params():
+    des = design_resonant(1.0, 2.0, 0.7, 0.9)
+    return ModelParams(omega=1.0, delta1=des.delta1, delta2=2.0, g1=0.9, g2=0.7)
+
+
+# certified only once the leading block has grown to 64 rungs
+STRONG = ModelParams(omega=1.0, delta1=1.2, delta2=2.0, g1=1.2, g2=0.7)
+
+
+@pytest.mark.parametrize("n_max", [4, 31, 32, 33, 63, 64, 65, 90, 300])
+def test_one_solve_certifies_both_truncations_bit_for_bit(n_max):
+    # exact_spectrum reuses the 2 n_max levels for n_max when that solve read
+    # no rung past n_max; values and report must equal two separate solves
+    rng = np.random.default_rng(4099)
+    for p in [fig3_params(), STRONG] + [random_params(rng) for _ in range(10)]:
+        vals, report = exact_spectrum(p, n_max, 6)
+        ref_vals, ref_report = two_solve_reference(p, n_max, 6)
+        assert np.array_equal(vals.view(np.uint64), ref_vals.view(np.uint64))
+        assert report == ref_report
+
+
+def test_the_n_max_solve_runs_only_when_the_fine_one_read_past_n_max(monkeypatch):
+    solved = []
+    certified = oracle._certified_lowest
+
+    def spy(diag, couple, k):
+        solved.append(len(diag))
+        return certified(diag, couple, k)
+
+    monkeypatch.setattr(oracle, "_certified_lowest", spy)
+    p = fig3_params()
+    for n_max in (4, 20, 31):
+        # the first leading block of the 2 n_max band (32 rungs, or all of
+        # them) is longer than n_max
+        solved.clear()
+        exact_spectrum(p, n_max, 6)
+        assert solved == [2 * n_max + 1] * 2 + [n_max + 1] * 2
+    solved.clear()
+    _, report = exact_spectrum(p, 300, 6)
+    assert solved == [601, 601]
+    assert report.passed and report.deltas == (0.0,) * 6
+    # the 2 n_max solve of STRONG reads 64 rungs
+    for n_max, coarse in ((63, [64, 64]), (64, [])):
+        solved.clear()
+        exact_spectrum(STRONG, n_max, 6)
+        assert solved == [2 * n_max + 1] * 2 + coarse
 
 
 def test_oracle_to_dict_equals_asdict_in_field_order():

@@ -43,6 +43,15 @@ def test_lorentzian_density_shape():
     assert lorentzian_density(1.25, 0.5, 1.0) == pytest.approx(2.0 / 0.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position, name", [(0, "omega_eval"), (1, "gamma"), (2, "omega_c")])
+def test_lorentzian_density_rejects_a_non_finite_argument(position, name, bad):
+    args = [1.0, 0.5, 1.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match=name):
+        lorentzian_density(*args)
+
+
 def test_compute_k_zero_coupling():
     r = dataclasses.replace(SYM, g1=0.0, g2=0.0)
     c = compute_K(r)
