@@ -37,6 +37,7 @@ from .numerics import (
     NoBracketError,
     NonFiniteError,
     SymmetricMatrix,
+    band_to_dense,
     check_increasing,
     eigh,
     eigvals_stacked,
@@ -134,79 +135,56 @@ def _chain_band(
     parity,
     n_max: int,
     mode: CoefficientMode,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal and upper off-diagonal entries (rows, cols, vals) of one chain.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band of one chain: rung blocks (R, 2, 2) and couplings (R-1, 2, 2),
+    laid out as in numerics.band_to_dense.
 
     The one source of chain elements: the three patterns of the module
     docstring, applied elementwise over coefficient tables of the chain
-    (one Laguerre recurrence per displacement and order).  Chain index
-    2n + r holds photon number n; every pair has rows < cols and lies
-    within photon numbers n, n+1.  Raises NonFiniteError when an entry is
-    not finite.
+    (one Laguerre recurrence per displacement and order).  Rung n holds
+    chain indices 2n and 2n + 1, the two states at photon number n; they
+    differ in both spins, so the rung's off-diagonal is the double flip.
+    The spin product s1*s2 = parity*(-1)^n alternates with n, so a state of
+    rung n and one of rung n + 1 differ in exactly one spin, and
+    couple[n, a, b] is that qubit's hop.  Raises NonFiniteError when an
+    entry is not finite.
     """
     ns, s1, s2 = _chain_layout(parity, n_max)
-    dim = len(ns)
-
     g0_1 = coeff_g0_table(t.lambda1, n_max, mode)
     g0_2 = coeff_g0_table(t.lambda2, n_max, mode)
-    diag = (
+    rungs = np.empty((n_max + 1, 2, 2))
+    rungs[:, (0, 1), (0, 1)] = (
         p.omega * ns
         + constant_offset(p, t)
         + s1 * p.delta1 * g0_1[ns]
         + s2 * p.delta2 * g0_2[ns]
+    ).reshape(-1, 2)
+    rungs[:, 0, 1] = rungs[:, 1, 0] = resonance_residual(
+        t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
+
+    # n <-> n+1 over (n, a, b): state a of rung n to state b of rung n + 1;
+    # s_hi is the flipped qubit's sign in the higher-photon state
+    s1, s2 = s1.reshape(-1, 2), s2.reshape(-1, 2)
+    s1_hi, s2_hi = s1[1:, None, :], s2[1:, None, :]
+    root = np.sqrt(np.arange(n_max) + 1.0)[:, None, None]
+    f1_1 = coeff_f1_table(t.lambda1, n_max, mode)[:n_max, None, None]
+    f1_2 = coeff_f1_table(t.lambda2, n_max, mode)[:n_max, None, None]
+    couple = np.where(
+        s1[:-1, :, None] != s1_hi,
+        (p.g1 + t.lambda1 * p.omega) * root + s1_hi * p.delta1 * f1_1,
+        (p.g2 + t.lambda2 * p.omega) * root + s2_hi * p.delta2 * f1_2,
     )
-
-    # same n: the two states differ in both spins (double flip)
-    lo = np.arange(0, dim, 2)
-    hi = lo + 1
-    both = (s1[lo] != s1[hi]) & (s2[lo] != s2[hi])
-    same_n = resonance_residual(t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
-    rows, cols, vals = [lo], [hi], [np.where(both, same_n, 0.0)]
-
-    # n <-> n+1: linked when exactly one qubit flips; s_hi is the flipped
-    # qubit's sign in the higher-photon state
-    n_lo = np.arange(n_max)
-    root = np.sqrt(n_lo + 1.0)
-    f1_1 = coeff_f1_table(t.lambda1, n_max, mode)[:n_max]
-    f1_2 = coeff_f1_table(t.lambda2, n_max, mode)[:n_max]
-    base1 = (p.g1 + t.lambda1 * p.omega) * root
-    base2 = (p.g2 + t.lambda2 * p.omega) * root
-    for a in (0, 1):
-        for b in (0, 1):
-            i = 2 * n_lo + a
-            j = 2 * n_lo + 2 + b
-            flip1 = s1[i] != s1[j]
-            flip2 = s2[i] != s2[j]
-            hop = np.where(
-                flip1,
-                base1 + s1[j] * p.delta1 * f1_1,
-                base2 + s2[j] * p.delta2 * f1_2,
-            )
-            rows.append(i)
-            cols.append(j)
-            vals.append(np.where(flip1 != flip2, hop, 0.0))
-
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(vals))):
+    if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
         raise NonFiniteError("chain matrix entries must be finite")
-    return diag, rows, cols, vals
+    return rungs, couple
 
 
-def _band_blocks(band, first: int, size: int, count: int) -> np.ndarray:
-    """(count, size, size) stack of diagonal blocks of a chain band.
-
-    Block k covers chain indices first + size*k .. first + size*(k+1) - 1;
-    band entries that couple two blocks, or leave them, are dropped.
-    """
-    diag, rows, cols, vals = band
-    stack = np.zeros((count, size, size))
-    local = np.arange(size)
-    stack[:, local, local] = diag[first:first + size * count].reshape(count, size)
-    i, j = rows - first, cols - first
-    inside = (i >= 0) & (i // size == j // size) & (j < size * count)
-    k, i, j = i[inside] // size, i[inside] % size, j[inside] % size
-    stack[k, i, j] = stack[k, j, i] = vals[inside]
-    return stack
+def _block4_stack(rungs: np.ndarray, couple: np.ndarray, first: int, count: int) -> np.ndarray:
+    """(count, 4, 4) stack of chain indices 2 first + 4k + 1 .. + 4, the
+    middle of rungs first + 2k .. first + 2k + 2; band entries that couple
+    two blocks, or leave them, are dropped."""
+    r = first + 2 * np.arange(count)[:, None] + np.arange(3)
+    return band_to_dense(rungs[r], couple[r[:, :2]])[:, 1:5, 1:5]
 
 
 def build_effective_chain_matrix(
@@ -228,11 +206,8 @@ def build_effective_chain_matrix(
             "chain must hold two states per photon number, ascending from 0, "
             "in build_parity_chain order"
         )
-    diag, rows, cols, vals = _chain_band(p, t, chain.parity, n_max, mode)
-    arr = np.zeros((len(diag), len(diag)))
-    np.fill_diagonal(arr, diag)
-    arr[rows, cols] = arr[cols, rows] = vals
-    return SymmetricMatrix(arr, chain.labels())
+    band = _chain_band(p, t, chain.parity, n_max, mode)
+    return SymmetricMatrix(band_to_dense(*band), chain.labels())
 
 
 def _block4_states(n: int) -> tuple[ChainState, ...]:
@@ -275,7 +250,7 @@ def build_block4(
     from the chain band (_chain_band)."""
     if n < 0:
         raise ValueError(f"block index must be nonnegative, got {n}")
-    arr = _band_blocks(_chain_band(p, t, 1, 2 * n + 3, mode), 3 + 4 * n, 4, 1)[0]
+    arr = _block4_stack(*_chain_band(p, t, 1, 2 * n + 3, mode), 1 + 2 * n, 1)[0]
     labels = tuple(s.ket() for s in _block4_states(n))
     return Block4(n=n, matrix=SymmetricMatrix(arr, labels))
 
@@ -337,9 +312,10 @@ def trwa_block_energies(
     """
     par = _normalize_parity(parity)
     groups = closed_block_index_groups(par, n_blocks)
-    band = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode)
-    edge = _band_blocks(band, 0, len(groups[0]), 1)[0]
-    quads = _band_blocks(band, groups[1][0], 4, n_blocks)
+    rungs, couple = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode)
+    size = len(groups[0])
+    edge = band_to_dense(rungs[:2], couple[:1])[:size, :size]
+    quads = _block4_stack(rungs, couple, groups[1][0] // 2, n_blocks)
     energies = [float(v) for v in eigh(SymmetricMatrix(edge)).values]
     energies.extend(eigvals_stacked(quads).ravel().tolist())
     energies.sort()
@@ -352,10 +328,14 @@ def block_leakage(h: SymmetricMatrix, groups: Sequence[Sequence[int]]) -> float:
     That is every element coupling a state of one group to a state outside
     it, including states past the last group.  Zero means the groups are
     closed blocks of h; elements among ungrouped states are not counted.
+    Raises ValueError unless each group holds distinct indices in
+    [0, h.dim) that no earlier group holds.
     """
     member = np.full(h.dim, -1)
     for k, group in enumerate(groups):
         idx = list(group)
+        if len(set(idx)) != len(idx) or not all(0 <= i < h.dim for i in idx):
+            raise ValueError(f"group {k} {tuple(idx)} needs distinct indices in [0, {h.dim})")
         if np.any(member[idx] >= 0):
             raise ValueError(f"group {k} overlaps an earlier group")
         member[idx] = k

@@ -2,6 +2,10 @@
 a dense symmetric eigensolver with a fixed sign convention, and a certified
 lowest-k solve of block-tridiagonal bands.
 
+The TRWA parity chains (fockspace) and the exact parity sectors (oracle)
+share one band layout, rung blocks (R, 2, 2) and couplings (R - 1, 2, 2),
+rung n holding photon number n; band_to_dense is its one dense writer.
+
 The lowest-k solve (eigvals_lowest) serves the exact oracle, which needs a
 handful of the lowest levels of a parity sector with hundreds of rungs.  It
 diagonalizes a dense leading block of the band and certifies the result on
@@ -311,58 +315,66 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _check_band(diag, couple) -> tuple[np.ndarray, np.ndarray]:
-    diag = np.asarray(diag, dtype=float)
+def _check_band(rungs, couple, batched: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a band as band_to_dense lays it out; batched allows its
+    leading batch axes."""
+    rungs = np.asarray(rungs, dtype=float)
     couple = np.asarray(couple, dtype=float)
-    if diag.ndim != 2 or diag.shape[0] == 0 or diag.shape[1] != 2:
-        raise ValueError(f"expected rung diagonals of shape (R, 2), got {diag.shape}")
-    if couple.shape != (diag.shape[0] - 1, 2, 2):
-        raise ValueError(
-            f"expected couplings of shape {(diag.shape[0] - 1, 2, 2)}, got {couple.shape}"
-        )
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(couple))):
+    lead = rungs.shape[:-3] if batched else ()
+    if rungs.ndim != len(lead) + 3 or rungs.shape[-3] == 0 or rungs.shape[-2:] != (2, 2):
+        raise ValueError(f"expected rung blocks of shape {(*lead, 'R', 2, 2)}, got {rungs.shape}")
+    want = (*lead, rungs.shape[-3] - 1, 2, 2)
+    if couple.shape != want:
+        raise ValueError(f"expected couplings of shape {want}, got {couple.shape}")
+    if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
         raise NonFiniteError("band entries must be finite")
-    return diag, couple
+    if not np.array_equal(rungs[..., 0, 1], rungs[..., 1, 0]):
+        raise ValueError("rung blocks are not exactly symmetric")
+    return rungs, couple
 
 
-def band_to_dense(diag: np.ndarray, couple: np.ndarray) -> np.ndarray:
+def band_to_dense(rungs: np.ndarray, couple: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of a block-tridiagonal band with 2x2 blocks.
 
-    Rung n holds rows 2n and 2n + 1.  diag (R, 2) is the diagonal of each
-    rung's block, which has no off-diagonal element; couple (R - 1, 2, 2)
-    couples rung n to rung n + 1: entry (2n + a, 2n + 2 + b) is
-    couple[n, a, b], written to both triangles.
+    Rung n holds rows 2n and 2n + 1: rungs (..., R, 2, 2) is each rung's
+    own block, exactly symmetric, and couple (..., R - 1, 2, 2) couples
+    rung n to rung n + 1: entry (2n + a, 2n + 2 + b) is couple[n, a, b],
+    written to both triangles.  Leading axes are a batch of bands of one
+    size, giving a (..., 2R, 2R) stack.
     """
-    diag, couple = _check_band(diag, couple)
-    rungs = len(diag)
-    arr = np.zeros((2 * rungs, 2 * rungs))
-    np.fill_diagonal(arr, diag)
-    blocks = arr.reshape(rungs, 2, rungs, 2)
-    n = np.arange(rungs - 1)
-    blocks[n, :, n + 1, :] = couple
-    blocks[n + 1, :, n, :] = couple.transpose(0, 2, 1)
+    rungs, couple = _check_band(rungs, couple, batched=True)
+    size = rungs.shape[-3]
+    arr = np.zeros((*rungs.shape[:-3], 2 * size, 2 * size))
+    # row and column of entry [n, a, b] of the rung blocks
+    row = 2 * np.arange(size)[:, None, None] + np.arange(2)[:, None]
+    col = row.transpose(0, 2, 1)
+    arr[..., row, col] = rungs
+    arr[..., row[:-1], col[1:]] = couple
+    arr[..., col[1:], row[:-1]] = couple
     return arr
 
 
-def _row_sums(diag: np.ndarray, couple: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(rungs: np.ndarray, couple: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row (R, 2): the Gershgorin lower bound diag - sum |off| and the
     absolute row sum |diag| + sum |off|."""
-    off = np.zeros_like(diag)
+    diag = np.diagonal(rungs, axis1=1, axis2=2)
+    off = np.repeat(np.abs(rungs[:, :1, 1]), 2, axis=1)
     off[:-1] += np.abs(couple).sum(axis=2)
     off[1:] += np.abs(couple).sum(axis=1)
     return diag - off, np.abs(diag) + off
 
 
-def inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
+def inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, by Sylvester's law of inertia.
 
     Factors A - s I = L D L^T rung by rung for every shift at once: each
-    2x2 Schur complement S_n is split into two scalar pivots, and the count
-    is the number of negative pivots.  A pivot smaller in magnitude than
-    eps times (the rung's largest absolute row sum + the largest |s|) is
-    replaced by minus that size, the Sturm-sequence convention: a
-    perturbation of the order of the rounding, which keeps every step
-    finite and warning-free.  A level exactly at s then counts as below it.
+    2x2 Schur complement S_n, which starts from rung n's whole block, is
+    split into two scalar pivots, and the count is the number of negative
+    pivots.  A pivot smaller in magnitude than eps times (the rung's
+    largest absolute row sum + the largest |s|) is replaced by minus that
+    size, the Sturm-sequence convention: a perturbation of the order of the
+    rounding, which keeps every step finite and warning-free.  A level
+    exactly at s then counts as below it.
 
     The factorization stops after rung K once the rest is provably positive
     definite: the Schur complement left over is the trailing matrix T - s I
@@ -372,10 +384,10 @@ def inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
     to both neighbours, so it is at most T's own.)  Raises
     ConvergenceFailureError if a step overflows.
     """
-    return _inertia_count(diag, couple, shifts)[0]
+    return _inertia_count(rungs, couple, shifts)[0]
 
 
-def _inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.ndarray, int]:
+def _inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.ndarray, int]:
     """inertia_count, plus the number of leading rungs the count read.
 
     The factorization of rungs 0..K reads their entries and row sums, and
@@ -383,36 +395,35 @@ def _inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.nda
     past n (tail[n + 1]).  That suffix minimum is first attained at a rung
     j >= n + 1, and j does not decrease with n, so the count read rungs
     0..j of its last stop test: j + 1 rungs, or the whole band when it
-    never stopped early.
+    never stopped early.  Rung entries are read as the loop reaches them.
     """
-    diag, couple = _check_band(diag, couple)
+    rungs, couple = _check_band(rungs, couple)
     s = np.atleast_1d(np.asarray(shifts, dtype=float))
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("shifts must be finite")
-    low, rows = _row_sums(diag, couple)
+    low, rows = _row_sums(rungs, couple)
     low = low.min(axis=1)
-    tail = np.minimum.accumulate(low[::-1])[::-1].tolist()
-    pivmin = np.maximum(_EPS * (rows.max(axis=1) + np.max(np.abs(s))), _TINY).tolist()
+    tail = np.minimum.accumulate(low[::-1])[::-1]
+    pivmin = np.maximum(_EPS * (rows.max(axis=1) + np.max(np.abs(s))), _TINY)
     s_max = float(np.max(s))
-    shifted = diag[:, :, None] - s
-    b = couple.tolist()
+    shifted = np.diagonal(rungs, axis1=1, axis2=2)[:, :, None] - s
     count = np.zeros(s.shape, dtype=int)
-    s00, s01, s11 = shifted[0, 0], np.zeros_like(s), shifted[0, 1]
+    s00, s01, s11 = shifted[0, 0], float(rungs[0, 0, 1]), shifted[0, 1]
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for n in range(len(diag)):
-                tiny = pivmin[n]
+            for n in range(len(rungs)):
+                tiny = float(pivmin[n])
                 p1 = np.where(np.abs(s00) < tiny, -tiny, s00)
                 l = s01 / p1
                 p2 = s11 - l * s01
                 p2 = np.where(np.abs(p2) < tiny, -tiny, p2)
                 count += p1 < 0.0
                 count += p2 < 0.0
-                if n == len(diag) - 1:
+                if n == len(rungs) - 1:
                     break
                 # with S_n = L diag(p1, p2) L^T and W = L^-1 B_n,
                 # F = B_n^T S_n^-1 B_n = sum over rows w of W of w^T w / p
-                (b00, b01), (b10, b11) = b[n]
+                (b00, b01), (b10, b11) = couple[n].tolist()
                 r1, r2 = 1.0 / p1, 1.0 / p2
                 w0, w1 = b10 - l * b00, b11 - l * b01
                 v0, v1 = w0 * r2, w1 * r2
@@ -420,29 +431,31 @@ def _inertia_count(diag: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.nda
                 f01 = b00 * b01 * r1 + w0 * v1
                 f11 = b01 * b01 * r1 + w1 * v1
                 # ||F||_inf >= 0, so no stop is possible before tail > s_max
-                if tail[n + 1] > s_max:
+                bound = float(tail[n + 1])
+                if bound > s_max:
                     f_norm = np.maximum(np.abs(f00), np.abs(f11)) + np.abs(f01)
-                    if np.max(f_norm + s) < tail[n + 1]:
+                    if np.max(f_norm + s) < bound:
                         break
                 s00 = shifted[n + 1, 0] - f00
-                s01 = -f01
+                s01 = float(rungs[n + 1, 0, 1]) - f01
                 s11 = shifted[n + 1, 1] - f11
     except FloatingPointError as exc:
         raise ConvergenceFailureError(f"inertia count failed: {exc}") from exc
-    if n == len(diag) - 1:
-        return count, len(diag)
+    if n == len(rungs) - 1:
+        return count, len(rungs)
     return count, n + 2 + int(np.argmin(low[n + 1:]))
 
 
-def _leading_levels(diag: np.ndarray, couple: np.ndarray, rungs: int, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the leading `rungs` rungs of a band, dense."""
-    block = SymmetricMatrix(band_to_dense(diag[:rungs], couple[:rungs - 1]))
+def _leading_levels(rungs: np.ndarray, couple: np.ndarray, lead: int, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of the leading `lead` rungs of a band, dense."""
+    block = SymmetricMatrix(band_to_dense(rungs[:lead], couple[:lead - 1]))
     return eigvals_sym(block)[:k]
 
 
-def eigvals_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
+def eigvals_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues, ascending, of a block-tridiagonal band with a
-    certificate (band layout as in band_to_dense).
+    certificate (rung blocks (R, 2, 2) and couplings (R - 1, 2, 2), laid
+    out as in band_to_dense).
 
     Diagonalizes the leading block of r = 32 rungs (all of them if fewer)
     densely, takes its lowest k eigenvalues theta_i, and certifies them on
@@ -454,40 +467,40 @@ def eigvals_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
     the leading block grown to the whole band, raises
     ConvergenceFailureError.
     """
-    return _certified_lowest(diag, couple, k)[0]
+    return _certified_lowest(rungs, couple, k)[0]
 
 
-def _certified_lowest(diag: np.ndarray, couple: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+def _certified_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """eigvals_lowest, plus rungs_read: the number of leading rungs the
     whole solve read, over every leading block, tolerance and count.
 
     Of the rest of the band, the counts read only that no rung past
     rungs_read has a smaller Gershgorin lower bound than the smallest one
-    they used.  So another band with the same diag[:rungs_read] and
+    they used.  So another band with the same rungs[:rungs_read] and
     couple[:rungs_read] (the last coupling enters through the row sums),
     none of whose later rungs has a Gershgorin lower bound below the
     smallest of this band's later rungs, gives the same theta for the same
     k, bit for bit.
     """
-    diag, couple = _check_band(diag, couple)
-    total = len(diag)
+    rungs, couple = _check_band(rungs, couple)
+    total = len(rungs)
     if not 1 <= k <= 2 * total:
         raise ValueError(f"k={k} outside [1, {2 * total}]")
-    rows = _row_sums(diag, couple)[1].max(axis=1)
+    rows = _row_sums(rungs, couple)[1].max(axis=1)
     below = np.arange(k)
-    rungs = min(total, max(_LEADING_RUNGS, (k + 1) // 2))
+    lead = min(total, max(_LEADING_RUNGS, (k + 1) // 2))
     rungs_read = 0
     while True:
-        theta = _leading_levels(diag, couple, rungs, k)
+        theta = _leading_levels(rungs, couple, lead, k)
         # + tiny keeps tol positive on an all-zero band
-        tol = _TOL_EPS * _EPS * float(rows[:rungs].max()) + _TINY
-        count, counted = _inertia_count(diag, couple, np.concatenate([theta - tol, theta + tol]))
-        rungs_read = max(rungs_read, rungs, counted)
+        tol = _TOL_EPS * _EPS * float(rows[:lead].max()) + _TINY
+        count, counted = _inertia_count(rungs, couple, np.concatenate([theta - tol, theta + tol]))
+        rungs_read = max(rungs_read, lead, counted)
         if np.all(count[:k] <= below) and np.all(count[k:] > below):
             return theta, rungs_read
-        if rungs == total:
+        if lead == total:
             raise ConvergenceFailureError(
                 f"lowest {k} levels not certified to {tol:.3g}: counts below "
                 f"theta - tol {count[:k].tolist()}, below theta + tol {count[k:].tolist()}"
             )
-        rungs = min(2 * rungs, total)
+        lead = min(2 * lead, total)

@@ -69,21 +69,23 @@ def _sector_states(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sector_band(p: ModelParams, n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band of one parity sector: rung diagonals (R, 2), couplings (R-1, 2, 2).
+    """Band of one parity sector: rung blocks (R, 2, 2), couplings (R-1, 2, 2).
 
     Rung n holds the sector's two states at photon number n.  The
-    Hamiltonian has no element inside a rung; couple[n, a, b] links state a
-    of rung n to state b of rung n + 1, which differ in exactly one qubit:
-    g1 sqrt(n+1) when it is q1 (k ^ 2), g2 sqrt(n+1) when it is q2 (k ^ 1).
+    Hamiltonian has no element inside a rung, so each rung block is
+    diagonal; couple[n, a, b] links state a of rung n to state b of rung
+    n + 1, which differ in exactly one qubit: g1 sqrt(n+1) when it is q1
+    (k ^ 2), g2 sqrt(n+1) when it is q2 (k ^ 1).
     """
     n, k = _sector_states(n_max, parity)
     z1 = 1 - 2 * (k >> 1)
     z2 = 1 - 2 * (k & 1)
-    diag = p.omega * n[:, None] + p.delta1 * z1 + p.delta2 * z2
+    rungs = np.zeros((n_max + 1, 2, 2))
+    rungs[:, (0, 1), (0, 1)] = p.omega * n[:, None] + p.delta1 * z1 + p.delta2 * z2
     root = np.sqrt(n[:-1] + 1.0)[:, None, None]
     flips_q1 = k[1:, None, :] == (k[:-1, :, None] ^ 2)
     couple = np.where(flips_q1, p.g1 * root, p.g2 * root)
-    return diag, couple
+    return rungs, couple
 
 
 def build_parity_sector(p: ModelParams, n_max: int, parity: int) -> SymmetricMatrix:

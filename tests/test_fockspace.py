@@ -34,8 +34,15 @@ from rabi_spectra import (
     trwa_block_energies,
 )
 from rabi_spectra import fockspace
-from rabi_spectra.fockspace import _band_blocks, _chain_band, _chain_layout
-from rabi_spectra.numerics import NoBracketError, NonFiniteError, eigvals_stacked, error_token
+from rabi_spectra.fockspace import _chain_band, _chain_layout
+from rabi_spectra.numerics import (
+    NoBracketError,
+    NonFiniteError,
+    eigvals_lowest,
+    eigvals_stacked,
+    error_token,
+    inertia_count,
+)
 from rabi_spectra.resonance import DegenerateDesignError, SingularError
 
 # Hand-expanded closed forms of the low-order Laguerre polynomials; kept
@@ -318,19 +325,52 @@ def test_band_block_energies_equal_the_dense_route(point, mode, n_blocks):
 
 @pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
 @pytest.mark.parametrize("parity", [+1, -1])
-def test_band_blocks_equal_the_dense_submatrices(parity, mode):
-    # energies alone would miss a wrong upper triangle: LAPACK reads one
+def test_band_blocks_equal_the_dense_submatrices(monkeypatch, parity, mode):
+    # energies alone would miss a wrong upper triangle: LAPACK reads one.
+    # The spies record the blocks trwa_block_energies cuts from the band.
     p, t = fig3_design()
     n_blocks = 12
     groups = closed_block_index_groups(parity, n_blocks)
     chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
     h = build_effective_chain_matrix(p, t, chain, mode).data
-    band = _chain_band(p, t, parity, chain.n_max, mode)
-    edge = _band_blocks(band, 0, len(groups[0]), 1)
-    quads = _band_blocks(band, groups[1][0], 4, n_blocks)
+    seen = {}
+
+    def eigh_spy(m):
+        seen["edge"] = m.data
+        return eigh(m)
+
+    def stacked_spy(blocks):
+        seen["quads"] = blocks
+        return eigvals_stacked(blocks)
+
+    monkeypatch.setattr(fockspace, "eigh", eigh_spy)
+    monkeypatch.setattr(fockspace, "eigvals_stacked", stacked_spy)
+    trwa_block_energies(p, t, parity, n_blocks, mode)
     idx = np.array(groups[1:])
-    assert np.array_equal(edge[0], h[np.ix_(groups[0], groups[0])])
-    assert np.array_equal(quads, h[idx[:, :, None], idx[:, None, :]])
+    assert np.array_equal(seen["edge"], h[np.ix_(groups[0], groups[0])])
+    assert np.array_equal(seen["quads"], h[idx[:, :, None], idx[:, None, :]])
+
+
+@pytest.mark.parametrize("n_max", [20, 90])
+@pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
+@pytest.mark.parametrize("design", ["fig3", "generic"])
+def test_certified_solve_on_chain_bands(design, mode, n_max):
+    # chain rungs carry the double flip off their diagonal, which the count
+    # must take into each Schur complement; n_max 20 fits in the first
+    # leading block of eigvals_lowest, 90 does not
+    p, t = fig3_design() if design == "fig3" else (GENERIC_P, GENERIC_T)
+    rng = np.random.default_rng(n_max + 2 * (mode is CoefficientMode.EXACT))
+    for parity in (+1, -1):
+        band = _chain_band(p, t, parity, n_max, mode)
+        chain = build_parity_chain(parity, n_max)
+        vals = np.linalg.eigvalsh(build_effective_chain_matrix(p, t, chain, mode).data)
+        shifts = np.concatenate([
+            rng.uniform(vals[0] - 1.0, vals[20], 16),
+            rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, 16),
+        ])
+        expected = np.sum(vals[None, :] < shifts[:, None], axis=1)
+        assert np.array_equal(inertia_count(*band, shifts), expected)
+        np.testing.assert_allclose(eigvals_lowest(*band, 6), vals[:6], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("table", ["coeff_g0_table", "coeff_f1_table"])
@@ -407,8 +447,15 @@ def test_block_leakage_counts_only_couplings_out_of_a_group():
     assert block_leakage(h, [(0, 1, 2, 3)]) == 0.0
     # states past the last group are not coupled among themselves by the split
     assert block_leakage(h, [(0,)]) == 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="group 1 .* earlier group"):
         block_leakage(h, [(0, 1), (1, 2)])
+    # an index outside [0, dim) must not wrap around or escape as
+    # IndexError, and a repeat within a group would shrink it silently
+    bad = ([(-1,)], [(0, -4)], [(1,), (0, 4)], [(7,)], [(0, 0)], [(0,), (2, 3, 2)])
+    for groups in bad:
+        last = len(groups) - 1
+        with pytest.raises(ValueError, match=rf"group {last} .* distinct indices in \[0, 4\)"):
+            block_leakage(h, groups)
 
 
 def test_resonant_design_kills_odd_hops_in_approx_mode():

@@ -361,29 +361,48 @@ def test_rungs_read_covers_the_rung_of_the_stop_tests_gershgorin_bound():
     # Gershgorin bound of the later rungs sits at rung 24; lowering rung 80
     # below that bound moves it there, though no level moves
     p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
-    diag, couple = _sector_band(p, 100, 1)
-    low = numerics._row_sums(diag, couple)[0].min(axis=1)
+    rungs, couple = _sector_band(p, 100, 1)
+    low = numerics._row_sums(rungs, couple)[0].min(axis=1)
     shifts = [-4.0, -3.0, 0.5]
-    count, read = numerics._inertia_count(diag, couple, shifts)
+    count, read = numerics._inertia_count(rungs, couple, shifts)
     assert read == 25 and low[24] == low[24:].min()
-    dipped = diag.copy()
-    dipped[80] -= low[80] - low[24] + 0.5
+    dipped = rungs.copy()
+    dipped[80] -= (low[80] - low[24] + 0.5) * np.eye(2)
     dipped_count, dipped_read = numerics._inertia_count(dipped, couple, shifts)
     assert dipped_read == 81
     assert np.array_equal(dipped_count, count)
-    theta, rungs_read = numerics._certified_lowest(diag, couple, 6)
+    theta, rungs_read = numerics._certified_lowest(rungs, couple, 6)
     dipped_theta, dipped_rungs_read = numerics._certified_lowest(dipped, couple, 6)
     assert np.array_equal(dipped_theta, theta)
     assert (rungs_read, dipped_rungs_read) == (32, 81)
 
 
 def test_inertia_count_of_a_random_band():
-    # couplings of both signs and a diagonal that is not increasing
+    # couplings of both signs, a diagonal that is not increasing, and rung
+    # blocks with off-diagonals of both signs (a + a^T is exactly symmetric)
     rng = np.random.default_rng(11)
-    diag, couple = rng.normal(size=(30, 2)), rng.normal(size=(29, 2, 2))
-    dense = band_to_dense(diag, couple)
+    half, couple = rng.normal(size=(30, 2, 2)), rng.normal(size=(29, 2, 2))
+    rungs = half + half.transpose(0, 2, 1)
+    assert np.all(rungs[:, 0, 1] != 0.0)
+    dense = band_to_dense(rungs, couple)
     shifts = rng.uniform(-6.0, 6.0, 40)
-    assert _count_mismatches((diag, couple), dense, shifts) == 0
+    assert _count_mismatches((rungs, couple), dense, shifts) == 0
+
+
+def test_stop_test_bounds_rows_with_the_rung_off_diagonal():
+    # rung 30 holds diag 31 and off-diagonal 40, so a level near -9 sits
+    # far down the band; a Gershgorin bound that missed the off-diagonal
+    # would prove the band positive definite past rung 0 and stop there
+    n = np.arange(40.0)
+    rungs = np.zeros((40, 2, 2))
+    rungs[:, (0, 1), (0, 1)] = np.stack([n + 1.0, n + 1.5], axis=1)
+    rungs[30, 0, 1] = rungs[30, 1, 0] = 40.0
+    couple = np.full((39, 2, 2), 0.1)
+    dense = band_to_dense(rungs, couple)
+    shifts = np.array([-12.0, -5.0, 0.5, 3.0])
+    assert _count_mismatches((rungs, couple), dense, shifts) == 0
+    assert inertia_count(rungs, couple, [0.5]).tolist() == [1]
+    assert _lowest_error((rungs, couple), dense, 3) <= 1e-12
 
 
 def test_solver_checks_fail_when_a_coupling_diagonal_is_dropped():
@@ -391,14 +410,14 @@ def test_solver_checks_fail_when_a_coupling_diagonal_is_dropped():
     # couple[:, 0, 1] while the dense sector keeps them
     p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
     for n_max in (20, 90):
-        (diag, couple), dense = _sector(p, n_max, 1)
+        (rungs, couple), dense = _sector(p, n_max, 1)
         mutated = couple.copy()
         mutated[:, 0, 1] = 0.0
-        assert _lowest_error((diag, couple), dense, 6) <= 1e-12
-        assert _lowest_error((diag, mutated), dense, 6) > 1e-3
+        assert _lowest_error((rungs, couple), dense, 6) <= 1e-12
+        assert _lowest_error((rungs, mutated), dense, 6) > 1e-3
         shifts = np.linspace(-5.0, 3.0, 17)
-        assert _count_mismatches((diag, couple), dense, shifts) == 0
-        assert _count_mismatches((diag, mutated), dense, shifts) > 0
+        assert _count_mismatches((rungs, couple), dense, shifts) == 0
+        assert _count_mismatches((rungs, mutated), dense, shifts) > 0
 
 
 @pytest.mark.parametrize("offset", [1e-6, -1e-6])
@@ -407,9 +426,9 @@ def test_eigvals_lowest_raises_when_the_certificate_fails(monkeypatch, offset):
     leading = numerics._leading_levels
     sizes = []
 
-    def shifted(diag, couple, rungs, k):
-        sizes.append(rungs)
-        return leading(diag, couple, rungs, k) + offset
+    def shifted(rungs, couple, lead, k):
+        sizes.append(lead)
+        return leading(rungs, couple, lead, k) + offset
 
     monkeypatch.setattr(numerics, "_leading_levels", shifted)
     p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
@@ -424,9 +443,9 @@ def test_eigvals_lowest_grows_the_leading_block_until_certified(monkeypatch):
     leading = numerics._leading_levels
     sizes = []
 
-    def recorded(diag, couple, rungs, k):
-        sizes.append(rungs)
-        return leading(diag, couple, rungs, k)
+    def recorded(rungs, couple, lead, k):
+        sizes.append(lead)
+        return leading(rungs, couple, lead, k)
 
     monkeypatch.setattr(numerics, "_leading_levels", recorded)
     p = ModelParams(omega=1.0, delta1=1.2, delta2=2.0, g1=1.2, g2=0.7)
@@ -439,13 +458,14 @@ def test_inertia_count_handles_zero_pivots_without_warnings():
     # shifts equal to diagonal entries give exactly zero pivots: at every
     # rung of a decoupled band, and at the first rung of a coupled one
     p = ModelParams(omega=1.0, delta1=0.7, delta2=0.7, g1=0.0, g2=0.0)
-    diag, couple = _sector_band(p, 10, 1)
-    coupled = (diag, couple + 0.3)
+    rungs, couple = _sector_band(p, 10, 1)
+    diag = np.diagonal(rungs, axis1=1, axis2=2)
+    coupled = (rungs, couple + 0.3)
     shifts = np.unique(diag)
     vals = np.linalg.eigvalsh(band_to_dense(*coupled))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        decoupled_count = inertia_count(diag, couple, shifts)
+        decoupled_count = inertia_count(rungs, couple, shifts)
         coupled_count = inertia_count(*coupled, [diag[0, 0]])
     # a zero pivot counts as negative: a level at the shift is counted
     assert decoupled_count.tolist() == [int(np.sum(diag <= s)) for s in shifts]
@@ -453,11 +473,34 @@ def test_inertia_count_handles_zero_pivots_without_warnings():
 
 
 def test_band_solver_rejects_bad_input():
-    diag, couple = np.zeros((4, 2)), np.zeros((3, 2, 2))
+    rungs, couple = np.zeros((4, 2, 2)), np.zeros((3, 2, 2))
     with pytest.raises(ValueError, match="couplings"):
-        eigvals_lowest(diag, couple[:2], 1)
+        eigvals_lowest(rungs, couple[:2], 1)
     with pytest.raises(ValueError, match="k=9"):
-        eigvals_lowest(diag, couple, 9)
+        eigvals_lowest(rungs, couple, 9)
     with pytest.raises(NonFiniteError):
-        inertia_count(np.full((4, 2), np.nan), couple, [0.0])
-    assert eigvals_lowest(diag, couple, 8).tolist() == [0.0] * 8
+        inertia_count(np.full((4, 2, 2), np.nan), couple, [0.0])
+    assert eigvals_lowest(rungs, couple, 8).tolist() == [0.0] * 8
+
+
+def test_band_check_rejects_the_old_layout_an_asymmetric_and_a_nonfinite_rung():
+    rungs, couple = np.zeros((4, 2, 2)), np.zeros((3, 2, 2))
+    with pytest.raises(ValueError, match="rung blocks of shape"):
+        numerics._check_band(np.zeros((4, 2)), couple)
+    with pytest.raises(ValueError, match="rung blocks of shape"):
+        band_to_dense(np.zeros((4, 2)), couple)
+    lopsided = rungs.copy()
+    lopsided[2, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        numerics._check_band(lopsided, couple)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        inertia_count(lopsided, couple, [0.0])
+    for value in (np.nan, np.inf):
+        poisoned = rungs.copy()
+        poisoned[1, 0, 1] = poisoned[1, 1, 0] = value
+        with pytest.raises(NonFiniteError):
+            numerics._check_band(poisoned, couple)
+    # a batch of bands is for band_to_dense only
+    with pytest.raises(ValueError, match="rung blocks of shape"):
+        numerics._check_band(rungs[None], couple[None])
+    assert band_to_dense(rungs[None], couple[None]).shape == (1, 8, 8)

@@ -43,5 +43,17 @@ def test_benchmark_spans_import_against_this_tree(monkeypatch):
     module.__file__ = str(path)
     monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    # each span target must still be what its module binds under that name,
+    # or the benchmark would time a stale alias
+    targets = set()
+    for name, fn, _ in module.SPAN_TARGETS:
+        owner = sys.modules[fn.__module__]
+        assert getattr(owner, fn.__name__) is fn, name
+        targets.add(f"{owner.__name__.rsplit('.', 1)[1]}.{fn.__name__}")
+    assert {
+        "cli.main", "fockspace.spectrum_vs_g1", "fockspace.build_effective_chain_matrix",
+        "fockspace.trwa_block_energies", "numerics.eigh", "numerics.eigvals_sym",
+        "oracle.exact_spectrum", "oracle.build_full_rabi",
+    } <= targets
     with module.Tracer().installed(), module.Counter().installed():
         pass
