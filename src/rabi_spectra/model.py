@@ -30,6 +30,9 @@ LAMBDA_WINDOW = 0.1
 # Ket labels of the spin-x eigenvalues +1 and -1.
 SPIN_CHARS = {1: "+", -1: "-"}
 
+# sigma-z product labels, lexicographic: e < g, e -> +1, g -> -1
+_ZLABELS = (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
+
 
 class CoefficientMode(str, enum.Enum):
     """Laguerre treatment: full polynomials or the small-lambda limit."""

@@ -221,7 +221,10 @@ class SymmetricMatrix:
         return float(self.data[i, j])
 
     def submatrix(self, indices: Sequence[int]) -> "SymmetricMatrix":
+        """Principal submatrix on distinct indices in [0, dim), in their order."""
         idx = list(indices)
+        if len(set(idx)) != len(idx) or not all(0 <= i < self.dim for i in idx):
+            raise ValueError(f"indices {tuple(idx)} need to be distinct and in [0, {self.dim})")
         sub = self.data[np.ix_(idx, idx)]
         labs = tuple(self.labels[i] for i in idx) if self.labels is not None else None
         return SymmetricMatrix(sub, labs)

@@ -6,9 +6,9 @@ block machinery.  Each family has one source of matrix elements.  The
 single-mode Rabi matrices come from the band of each parity sector
 (_sector_band): build_parity_sector is its dense form, build_full_rabi
 scatters both sectors into the product basis, and build_rotated_rabi is a
-sign gauge of that.  The two-mode pseudomode Hamiltonian is one Kronecker
-sum of its operators.  Basis ordering everywhere: photon number outermost,
-then pseudomode number, then the two qubit labels lexicographically.
+sign gauge of that.  Basis ordering everywhere: photon number outermost,
+then the two qubit labels lexicographically.  The two-mode pseudomode
+oracle, build_full_pseudomode, lives in reservoir.
 """
 from __future__ import annotations
 
@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import trwa_block_energies
-from .model import CoefficientMode, ModelParams, TrwaParams
+from .model import _ZLABELS, CoefficientMode, ModelParams, TrwaParams
 from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense
-from .reservoir import ReservoirParams
 from .resonance import design_resonant
 from .serialize import record_dict
-
-# sigma-z product labels, lexicographic: e < g, e -> +1, g -> -1
-_ZLABELS = (("e", "e"), ("e", "g"), ("g", "e"), ("g", "g"))
-
 
 # smallest photon truncation of the exact builders
 MIN_N_MAX = 4
@@ -315,39 +310,3 @@ def compare_trwa_exact(
         n_max=n_max, trwa_ground=trwa[0], exact_ground=float(exact[0]),
         rows=tuple(rows), convergence=report,
     )
-
-
-def build_full_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> SymmetricMatrix:
-    """Two-mode Hamiltonian: cavity a, pseudomode b, both qubits, sigma-z basis.
-
-    omega a^dag a + omega1 b^dag b + V (b^dag a + a^dag b)
-    + sum_i [ g_i sx_i (a + a^dag) + g_i' sx_i (b + b^dag) + delta_i sz_i ]
-
-    written as a Kronecker sum over photon, pseudomode, qubit 1 and qubit 2.
-    Dimension 4 (m_max + 1)(n_max + 1); index order photon n, then
-    pseudomode m, then qubit labels.
-    """
-    if m_max < 1 or n_max < 1:
-        raise ValueError(f"need m_max, n_max >= 1, got ({m_max}, {n_max})")
-    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    b = np.diag(np.sqrt(np.arange(1.0, m_max + 1)), 1)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.diag([1.0, -1.0])
-    one = np.eye(2)
-
-    def op(photon=np.eye(n_max + 1), mode=np.eye(m_max + 1), q1=one, q2=one) -> np.ndarray:
-        return np.kron(photon, np.kron(mode, np.kron(q1, q2)))
-
-    h = (
-        r.omega * op(photon=np.diag(np.arange(n_max + 1.0)))
-        + r.omega1 * op(mode=np.diag(np.arange(m_max + 1.0)))
-        + op(photon=a, mode=r.v * b.T) + op(photon=a.T, mode=r.v * b)
-        + r.g1 * op(photon=a + a.T, q1=sx) + r.g2 * op(photon=a + a.T, q2=sx)
-        + r.g1p * op(mode=b + b.T, q1=sx) + r.g2p * op(mode=b + b.T, q2=sx)
-        + r.delta1 * op(q1=sz) + r.delta2 * op(q2=sz)
-    )
-    labels = tuple(
-        f"|{m},{n},{q1},{q2}>"
-        for n in range(n_max + 1) for m in range(m_max + 1) for q1, q2 in _ZLABELS
-    )
-    return SymmetricMatrix(h, labels)

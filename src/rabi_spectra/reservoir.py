@@ -14,6 +14,21 @@ while the pseudomode couplings g_i' stay bare.  Chain selection rules in
 the spin-x labeled basis: a photon coupling raises the flipped spin as it
 raises n (weight K_i sqrt(n+1)); a pseudomode coupling lowers the flipped
 spin as it raises m (weight g_i' sqrt(m+1)); nothing else connects.
+
+Both hops keep c = m - n + (s1 + s2)/2, so every state |m, n, s1, s2> lies
+on one closed chain c, and a chain is a block-tridiagonal band in the
+numerics layout (_reservoir_band), the one source of its elements.  Rung t
+of the band is the excitation number t = m + n.  It holds the +-/-+ pair
+when t - c is even and the --/++ pair when it is odd, and a state sits in
+slot (s2 + 1)/2 of its rung.  Shell partners differ in both spins, so the
+rung blocks are diagonal; every state of rung t differs from every state
+of rung t + 1 in one spin, flipped the way the selection rules allow.
+build_reservoir_matrix cuts the band's dense form down to a list of states
+of one chain, and build_reservoir_chain and quasi_exact_subspace list their
+states from the same layout.
+
+build_full_pseudomode is the untransformed two-mode Hamiltonian, with no
+displacement and no folding into K_i, for exact cross-checks.
 """
 from __future__ import annotations
 
@@ -23,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SPIN_CHARS, CoefficientMode, coeff_g0
-from .numerics import SymmetricMatrix, eigh, sym_set
+from .model import _ZLABELS, SPIN_CHARS, CoefficientMode, coeff_g0
+from .numerics import SymmetricMatrix, band_to_dense, eigh, sym_set
 from .serialize import record_dict
 
 class SingularEtaError(ArithmeticError):
@@ -163,28 +178,6 @@ class ReservoirChainState:
         return f"|{self.m},{self.n},{SPIN_CHARS[self.s1]},{SPIN_CHARS[self.s2]}>"
 
 
-def _shell_states(m0: int, n0: int, k: int) -> list[ReservoirChainState]:
-    """States of excitation shell k relative to the seed pair at (m0, n0).
-
-    Even shells hold the two +-/-+ states at (m0+j, n0+j), odd shells the
-    --/++ pair one step up either mode.  Candidates with a negative index
-    are dropped (lattice boundary)."""
-    out = []
-    if k % 2 == 0:
-        j = k // 2
-        m, n = m0 + j, n0 + j
-        if m >= 0 and n >= 0:
-            out.append(ReservoirChainState(m, n, 1, -1))
-            out.append(ReservoirChainState(m, n, -1, 1))
-    else:
-        j = (k - 1) // 2
-        if m0 + j + 1 >= 0 and n0 + j >= 0:
-            out.append(ReservoirChainState(m0 + j + 1, n0 + j, -1, -1))
-        if m0 + j >= 0 and n0 + j + 1 >= 0:
-            out.append(ReservoirChainState(m0 + j, n0 + j + 1, 1, 1))
-    return out
-
-
 @dataclass(frozen=True)
 class ReservoirChain:
     """Chain window around the seed pair at (m0, n0), shells -1 .. depth."""
@@ -203,8 +196,29 @@ class ReservoirChain:
         return (state.m + state.n) - (self.m0 + self.n0)
 
 
+def _chain_slots(c: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """m, n, s1, s2 of the two slots of each rung t of chain c, each
+    (len(t), 2); a slot past the lattice boundary has m or n = -1."""
+    t = t[:, None]
+    s2 = np.array([-1, 1])
+    s1 = np.where((t - c) % 2 == 1, s2, -s2)
+    half = (s1 + s2) // 2
+    return (t + c - half) // 2, (t - c + half) // 2, s1, np.broadcast_to(s2, s1.shape)
+
+
+def _chain_states(c: int, t: np.ndarray) -> tuple[ReservoirChainState, ...]:
+    """States of chain c on rungs t, rung by rung and slot by slot, leaving
+    out the slots past the lattice boundary."""
+    m, n, s1, s2 = _chain_slots(c, t)
+    keep = (m >= 0) & (n >= 0)
+    return tuple(
+        ReservoirChainState(*k) for k in zip(*(a[keep].tolist() for a in (m, n, s1, s2)))
+    )
+
+
 def build_reservoir_chain(m0: int, n0: int, depth: int) -> ReservoirChain:
-    """Enumerate the chain window: shells k = -1 .. depth around the seed.
+    """Enumerate the chain window: shells k = -1 .. depth around the seed,
+    that is rungs m0 + n0 - 1 .. m0 + n0 + depth of chain m0 - n0.
 
     The seed (m0, n0) must have m0 + n0 even so the +-/-+ pair carries the
     odd two-mode parity; every listed state shares that parity.
@@ -215,48 +229,49 @@ def build_reservoir_chain(m0: int, n0: int, depth: int) -> ReservoirChain:
         raise ValueError(f"seed must have m0 + n0 even, got ({m0}, {n0})")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    states: list[ReservoirChainState] = []
-    for k in range(-1, depth + 1):
-        states.extend(_shell_states(m0, n0, k))
-    chain = ReservoirChain(m0=m0, n0=n0, depth=depth, states=tuple(states))
+    states = _chain_states(m0 - n0, np.arange(m0 + n0 - 1, m0 + n0 + depth + 1))
+    chain = ReservoirChain(m0=m0, n0=n0, depth=depth, states=states)
     seed_parity = -1 if (m0 + n0) % 2 == 0 else 1
     assert all(s.parity == seed_parity for s in chain.states)
     return chain
 
 
-def _reservoir_pair(
+def _reservoir_band(
     r: ReservoirParams,
     coeffs: ReservoirCoefficients,
-    a: ReservoirChainState,
-    b: ReservoirChainState,
-    unprimed_g: bool = False,
-) -> float:
-    """Off-diagonal element between two distinct states (0 when unlinked)."""
-    dm = b.m - a.m
-    dn = b.n - a.n
-    flip1 = a.s1 != b.s1
-    flip2 = a.s2 != b.s2
-    if flip1 == flip2:
-        return 0.0
-    if dm == 0 and abs(dn) == 1:
-        lo, hi = (a, b) if dn == 1 else (b, a)
-        # photon coupling: the flipped spin must be raised with n
-        if flip1 and lo.s1 == -1 and hi.s1 == 1:
-            return coeffs.k1 * math.sqrt(hi.n)
-        if flip2 and lo.s2 == -1 and hi.s2 == 1:
-            return coeffs.k2 * math.sqrt(hi.n)
-        return 0.0
-    if dn == 0 and abs(dm) == 1:
-        lo, hi = (a, b) if dm == 1 else (b, a)
-        # pseudomode coupling: the flipped spin must be lowered with m
-        if flip1 and lo.s1 == 1 and hi.s1 == -1:
-            g = r.g1 if unprimed_g else r.g1p
-            return g * math.sqrt(hi.m)
-        if flip2 and lo.s2 == 1 and hi.s2 == -1:
-            g = r.g2 if unprimed_g else r.g2p
-            return g * math.sqrt(hi.m)
-        return 0.0
-    return 0.0
+    c: int,
+    t: np.ndarray,
+    bare_from: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band of chain c over the consecutive rungs t: diagonal rung blocks,
+    and couple[t, a, b] the photon hop K_q sqrt(n_b) where n rises, else the
+    pseudomode hop g_q' sqrt(m_b) (the bare g_q into rungs >= bare_from),
+    q being the qubit whose spin flips between the two slots."""
+    m, n, s1, s2 = _chain_slots(c, t)
+    # the spin terms are summed before touching the mode energies so that
+    # the +-/-+ pair's exact cancellation under symmetric parameters
+    # survives in floating point (x + (-x) is exactly 0.0, (base + x) - x
+    # generally is not base)
+    spin = (
+        s1 * r.delta1 * coeff_g0(coeffs.lambda1, 0, CoefficientMode.APPROX)
+        + s2 * r.delta2 * coeff_g0(coeffs.lambda2, 0, CoefficientMode.APPROX)
+    )
+    rungs = np.zeros((len(t), 2, 2))
+    rungs[:, (0, 1), (0, 1)] = r.omega * n + r.omega1 * m + reservoir_constant(r, coeffs) + spin
+    flip1 = s1[:-1, :, None] != s1[1:, None, :]
+    g_pseudo = np.where(flip1, r.g1p, r.g2p)
+    if bare_from is not None:
+        bare = (t[1:] >= bare_from)[:, None, None]
+        g_pseudo = np.where(bare, np.where(flip1, r.g1, r.g2), g_pseudo)
+    # boundary slots hold m or n = -1; their hops are cut away with them
+    n_b = np.maximum(n[1:, None, :], 0)
+    m_b = np.maximum(m[1:, None, :], 0)
+    couple = np.where(
+        n_b > n[:-1, :, None],
+        np.where(flip1, coeffs.k1, coeffs.k2) * np.sqrt(n_b),
+        g_pseudo * np.sqrt(m_b),
+    )
+    return rungs, couple
 
 
 def build_reservoir_matrix(
@@ -265,54 +280,41 @@ def build_reservoir_matrix(
     coeffs: ReservoirCoefficients | None = None,
     verbatim_unprimed: bool = False,
 ) -> SymmetricMatrix:
-    """Effective two-mode Hamiltonian on a chain window.
+    """Effective two-mode Hamiltonian on distinct states of one chain c, in
+    any order: the dense band of the rungs they span (_reservoir_band), cut
+    down to their slots.  States on two chains raise ValueError.
 
     Diagonal: omega n + omega1 m + c0 + s1 delta1 G0(n) + s2 delta2 G0'(n)
     with the displacement constant c0 included (reservoir_constant reports
     it separately) and G0 taken in the small-lambda limit, consistent with
     the approximation already folded into the K coefficients.
 
-    ``verbatim_unprimed`` reproduces a variant where pseudomode couplings
-    into shells two or more above the seed use the bare cavity couplings
-    g_i instead of g_i'; it exists only so discrepancy reports can show
-    both readings, and requires a ReservoirChain (shell bookkeeping).
+    ``verbatim_unprimed`` reproduces the printed variant where pseudomode
+    couplings into shells two or more above the seed use the bare cavity
+    couplings g_i instead of g_i'; it is the only record of that reading,
+    and requires a ReservoirChain (shell bookkeeping).
     """
     if coeffs is None:
         coeffs = compute_K(r)
+    bare_from = None
     if isinstance(chain, ReservoirChain):
         states = chain.states
-        shell = {s: chain.shell_of(s) for s in states}
+        if verbatim_unprimed:
+            bare_from = chain.m0 + chain.n0 + 2
     else:
         states = tuple(chain)
-        shell = None
         if verbatim_unprimed:
             raise ValueError("verbatim_unprimed needs a ReservoirChain, not a bare state list")
     if len(set(states)) != len(states):
         raise ValueError("chain contains duplicate states")
-    c0 = reservoir_constant(r, coeffs)
-    dim = len(states)
-    arr = np.zeros((dim, dim))
-    for i, si in enumerate(states):
-        # the spin terms are summed before touching the mode energies so
-        # that the +-/-+ pair's exact cancellation under symmetric
-        # parameters survives in floating point (x + (-x) is exactly 0.0,
-        # (base + x) - x generally is not base)
-        spin = (
-            si.s1 * r.delta1 * coeff_g0(coeffs.lambda1, si.n, CoefficientMode.APPROX)
-            + si.s2 * r.delta2 * coeff_g0(coeffs.lambda2, si.n, CoefficientMode.APPROX)
-        )
-        arr[i, i] = r.omega * si.n + r.omega1 * si.m + c0 + spin
-        for j in range(i + 1, dim):
-            sj = states[j]
-            unprimed = False
-            if verbatim_unprimed and sj.m != si.m:
-                upper = max(shell[si], shell[sj])
-                unprimed = upper >= 2
-            v = _reservoir_pair(r, coeffs, si, sj, unprimed_g=unprimed)
-            if v != 0.0:
-                sym_set(arr, i, j, v)
-    labels = tuple(s.ket() for s in states)
-    return SymmetricMatrix(arr, labels)
+    m, n, s1, s2 = np.array([(s.m, s.n, s.s1, s.s2) for s in states], dtype=int).reshape(-1, 4).T
+    chains = np.unique(m - n + (s1 + s2) // 2)
+    if len(chains) != 1:
+        raise ValueError(f"states must lie on one chain, got chains {chains.tolist()}")
+    t = m + n
+    band = _reservoir_band(r, coeffs, int(chains[0]), np.arange(t.min(), t.max() + 1), bare_from)
+    pos = 2 * (t - t.min()) + (s2 + 1) // 2
+    return SymmetricMatrix(band_to_dense(*band)[np.ix_(pos, pos)], tuple(s.ket() for s in states))
 
 
 def _singlet_vector(states: Sequence[ReservoirChainState], m: int, n: int) -> np.ndarray:
@@ -354,6 +356,42 @@ def dark_state_residual(
     v = _singlet_vector(chain.states, m, n)
     e0 = dark_state_energy(r, coeffs, m, n)
     return float(np.linalg.norm(h.data @ v - e0 * v))
+
+
+def build_full_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> SymmetricMatrix:
+    """Two-mode Hamiltonian: cavity a, pseudomode b, both qubits, sigma-z basis.
+
+    omega a^dag a + omega1 b^dag b + V (b^dag a + a^dag b)
+    + sum_i [ g_i sx_i (a + a^dag) + g_i' sx_i (b + b^dag) + delta_i sz_i ]
+
+    written as a Kronecker sum over photon, pseudomode, qubit 1 and qubit 2.
+    Dimension 4 (m_max + 1)(n_max + 1); index order photon n, then
+    pseudomode m, then qubit labels.
+    """
+    if m_max < 1 or n_max < 1:
+        raise ValueError(f"need m_max, n_max >= 1, got ({m_max}, {n_max})")
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    b = np.diag(np.sqrt(np.arange(1.0, m_max + 1)), 1)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    one = np.eye(2)
+
+    def op(photon=np.eye(n_max + 1), mode=np.eye(m_max + 1), q1=one, q2=one) -> np.ndarray:
+        return np.kron(photon, np.kron(mode, np.kron(q1, q2)))
+
+    h = (
+        r.omega * op(photon=np.diag(np.arange(n_max + 1.0)))
+        + r.omega1 * op(mode=np.diag(np.arange(m_max + 1.0)))
+        + op(photon=a, mode=r.v * b.T) + op(photon=a.T, mode=r.v * b)
+        + r.g1 * op(photon=a + a.T, q1=sx) + r.g2 * op(photon=a + a.T, q2=sx)
+        + r.g1p * op(mode=b + b.T, q1=sx) + r.g2p * op(mode=b + b.T, q2=sx)
+        + r.delta1 * op(q1=sz) + r.delta2 * op(q2=sz)
+    )
+    labels = tuple(
+        f"|{m},{n},{q1},{q2}>"
+        for n in range(n_max + 1) for m in range(m_max + 1) for q1, q2 in _ZLABELS
+    )
+    return SymmetricMatrix(h, labels)
 
 
 @dataclass(frozen=True)
@@ -399,7 +437,8 @@ def quasi_exact_subspace(
 ) -> tuple[SymmetricMatrix, DiscrepancyReport]:
     """Truncated subspace below the (m, n) singlet and its eigen-check.
 
-    Keeps every chain shell from the seed pair downward (amplitudes above
+    Keeps every chain shell from the seed pair downward, rungs 0 .. m + n
+    of chain m - n, to the states with nonnegative indices (amplitudes above
     the seed are closed off by the two conditions g1' c1 + g2' c2 = 0 and
     K2 c1 + K1 c2 = 0, which the singlet satisfies when the parameters are
     symmetric).  The report records the subspace dimension against the
@@ -409,17 +448,7 @@ def quasi_exact_subspace(
     """
     check_seed(m, n)
     coeffs = compute_K(r)
-    shells: list[list[ReservoirChainState]] = []
-    k = 0
-    while True:
-        block = _shell_states(m, n, k)
-        if not block:
-            break
-        shells.append(block)
-        k -= 1
-    states: list[ReservoirChainState] = []
-    for block in reversed(shells):
-        states.extend(block)
+    states = _chain_states(m - n, np.arange(m + n + 1))
     h = build_reservoir_matrix(r, states, coeffs)
 
     e_target = dark_state_energy(r, coeffs, m, n)

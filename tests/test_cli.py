@@ -266,7 +266,11 @@ def test_reservoir_quasi_window_report():
     ])
     assert code == 0
     doc = json.loads(out)
-    assert "reports" in doc or "rows" in doc or "window" in doc
+    # seed (1, 1): six chain states, one of whose eigenvalues is the
+    # singlet's claimed energy; and the printed six-state window
+    assert doc["subspace"]["data"]["dim"] == 6
+    assert doc["subspace"]["residuals"]["eigenvalue_gap"] <= 1e-12
+    assert len(doc["window"]["eigenvalues"]) == 6
 
 
 def test_validate_flags_bad_numbers():

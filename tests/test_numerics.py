@@ -3,6 +3,7 @@ bracketed root finding, the symmetric eigensolver wrapper, and the
 certified lowest-k band solve."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -186,6 +187,13 @@ def test_symmetric_matrix_entry_and_submatrix():
     assert sub.dim == 1
     assert sub.labels == ("b",)
     assert sub.entry(0, 0) == 5.0
+    three = SymmetricMatrix(np.diag([1.0, 2.0, 3.0]), ("a", "b", "c"))
+    assert three.submatrix([2, 0]).labels == ("c", "a")
+    # a negative index would wrap to the last state, and a repeated one
+    # gives [[1, 1], [1, 1]], whose eigenvalues belong to no set of states
+    for bad in ([-1], [0, 0], [3], [1, 0, 1]):
+        with pytest.raises(ValueError, match=re.escape(f"indices {tuple(bad)}")):
+            three.submatrix(bad)
 
 
 def test_sym_set_writes_both_triangles():

@@ -1,5 +1,6 @@
 """The package surface that the README and the benchmark tooling rely on."""
 
+import ast
 import io
 import re
 import sys
@@ -57,3 +58,20 @@ def test_benchmark_spans_import_against_this_tree(monkeypatch):
     } <= targets
     with module.Tracer().installed(), module.Counter().installed():
         pass
+
+
+def test_oracle_does_not_import_reservoir():
+    # the single-mode oracle needs nothing of the two-mode extension; the
+    # pseudomode oracle lives in reservoir, so oracle must not import it
+    path = ROOT / "src" / "rabi_spectra" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            if node.module is None:
+                imported.update(base + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported
+    assert not imported & {".reservoir", "rabi_spectra.reservoir"}

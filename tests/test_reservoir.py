@@ -10,12 +10,15 @@ import pytest
 
 from rabi_spectra import (
     AsymmetricParamsError,
+    CoefficientMode,
+    ReservoirChainState,
     ReservoirParams,
     SingularDenominatorError,
     SingularEtaError,
     build_h_2w1_2w,
     build_reservoir_chain,
     build_reservoir_matrix,
+    coeff_g0,
     compute_K,
     dark_state_energy,
     dark_state_residual,
@@ -219,6 +222,112 @@ def test_deep_band_primed_by_default():
     # same entries as above but with primed pseudomode couplings throughout
     assert h[5, 6] == pytest.approx(math.sqrt(3.0) * r.g2p, rel=1e-15)
     assert h[6, 8] == pytest.approx(2.0 * r.g1p, rel=1e-15)
+
+
+def _reference_pair(r, coeffs, a, b, unprimed_g=False):
+    """Off-diagonal element between two distinct states by the selection
+    rules, written pair by pair (0 when unlinked)."""
+    dm = b.m - a.m
+    dn = b.n - a.n
+    flip1 = a.s1 != b.s1
+    flip2 = a.s2 != b.s2
+    if flip1 == flip2:
+        return 0.0
+    if dm == 0 and abs(dn) == 1:
+        lo, hi = (a, b) if dn == 1 else (b, a)
+        # photon coupling: the flipped spin must be raised with n
+        if flip1 and lo.s1 == -1 and hi.s1 == 1:
+            return coeffs.k1 * math.sqrt(hi.n)
+        if flip2 and lo.s2 == -1 and hi.s2 == 1:
+            return coeffs.k2 * math.sqrt(hi.n)
+        return 0.0
+    if dn == 0 and abs(dm) == 1:
+        lo, hi = (a, b) if dm == 1 else (b, a)
+        # pseudomode coupling: the flipped spin must be lowered with m
+        if flip1 and lo.s1 == 1 and hi.s1 == -1:
+            return (r.g1 if unprimed_g else r.g1p) * math.sqrt(hi.m)
+        if flip2 and lo.s2 == 1 and hi.s2 == -1:
+            return (r.g2 if unprimed_g else r.g2p) * math.sqrt(hi.m)
+        return 0.0
+    return 0.0
+
+
+def _reference_matrix(r, coeffs, states, seed=None):
+    """The reservoir matrix state by state and pair by pair; with seed
+    (m0, n0), pseudomode hops into shells >= 2 above it take the bare g_i."""
+    c0 = reservoir_constant(r, coeffs)
+    dim = len(states)
+    arr = np.zeros((dim, dim))
+    for i, si in enumerate(states):
+        spin = (
+            si.s1 * r.delta1 * coeff_g0(coeffs.lambda1, si.n, CoefficientMode.APPROX)
+            + si.s2 * r.delta2 * coeff_g0(coeffs.lambda2, si.n, CoefficientMode.APPROX)
+        )
+        arr[i, i] = r.omega * si.n + r.omega1 * si.m + c0 + spin
+        for j in range(i + 1, dim):
+            sj = states[j]
+            unprimed = (
+                seed is not None and sj.m != si.m
+                and max(si.m + si.n, sj.m + sj.n) - sum(seed) >= 2
+            )
+            arr[i, j] = arr[j, i] = _reference_pair(r, coeffs, si, sj, unprimed)
+    return arr
+
+
+def _random_params(rng):
+    while True:
+        g, d, gp = rng.uniform(0.0, 1.2, 2), rng.uniform(0.0, 2.5, 2), rng.uniform(0.0, 1.0, 2)
+        r = ReservoirParams(
+            omega=rng.uniform(0.3, 2.0), omega1=rng.uniform(0.3, 2.0), v=rng.uniform(0.0, 0.5),
+            g1=g[0], g2=g[1], g1p=gp[0], g2p=gp[1], delta1=d[0], delta2=d[1],
+        )
+        try:
+            compute_K(r)
+        except ArithmeticError:
+            continue
+        return r
+
+
+_REFERENCE_PARAMS = {"sym": SYM, "asym": ASYM}
+_REFERENCE_PARAMS.update(
+    (f"random{k}", _random_params(np.random.default_rng(k))) for k in range(6)
+)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_PARAMS))
+def test_band_matrix_equals_the_pair_formula_reference(name):
+    r = _REFERENCE_PARAMS[name]
+    c = compute_K(r)
+    rng = np.random.default_rng(list(_REFERENCE_PARAMS).index(name))
+    seeds = [(m0, n0) for m0 in range(5) for n0 in range(5) if (m0 + n0) % 2 == 0]
+    for m0, n0 in seeds:
+        for depth in (1, 2, 3, 5):
+            chain = build_reservoir_chain(m0, n0, depth)
+            states = chain.states
+            for verbatim in (False, True):
+                h = build_reservoir_matrix(r, chain, c, verbatim_unprimed=verbatim)
+                ref = _reference_matrix(r, c, states, (m0, n0) if verbatim else None)
+                assert np.array_equal(h.data, ref), (m0, n0, depth, verbatim)
+                assert h.labels == chain.labels()
+            rev = build_reservoir_matrix(r, states[::-1], c)
+            assert np.array_equal(rev.data, _reference_matrix(r, c, states[::-1]))
+            # any subset of a chain, in any order, has the elements it has
+            # inside the whole chain
+            pick = rng.permutation(len(states))[:rng.integers(1, len(states) + 1)]
+            sub = [states[i] for i in pick]
+            h = build_reservoir_matrix(r, sub, c)
+            assert np.array_equal(h.data, _reference_matrix(r, c, sub)), (m0, n0, depth)
+            assert h.labels == tuple(s.ket() for s in sub)
+
+
+def test_band_matrix_rejects_states_on_two_chains():
+    # seeds (0, 0) and (2, 0) lie on chains c = 0 and c = 2; a pair loop
+    # would have returned a block-diagonal matrix
+    states = build_reservoir_chain(0, 0, 1).states + build_reservoir_chain(2, 0, 1).states
+    with pytest.raises(ValueError, match=r"one chain, got chains \[0, 2\]"):
+        build_reservoir_matrix(SYM, states)
+    with pytest.raises(ValueError, match="duplicate"):
+        build_reservoir_matrix(SYM, [ReservoirChainState(1, 1, 1, -1)] * 2)
 
 
 def test_verbatim_flag_needs_shell_bookkeeping():
