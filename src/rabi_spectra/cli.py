@@ -627,14 +627,25 @@ _FLAGS["validate"] = _flags(
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The rabi-spectra parser.  Every subcommand is listed with its help;
     with command given, only that subcommand gets its flags, which is all
-    that parsing an argv naming it needs."""
+    that parsing an argv naming it needs.  With command naming one, the
+    others are help lines only, without a parser; an unknown command gets
+    a parser for each, so the "invalid choice" message lists them all."""
     parser = _Parser(prog="rabi-spectra", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
+    named = command in COMMANDS or command == "validate"
+
+    def add(name: str, help: str, func) -> argparse.ArgumentParser | None:
+        if named and name != command:
+            # the help line add_parser would list, without building a parser
+            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        p.set_defaults(func=functools.partial(_run, name))
+        p = add(name, cmd.help, functools.partial(_run, name))
         if command not in (None, name):
             continue
         for option, kw in _FLAGS[name]:
@@ -648,9 +659,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if cmd.jobs:
             p.add_argument("--jobs", type=int, help=f"worker threads (default ${JOBS_ENV} or 1)")
 
-    p = sub.add_parser("validate",
-                       help="check a merged preset/config/flag set and list violations")
-    p.set_defaults(func=cmd_validate)
+    p = add("validate", "check a merged preset/config/flag set and list violations",
+            cmd_validate)
     if command in (None, "validate"):
         p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
         p.add_argument("--config", help="JSON file with default settings")

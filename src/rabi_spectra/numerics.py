@@ -31,6 +31,14 @@ the whole band with an inertia count:
   that keeps those rungs gives the same levels bit for bit, which lets the
   oracle certify two truncations with one solve.
 
+The count (_count_below) is a plain-Python loop over the shifts at each
+rung: a solve counts a dozen shifts, theta_i -/+ tol, and numpy call
+overhead on arrays that short costs more than their arithmetic.  Its steps
+are the IEEE operations of the array loop it replaced, so its counts are
+bit-identical to that loop's.  The band check, row sums and Gershgorin
+bounds run once per band (_band), not once per count.  An overflow in a
+count raises ConvergenceFailureError.
+
 This is numpy only on purpose.  scipy.linalg.eig_banded would solve the
 same band, but importing scipy.linalg costs 0.19-0.26 s and 28 MiB of
 resident memory (26.9 -> 55.2 MiB), more than the whole certified solve of
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -367,17 +375,36 @@ def _row_sums(rungs: np.ndarray, couple: np.ndarray) -> tuple[np.ndarray, np.nda
     return diag - off, np.abs(diag) + off
 
 
+class _Band(NamedTuple):
+    """A checked band and the per-rung bounds every count of it reads:
+    rowmax[n], the largest absolute row sum of rung n; low[n], its smallest
+    Gershgorin lower bound; tail[n], the smallest of low[n:]."""
+    rungs: np.ndarray
+    couple: np.ndarray
+    rowmax: list[float]
+    low: np.ndarray
+    tail: list[float]
+
+
+def _band(rungs, couple) -> _Band:
+    rungs, couple = _check_band(rungs, couple)
+    low, rows = _row_sums(rungs, couple)
+    low = low.min(axis=1)
+    tail = np.minimum.accumulate(low[::-1])[::-1]
+    return _Band(rungs, couple, rows.max(axis=1).tolist(), low, tail.tolist())
+
+
 def inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
     """Number of eigenvalues below each shift, by Sylvester's law of inertia.
 
-    Factors A - s I = L D L^T rung by rung for every shift at once: each
-    2x2 Schur complement S_n, which starts from rung n's whole block, is
-    split into two scalar pivots, and the count is the number of negative
-    pivots.  A pivot smaller in magnitude than eps times (the rung's
-    largest absolute row sum + the largest |s|) is replaced by minus that
-    size, the Sturm-sequence convention: a perturbation of the order of the
-    rounding, which keeps every step finite and warning-free.  A level
-    exactly at s then counts as below it.
+    Factors A - s I = L D L^T rung by rung for every shift: each 2x2 Schur
+    complement S_n, which starts from rung n's whole block, is split into
+    two scalar pivots, and the count is the number of negative pivots.  A
+    pivot smaller in magnitude than eps times (the rung's largest absolute
+    row sum + the largest |s|) is replaced by minus that size, the
+    Sturm-sequence convention: a perturbation of the order of the rounding,
+    which keeps every step finite and warning-free.  A level exactly at s
+    then counts as below it.
 
     The factorization stops after rung K once the rest is provably positive
     definite: the Schur complement left over is the trailing matrix T - s I
@@ -391,7 +418,19 @@ def inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> np.ndarray:
 
 
 def _inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.ndarray, int]:
-    """inertia_count, plus the number of leading rungs the count read.
+    """inertia_count, plus the number of leading rungs the count read."""
+    return _count_below(_band(rungs, couple), shifts)
+
+
+def _count_below(band: _Band, shifts) -> tuple[np.ndarray, int]:
+    """The count of inertia_count on a prepared band, and rungs_read.
+
+    A scalar loop over the shifts at each rung (see the module docstring).
+    Python floats overflow to inf without raising, so each rung sums x - x
+    over its pivots, multipliers and updates (nan for an infinite or nan x)
+    and raises ConvergenceFailureError unless the sum is finite.  The
+    divisions cannot fail: every pivot is at least the smallest normal
+    float in magnitude.
 
     The factorization of rungs 0..K reads their entries and row sums, and
     its stop test at rung n reads the smallest Gershgorin bound of the rungs
@@ -400,53 +439,65 @@ def _inertia_count(rungs: np.ndarray, couple: np.ndarray, shifts) -> tuple[np.nd
     0..j of its last stop test: j + 1 rungs, or the whole band when it
     never stopped early.  Rung entries are read as the loop reaches them.
     """
-    rungs, couple = _check_band(rungs, couple)
     s = np.atleast_1d(np.asarray(shifts, dtype=float))
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("shifts must be finite")
-    low, rows = _row_sums(rungs, couple)
-    low = low.min(axis=1)
-    tail = np.minimum.accumulate(low[::-1])[::-1]
-    pivmin = np.maximum(_EPS * (rows.max(axis=1) + np.max(np.abs(s))), _TINY)
-    s_max = float(np.max(s))
-    shifted = np.diagonal(rungs, axis1=1, axis2=2)[:, :, None] - s
-    count = np.zeros(s.shape, dtype=int)
-    s00, s01, s11 = shifted[0, 0], float(rungs[0, 0, 1]), shifted[0, 1]
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for n in range(len(rungs)):
-                tiny = float(pivmin[n])
-                p1 = np.where(np.abs(s00) < tiny, -tiny, s00)
-                l = s01 / p1
-                p2 = s11 - l * s01
-                p2 = np.where(np.abs(p2) < tiny, -tiny, p2)
-                count += p1 < 0.0
-                count += p2 < 0.0
-                if n == len(rungs) - 1:
-                    break
-                # with S_n = L diag(p1, p2) L^T and W = L^-1 B_n,
-                # F = B_n^T S_n^-1 B_n = sum over rows w of W of w^T w / p
-                (b00, b01), (b10, b11) = couple[n].tolist()
-                r1, r2 = 1.0 / p1, 1.0 / p2
-                w0, w1 = b10 - l * b00, b11 - l * b01
-                v0, v1 = w0 * r2, w1 * r2
-                f00 = b00 * b00 * r1 + w0 * v0
-                f01 = b00 * b01 * r1 + w0 * v1
-                f11 = b01 * b01 * r1 + w1 * v1
-                # ||F||_inf >= 0, so no stop is possible before tail > s_max
-                bound = float(tail[n + 1])
-                if bound > s_max:
-                    f_norm = np.maximum(np.abs(f00), np.abs(f11)) + np.abs(f01)
-                    if np.max(f_norm + s) < bound:
-                        break
-                s00 = shifted[n + 1, 0] - f00
-                s01 = float(rungs[n + 1, 0, 1]) - f01
-                s11 = shifted[n + 1, 1] - f11
-    except FloatingPointError as exc:
-        raise ConvergenceFailureError(f"inertia count failed: {exc}") from exc
-    if n == len(rungs) - 1:
+    s = s.tolist()
+    s_abs, s_max = max(map(abs, s)), max(s)
+    rungs, couple, rowmax, tail = band.rungs, band.couple, band.rowmax, band.tail
+    last = len(rungs) - 1
+    (a, off), (_, c) = rungs[0].tolist()
+    # per shift: the Schur complement of the rung the loop is at, the
+    # shift, and the negative pivots so far
+    schur = [(a - x, off, c - x, x, 0) for x in s]
+    for n in range(len(rungs)):
+        tiny = max(_EPS * (rowmax[n] + s_abs), _TINY)
+        # |p| < tiny is neg_tiny < p < tiny, without an abs call
+        neg_tiny = -tiny
+        if n < last:
+            (b00, b01), (b10, b11) = couple[n].tolist()
+            (a, off), (_, c) = rungs[n + 1].tolist()
+            bound = tail[n + 1]
+        else:
+            # nothing couples past the last rung: F = 0, no stop test, and
+            # the Schur complements this leaves are not read
+            b00 = b01 = b10 = b11 = 0.0
+            bound = -math.inf
+        b00b00, b00b01, b01b01 = b00 * b00, b00 * b01, b01 * b01
+        # ||F||_inf >= 0, so no stop is possible before tail > s_max
+        test = bound > s_max
+        worst = -math.inf
+        bad = 0.0
+        schur, last_schur = [], schur
+        for s00, s01, s11, x, k in last_schur:
+            p1 = neg_tiny if neg_tiny < s00 < tiny else s00
+            l = s01 / p1
+            p2 = s11 - l * s01
+            if neg_tiny < p2 < tiny:
+                p2 = neg_tiny
+            # with S_n = L diag(p1, p2) L^T and W = L^-1 B_n,
+            # F = B_n^T S_n^-1 B_n = sum over rows w of W of w^T w / p
+            r1, r2 = 1.0 / p1, 1.0 / p2
+            w0, w1 = b10 - l * b00, b11 - l * b01
+            v0, v1 = w0 * r2, w1 * r2
+            f00 = b00b00 * r1 + w0 * v0
+            f01 = b00b01 * r1 + w0 * v1
+            f11 = b01b01 * r1 + w1 * v1
+            bad += (p1 - p1) + (l - l) + (p2 - p2) + (f00 - f00) + (f01 - f01) + (f11 - f11)
+            if test:
+                abs00, abs11 = abs(f00), abs(f11)
+                f_norm = (abs11 if abs11 > abs00 else abs00) + abs(f01) + x
+                if f_norm > worst:
+                    worst = f_norm
+            schur.append((a - x - f00, off - f01, c - x - f11, x, k + (p1 < 0.0) + (p2 < 0.0)))
+        if not math.isfinite(bad):
+            raise ConvergenceFailureError("inertia count failed: a pivot or update is not finite")
+        if test and worst < bound:
+            break
+    count = np.array([k for *_, k in schur])
+    if n == last:
         return count, len(rungs)
-    return count, n + 2 + int(np.argmin(low[n + 1:]))
+    return count, n + 2 + int(np.argmin(band.low[n + 1:]))
 
 
 def _leading_levels(rungs: np.ndarray, couple: np.ndarray, lead: int, k: int) -> np.ndarray:
@@ -485,19 +536,19 @@ def _certified_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> tuple[np
     smallest of this band's later rungs, gives the same theta for the same
     k, bit for bit.
     """
-    rungs, couple = _check_band(rungs, couple)
+    band = _band(rungs, couple)
+    rungs, couple = band.rungs, band.couple
     total = len(rungs)
     if not 1 <= k <= 2 * total:
         raise ValueError(f"k={k} outside [1, {2 * total}]")
-    rows = _row_sums(rungs, couple)[1].max(axis=1)
     below = np.arange(k)
     lead = min(total, max(_LEADING_RUNGS, (k + 1) // 2))
     rungs_read = 0
     while True:
         theta = _leading_levels(rungs, couple, lead, k)
         # + tiny keeps tol positive on an all-zero band
-        tol = _TOL_EPS * _EPS * float(rows[:lead].max()) + _TINY
-        count, counted = _inertia_count(rungs, couple, np.concatenate([theta - tol, theta + tol]))
+        tol = _TOL_EPS * _EPS * max(band.rowmax[:lead]) + _TINY
+        count, counted = _count_below(band, np.concatenate([theta - tol, theta + tol]))
         rungs_read = max(rungs_read, lead, counted)
         if np.all(count[:k] <= below) and np.all(count[k:] > below):
             return theta, rungs_read

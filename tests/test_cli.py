@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from rabi_spectra import cli
 from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
 from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
 from rabi_spectra.serialize import read_csv_text
@@ -546,6 +547,21 @@ def test_a_parser_for_one_command_flags_only_that_command(command):
             assert p.format_help() == _subparsers(full)[name].format_help()
         else:
             assert options == ["--help", "-h"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--version"], ["oracle-compare", "-h"], ["spectrum", "--bogus"], ["nope"],
+    ["validate", "--for", "spectrum"], ["-h", "spectrum"],
+])
+def test_cli_output_is_the_same_with_every_subparser_built(monkeypatch, argv):
+    # main builds only the subparser argv names (the others are help lines);
+    # the full parser must print the same help, version, usage errors and
+    # validation, with the same exit code
+    named = run(argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert run(argv) == named
+    assert list(_subparsers(build_parser("spectrum"))) == ["spectrum"]
+    assert list(_subparsers(build_parser("nope"))) == [*COMMANDS, "validate"]
 
 
 def test_parse_grid_tiny_step_keeps_points_distinct():

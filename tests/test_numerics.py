@@ -480,6 +480,126 @@ def test_inertia_count_handles_zero_pivots_without_warnings():
     assert coupled_count.tolist() == [int(np.sum(vals < diag[0, 0]))]
 
 
+def _numpy_inertia_count(rungs, couple, shifts):
+    """The count loop the package ran on numpy arrays, every shift at once,
+    before its scalar kernel: the reference that kernel must equal, in
+    counts and rungs read, bit for bit."""
+    rungs, couple = numerics._check_band(rungs, couple)
+    s = np.atleast_1d(np.asarray(shifts, dtype=float))
+    low, rows = numerics._row_sums(rungs, couple)
+    low = low.min(axis=1)
+    tail = np.minimum.accumulate(low[::-1])[::-1]
+    pivmin = np.maximum(numerics._EPS * (rows.max(axis=1) + np.max(np.abs(s))), numerics._TINY)
+    s_max = float(np.max(s))
+    shifted = np.diagonal(rungs, axis1=1, axis2=2)[:, :, None] - s
+    count = np.zeros(s.shape, dtype=int)
+    s00, s01, s11 = shifted[0, 0], float(rungs[0, 0, 1]), shifted[0, 1]
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for n in range(len(rungs)):
+                tiny = float(pivmin[n])
+                p1 = np.where(np.abs(s00) < tiny, -tiny, s00)
+                l = s01 / p1
+                p2 = s11 - l * s01
+                p2 = np.where(np.abs(p2) < tiny, -tiny, p2)
+                count += p1 < 0.0
+                count += p2 < 0.0
+                if n == len(rungs) - 1:
+                    break
+                (b00, b01), (b10, b11) = couple[n].tolist()
+                r1, r2 = 1.0 / p1, 1.0 / p2
+                w0, w1 = b10 - l * b00, b11 - l * b01
+                v0, v1 = w0 * r2, w1 * r2
+                f00 = b00 * b00 * r1 + w0 * v0
+                f01 = b00 * b01 * r1 + w0 * v1
+                f11 = b01 * b01 * r1 + w1 * v1
+                bound = float(tail[n + 1])
+                if bound > s_max:
+                    f_norm = np.maximum(np.abs(f00), np.abs(f11)) + np.abs(f01)
+                    if np.max(f_norm + s) < bound:
+                        break
+                s00 = shifted[n + 1, 0] - f00
+                s01 = float(rungs[n + 1, 0, 1]) - f01
+                s11 = shifted[n + 1, 1] - f11
+    except FloatingPointError as exc:
+        raise ConvergenceFailureError(f"inertia count failed: {exc}") from exc
+    if n == len(rungs) - 1:
+        return count, len(rungs)
+    return count, n + 2 + int(np.argmin(low[n + 1:]))
+
+
+def _assert_count_is_the_numpy_loops(rungs, couple, shifts):
+    count, read = numerics._inertia_count(rungs, couple, shifts)
+    want_count, want_read = _numpy_inertia_count(rungs, couple, shifts)
+    assert count.dtype == want_count.dtype
+    assert count.tolist() == want_count.tolist() and read == want_read
+
+
+def _diagonal_shifts(rungs, m):
+    """m shifts, each a diagonal entry of the band."""
+    return np.diagonal(rungs, axis1=1, axis2=2).ravel()[:m]
+
+
+def test_scalar_count_equals_the_numpy_loop_on_random_bands():
+    rng = np.random.default_rng(2024)
+    for trial in range(120):
+        size = int(rng.integers(1, 60))
+        half = rng.normal(size=(size, 2, 2)) * rng.uniform(0.1, 5.0)
+        rungs = half + half.transpose(0, 2, 1)
+        if trial % 2:
+            # a rising diagonal, so the count can stop early
+            rungs += rng.uniform(0.0, 3.0) * np.arange(size)[:, None, None] * np.eye(2)
+        couple = rng.normal(size=(size - 1, 2, 2)) * rng.uniform(0.0, 3.0)
+        for m in (1, 12):
+            shifts = rng.uniform(-8.0, 3.0 * size, m)
+            _assert_count_is_the_numpy_loops(rungs, couple, shifts)
+            _assert_count_is_the_numpy_loops(rungs, couple, _diagonal_shifts(rungs, m))
+
+
+@pytest.mark.parametrize("n_max", [6, 40, 300])
+def test_scalar_count_equals_the_numpy_loop_on_sector_bands(n_max):
+    rng = np.random.default_rng(3 + n_max)
+    for _ in range(3):
+        p = _random_params(rng)
+        for parity in (1, -1):
+            rungs, couple = _sector_band(p, n_max, parity)
+            # the certificate's shifts: the lowest six levels of a leading
+            # block, each minus and plus a tolerance
+            theta = np.linalg.eigvalsh(band_to_dense(rungs[:32], couple[:31]))[:6]
+            for shifts in (np.concatenate([theta - 1e-12, theta + 1e-12]), theta[:1],
+                           _diagonal_shifts(rungs, 12), _diagonal_shifts(rungs, 1)):
+                _assert_count_is_the_numpy_loops(rungs, couple, shifts)
+
+
+def test_scalar_count_equals_the_numpy_loop_on_zero_pivots_and_a_dipped_rung():
+    p = ModelParams(omega=1.0, delta1=0.7, delta2=0.7, g1=0.0, g2=0.0)
+    rungs, couple = _sector_band(p, 10, 1)
+    diag = np.diagonal(rungs, axis1=1, axis2=2)
+    _assert_count_is_the_numpy_loops(rungs, couple, np.unique(diag))
+    _assert_count_is_the_numpy_loops(rungs, couple + 0.3, [diag[0, 0]])
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    rungs, couple = _sector_band(p, 100, 1)
+    low = numerics._row_sums(rungs, couple)[0].min(axis=1)
+    dipped = rungs.copy()
+    dipped[80] -= (low[80] - low[24] + 0.5) * np.eye(2)
+    for band in (rungs, dipped):
+        _assert_count_is_the_numpy_loops(band, couple, [-4.0, -3.0, 0.5])
+
+
+def test_an_overflowing_count_raises_and_never_counts():
+    # pivots of order eps * 1e200 against couplings 1e200 overflow F
+    rungs = np.zeros((6, 2, 2))
+    rungs[:, 0, 0] = rungs[:, 1, 1] = 1e-300
+    couple = np.full((5, 2, 2), 1e200)
+    for shifts in ([0.0], np.linspace(-1.0, 1.0, 12)):
+        with pytest.raises(ConvergenceFailureError, match="inertia count failed"):
+            _numpy_inertia_count(rungs, couple, shifts)
+        with pytest.raises(ConvergenceFailureError, match="inertia count failed"):
+            inertia_count(rungs, couple, shifts)
+    with pytest.raises(ConvergenceFailureError, match="inertia count failed"):
+        eigvals_lowest(rungs, couple, 1)
+
+
 def test_band_solver_rejects_bad_input():
     rungs, couple = np.zeros((4, 2, 2)), np.zeros((3, 2, 2))
     with pytest.raises(ValueError, match="couplings"):
