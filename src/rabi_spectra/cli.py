@@ -39,7 +39,10 @@ from .numerics import (
     ConvergenceFailureError,
     NoBracketError,
     NonFiniteError,
-    check_increasing,
+    _grid_entries,
+    check_bound,
+    check_grid,
+    check_number,
     error_token,
 )
 from .oracle import MIN_N_MAX, check_n_levels, compare_trwa_exact
@@ -130,66 +133,18 @@ def parse_grid(text: str) -> list[float]:
         if stop < start:
             raise ValueError(f"grid stop {stop} below start {start}")
         return _grid(start, stop, step)
-    return _as_floats([float(x) for x in text.split(",")])
-
-
-def _as_floats(value) -> list[float]:
-    """The entries of a grid setting: a grid string, one number or a list
-    of numbers."""
-    if isinstance(value, str):
-        return parse_grid(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = [value]
-    elif not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a grid, got {value!r}")
-    if not value:
-        raise ValueError("grid is empty")
-    for x in value:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(_float(x)):
-            raise ValueError(f"grid entries must be finite numbers, got {x!r}")
-    return [float(x) for x in value]
-
-
-def _float(x: int | float) -> float:
-    """float(x), or an infinity of x's sign for an integer past the float
-    range, where float() raises OverflowError."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _number(name: str, value, owner: str | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
-    x = _float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name}: must be finite, got {x}")
-    return x
-
-
-def _bounded(op: str, low: int, integer: bool = False) -> Callable:
-    """A number rule with the bound `op low` (op is '>' or '>=')."""
-    def check(name: str, value, owner: str | None) -> float | int:
-        x = _number(name, value)
-        if integer:
-            if x != int(x):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            x = int(x)
-        if not (x > low if op == ">" else x >= low):
-            raise ValueError(f"{owner} requires {name} {op} {low}, got {x}" if owner
-                             else f"{name} must be {op} {low}, got {x}")
-        return x
-    return check
+    return _grid_entries([float(x) for x in text.split(",")])
 
 
 def _grid_rule(name: str, value, owner: str | None) -> list[float]:
-    try:
-        values = _as_floats(value)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-    check_increasing(name, values)
-    return values
+    """A grid string (parse_grid), one number or a list of numbers, read
+    by numerics.check_grid."""
+    if isinstance(value, str):
+        try:
+            value = parse_grid(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return check_grid(name, value)
 
 
 def _mode(name: str, value, owner: str | None) -> CoefficientMode:
@@ -203,14 +158,15 @@ _TRUNCATION = f"count >= {MIN_N_MAX}"
 
 # Each rule reads one raw value and returns it typed, or raises ValueError
 # with a message that names the setting: rule -> (check, type of its flag).
+# A check takes (name, value, owner=...), owner the class named in messages.
 RULES: dict[str, tuple[Callable, Callable]] = {
-    "positive": (_bounded(">", 0), float),
-    "non-negative": (_bounded(">=", 0), float),
-    "number": (_number, float),
+    "positive": (functools.partial(check_bound, op=">", low=0), float),
+    "non-negative": (functools.partial(check_bound, op=">=", low=0), float),
+    "number": (lambda name, value, owner: check_number(name, value), float),
     "grid": (_grid_rule, str),
-    "count >= 1": (_bounded(">=", 1, integer=True), int),
-    _TRUNCATION: (_bounded(">=", MIN_N_MAX, integer=True), int),
-    "index >= 0": (_bounded(">=", 0, integer=True), int),
+    "count >= 1": (functools.partial(check_bound, op=">=", low=1, integer=True), int),
+    _TRUNCATION: (functools.partial(check_bound, op=">=", low=MIN_N_MAX, integer=True), int),
+    "index >= 0": (functools.partial(check_bound, op=">=", low=0, integer=True), int),
     "mode": (_mode, str),
 }
 
@@ -269,7 +225,8 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
             continue
         owner = cmd.owner.__name__ if s.name in cmd.owner.__dataclass_fields__ else None
         try:
-            values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default), owner)
+            values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default),
+                                              owner=owner)
         except ValueError as exc:
             bad(s.name, str(exc))
             typed = False
@@ -598,7 +555,7 @@ COMMANDS = {
 # parser
 # ---------------------------------------------------------------------------
 
-def _flags(settings, command: bool) -> tuple[tuple[str, dict], ...]:
+def _flags(settings, command: bool) -> list[tuple[str, dict]]:
     """(option, add_argument keywords) of --fig, offering the presets whose
     keys are all among settings, and of each setting.  A command's flags
     restrict mode and show defaults; validate's take any value to report on.
@@ -613,42 +570,20 @@ def _flags(settings, command: bool) -> tuple[tuple[str, dict], ...]:
         if command and s.rule == "mode":
             kw["choices"] = ("approx", "exact")
         flags.append((f"--{s.name.replace('_', '-')}", kw))
-    return tuple(flags)
+    return flags
 
 
-# Built once: every command's generated flags, and validate's flags for
-# every setting of every command.
-_FLAGS = {name: _flags(cmd.settings, True) for name, cmd in COMMANDS.items()}
-_FLAGS["validate"] = _flags(
-    {s.name: s for cmd in COMMANDS.values() for s in cmd.settings}.values(), False
-)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The rabi-spectra parser.  Every subcommand is listed with its help;
-    with command given, only that subcommand gets its flags, which is all
-    that parsing an argv naming it needs.  With command naming one, the
-    others are help lines only, without a parser; an unknown command gets
-    a parser for each, so the "invalid choice" message lists them all."""
+def build_parser() -> argparse.ArgumentParser:
+    """The rabi-spectra parser: a subparser with its generated flags for
+    each command, and validate's, which takes every setting of every
+    command."""
     parser = _Parser(prog="rabi-spectra", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
-    named = command in COMMANDS or command == "validate"
-
-    def add(name: str, help: str, func) -> argparse.ArgumentParser | None:
-        if named and name != command:
-            # the help line add_parser would list, without building a parser
-            sub._choices_actions.append(sub._ChoicesPseudoAction(name, (), help))
-            return None
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p
-
     for name, cmd in COMMANDS.items():
-        p = add(name, cmd.help, functools.partial(_run, name))
-        if command not in (None, name):
-            continue
-        for option, kw in _FLAGS[name]:
+        p = sub.add_parser(name, help=cmd.help)
+        p.set_defaults(func=functools.partial(_run, name))
+        for option, kw in _flags(cmd.settings, True):
             p.add_argument(option, **kw)
         for flag, text in cmd.switches:
             p.add_argument(flag, action="store_true", help=text)
@@ -659,26 +594,25 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if cmd.jobs:
             p.add_argument("--jobs", type=int, help=f"worker threads (default ${JOBS_ENV} or 1)")
 
-    p = add("validate", "check a merged preset/config/flag set and list violations",
-            cmd_validate)
-    if command in (None, "validate"):
-        p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
-        p.add_argument("--config", help="JSON file with default settings")
-        for option, kw in _FLAGS["validate"]:
-            p.add_argument(option, **kw)
-
+    p = sub.add_parser("validate",
+                       help="check a merged preset/config/flag set and list violations")
+    p.set_defaults(func=cmd_validate)
+    p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
+    p.add_argument("--config", help="JSON file with default settings")
+    every = {s.name: s for cmd in COMMANDS.values() for s in cmd.settings}
+    for option, kw in _flags(every.values(), False):
+        p.add_argument(option, **kw)
     return parser
 
 
+# built once, at import; argparse parsers can parse any number of argvs
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option value, so the first word that is
-    # not an option names the subcommand
-    command = next((word for word in argv if not word.startswith("-")), None)
-    parser = build_parser(command)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
+        _PARSER.print_help(sys.stderr)
         return EXIT_VALIDATION
     return args.func(args)
 

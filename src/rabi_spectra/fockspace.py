@@ -38,7 +38,7 @@ from .numerics import (
     NonFiniteError,
     SymmetricMatrix,
     band_to_dense,
-    check_increasing,
+    check_grid,
     eigh,
     eigvals_stacked,
     error_token,
@@ -452,9 +452,10 @@ def spectrum_vs_g1(
     first), the parity label of the block the level came from, and the
     constant diagonal offset so spectra can be compared shift-free.  Design
     failures become single rows with the error token and empty numeric
-    fields.  Raises ValueError unless g1_grid is strictly increasing.
+    fields.  Raises ValueError unless check_grid accepts g1_grid and
+    design_resonant accepts each g1.
     """
-    check_increasing("g1_grid", g1_grid)
+    g1_grid = check_grid("g1_grid", g1_grid)
     points = [_point_columns(omega, delta2, g2, g1, n_blocks, mode) for g1 in g1_grid]
     columns = tuple(
         tuple(itertools.chain.from_iterable(point[k] for point in points))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import eval_laguerre, laguerre_table
+from .numerics import check_bound, check_number, laguerre_table
 
 # Half-width of the small-displacement window |lambda| <= LAMBDA_WINDOW, where
 # the small-lambda treatment of the Laguerre weights is controlled.
@@ -44,7 +44,8 @@ class CoefficientMode(str, enum.Enum):
 class ModelParams:
     """Two-qubit one-mode parameters, all in units where hbar = 1.
 
-    omega must be positive; splittings and couplings nonnegative.
+    omega must be positive; splittings and couplings nonnegative; all
+    finite numbers (numerics.check_bound).
     """
     omega: float
     delta1: float
@@ -53,12 +54,9 @@ class ModelParams:
     g2: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0) or not math.isfinite(self.omega):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        check_bound("omega", self.omega, ">", 0, type(self).__name__)
         for name in ("delta1", "delta2", "g1", "g2"):
-            v = getattr(self, name)
-            if v < 0.0 or not math.isfinite(v):
-                raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+            check_bound(name, getattr(self, name), ">=", 0, type(self).__name__)
 
     @property
     def ultrastrong(self) -> bool:
@@ -74,8 +72,7 @@ class TrwaParams:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check_number(name, getattr(self, name))
 
     @property
     def approx_valid(self) -> bool:
@@ -83,38 +80,13 @@ class TrwaParams:
         return abs(self.lambda1) <= LAMBDA_WINDOW and abs(self.lambda2) <= LAMBDA_WINDOW
 
 
-def coeff_g0(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) -> float:
-    """Diagonal dressing weight G0(n) at displacement lam."""
-    mode = CoefficientMode(mode)
-    if n < 0:
-        raise ValueError(f"photon number n={n} must be nonnegative")
-    damp = math.exp(-2.0 * lam * lam)
-    if mode == CoefficientMode.APPROX:
-        return damp
-    return damp * eval_laguerre(n, 0, 4.0 * lam * lam)
-
-
-def coeff_f1(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) -> float:
-    """One-photon dressing weight F1(n+1, n) at displacement lam.
-
-    exact:  2 lam exp(-2 lam^2) L_n^1(4 lam^2) / sqrt(n+1)
-    approx: 2 lam exp(-2 lam^2) sqrt(n+1)
-    """
-    mode = CoefficientMode(mode)
-    if n < 0:
-        raise ValueError(f"photon number n={n} must be nonnegative")
-    damp = 2.0 * lam * math.exp(-2.0 * lam * lam)
-    if mode == CoefficientMode.APPROX:
-        return damp * math.sqrt(n + 1.0)
-    return damp * eval_laguerre(n, 1, 4.0 * lam * lam) / math.sqrt(n + 1.0)
-
-
 def coeff_g0_table(lam: float, n_max: int,
                    mode: CoefficientMode = CoefficientMode.EXACT) -> np.ndarray:
-    """G0(n) for n = 0 .. n_max from one Laguerre recurrence.
+    """Diagonal dressing weights G0(n) at displacement lam, n = 0 .. n_max,
+    from one Laguerre recurrence.
 
-    Entry n is bit-equal to coeff_g0(lam, n, mode): the same float
-    operations, applied elementwise.
+    exact:  exp(-2 lam^2) L_n(4 lam^2)
+    approx: exp(-2 lam^2)
     """
     mode = CoefficientMode(mode)
     if n_max < 0:
@@ -127,9 +99,11 @@ def coeff_g0_table(lam: float, n_max: int,
 
 def coeff_f1_table(lam: float, n_max: int,
                    mode: CoefficientMode = CoefficientMode.EXACT) -> np.ndarray:
-    """F1(n+1, n) for n = 0 .. n_max from one Laguerre recurrence.
+    """One-photon dressing weights F1(n+1, n) at displacement lam,
+    n = 0 .. n_max, from one Laguerre recurrence.
 
-    Entry n is bit-equal to coeff_f1(lam, n, mode).
+    exact:  2 lam exp(-2 lam^2) L_n^1(4 lam^2) / sqrt(n+1)
+    approx: 2 lam exp(-2 lam^2) sqrt(n+1)
     """
     mode = CoefficientMode(mode)
     if n_max < 0:
@@ -139,6 +113,18 @@ def coeff_f1_table(lam: float, n_max: int,
     if mode == CoefficientMode.APPROX:
         return damp * root
     return damp * laguerre_table(n_max, 1, 4.0 * lam * lam) / root
+
+
+def coeff_g0(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) -> float:
+    """Diagonal dressing weight G0(n) at displacement lam: the last entry
+    of coeff_g0_table(lam, n, mode)."""
+    return float(coeff_g0_table(lam, n, mode)[n])
+
+
+def coeff_f1(lam: float, n: int, mode: CoefficientMode = CoefficientMode.EXACT) -> float:
+    """One-photon dressing weight F1(n+1, n) at displacement lam: the last
+    entry of coeff_f1_table(lam, n, mode)."""
+    return float(coeff_f1_table(lam, n, mode)[n])
 
 
 def residual_eq8(omega: float, delta1: float, g1: float, lambda1: float) -> float:

@@ -1,6 +1,13 @@
 """Shared numerical kernels: Laguerre evaluation, bracketed root finding,
-a dense symmetric eigensolver with a fixed sign convention, and a certified
-lowest-k solve of block-tridiagonal bands.
+a dense symmetric eigensolver with a fixed sign convention, a certified
+lowest-k solve of block-tridiagonal bands, and the checks of parameters and
+grids.
+
+check_number, check_bound and check_grid hold the rules for numbers and
+grids (finite, not a string or a bool, a bound, strictly increasing).  The
+parameter classes, the solvers, the sweeps and the command line all check
+through them, so the library and `validate` reject the same values with the
+same message.
 
 The TRWA parity chains (fockspace) and the exact parity sectors (oracle)
 share one band layout, rung blocks (R, 2, 2) and couplings (R - 1, 2, 2),
@@ -49,6 +56,8 @@ Everything here is deterministic: the same inputs produce the same floats.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -83,6 +92,80 @@ def check_increasing(name: str, values: Sequence[float]) -> None:
     for a, b in zip(values, values[1:]):
         if not a < b:
             raise ValueError(f"{name} must be strictly increasing, got {b!r} after {a!r}")
+
+
+def _is_number(value) -> bool:
+    # int and float come first: an isinstance test of the numbers.Real ABC
+    # alone costs about 0.6 us, and parameter classes check on every build
+    return not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+
+
+def _as_float(x: numbers.Real) -> float:
+    """float(x), or an infinity of x's sign for an integer past the float
+    range, where float() raises OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def check_number(name: str, value) -> float:
+    """value as a float; ValueError unless it is a finite real number.
+
+    A string or a bool is not a number; an integer past the float range
+    counts as infinite.
+    """
+    if not _is_number(value):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    x = _as_float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name}: must be finite, got {x}")
+    return x
+
+
+def check_bound(name: str, value, op: str, low: int, owner: str | None = None,
+                integer: bool = False) -> float | int:
+    """value as a float (an int with integer), checked by check_number and
+    against the bound `op low`, op '>' or '>='.
+
+    The message of a failed bound names owner, the parameter class the
+    setting belongs to, when it is given.
+    """
+    x = check_number(name, value)
+    if integer:
+        if x != int(x):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        x = int(x)
+    if not (x > low if op == ">" else x >= low):
+        raise ValueError(f"{owner} requires {name} {op} {low}, got {x}" if owner
+                         else f"{name} must be {op} {low}, got {x}")
+    return x
+
+
+def check_grid(name: str, values) -> list[float]:
+    """The entries of a grid as floats: one number, or a non-empty
+    sequence of finite numbers, strictly increasing (check_increasing)."""
+    try:
+        grid = _grid_entries(values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    check_increasing(name, grid)
+    return grid
+
+
+def _grid_entries(values) -> list[float]:
+    """check_grid without the order check, its messages without the name."""
+    if _is_number(values):
+        values = [values]
+    elif isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise ValueError(f"expected a grid, got {values!r}")
+    values = list(values)
+    if not values:
+        raise ValueError("grid is empty")
+    for x in values:
+        if not (_is_number(x) and math.isfinite(_as_float(x))):
+            raise ValueError(f"grid entries must be finite numbers, got {x!r}")
+    return [float(x) for x in values]
 
 
 def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:

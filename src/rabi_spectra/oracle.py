@@ -18,7 +18,7 @@ import numpy as np
 
 from .fockspace import trwa_block_energies
 from .model import _ZLABELS, CoefficientMode, ModelParams, TrwaParams
-from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense
+from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense, check_bound
 from .resonance import design_resonant
 from .serialize import record_dict
 
@@ -27,8 +27,7 @@ MIN_N_MAX = 4
 
 
 def _check_truncation(n_max: int) -> None:
-    if n_max < MIN_N_MAX:
-        raise ValueError(f"truncation n_max={n_max} too small (need >= {MIN_N_MAX})")
+    check_bound("n_max", n_max, ">=", MIN_N_MAX, integer=True)
 
 
 def check_n_levels(n_levels: int, n_max: int, n_blocks: int | None = None) -> None:

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import _ZLABELS, SPIN_CHARS, CoefficientMode, coeff_g0
-from .numerics import SymmetricMatrix, band_to_dense, eigh, sym_set
+from .numerics import SymmetricMatrix, band_to_dense, check_bound, check_number, eigh, sym_set
 from .serialize import record_dict
 
 class SingularEtaError(ArithmeticError):
@@ -58,7 +58,8 @@ class AsymmetricParamsError(ValueError):
 @dataclass(frozen=True)
 class ReservoirParams:
     """Cavity a (omega), pseudomode b (omega1), exchange V, qubit couplings
-    g_i to the cavity and g_i' to the pseudomode, splittings delta_i."""
+    g_i to the cavity and g_i' to the pseudomode, splittings delta_i;
+    omega and omega1 positive, the rest nonnegative, all finite."""
     omega: float
     omega1: float
     v: float
@@ -70,14 +71,11 @@ class ReservoirParams:
     delta2: float
 
     def __post_init__(self):
+        owner = type(self).__name__
         for name in ("omega", "omega1"):
-            val = getattr(self, name)
-            if not (val > 0.0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be positive and finite, got {val}")
+            check_bound(name, getattr(self, name), ">", 0, owner)
         for name in ("v", "g1", "g2", "g1p", "g2p", "delta1", "delta2"):
-            val = getattr(self, name)
-            if val < 0.0 or not math.isfinite(val):
-                raise ValueError(f"{name} must be nonnegative and finite, got {val}")
+            check_bound(name, getattr(self, name), ">=", 0, owner)
 
     @property
     def symmetric(self) -> bool:
@@ -95,12 +93,11 @@ def lorentzian_density(omega_eval: float, gamma: float, omega_c: float) -> float
     """Reservoir spectral weight gamma / ((omega - omega_c)^2 + (gamma/2)^2).
 
     Peak value 4/gamma at omega_c, half maximum at omega_c +/- gamma/2.
+    Raises ValueError unless gamma > 0 and all three are finite numbers.
     """
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    for name, value in (("omega_eval", omega_eval), ("omega_c", omega_c)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    check_number("omega_eval", omega_eval)
+    check_bound("gamma", gamma, ">", 0)
+    check_number("omega_c", omega_c)
     d = omega_eval - omega_c
     half = 0.5 * gamma
     return gamma / (d * d + half * half)

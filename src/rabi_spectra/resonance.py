@@ -15,12 +15,20 @@ the last adjustable variable).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import LAMBDA_WINDOW, residual_eq8, residual_eq9, resonance_residual
-from .numerics import NoBracketError, NonFiniteError, check_increasing, error_token, find_root
+from .numerics import (
+    NoBracketError,
+    NonFiniteError,
+    check_bound,
+    check_grid,
+    error_token,
+    find_root,
+)
 from .serialize import record_dict
 
 # Bracket width used by the solvers.  Downstream block-closure checks need
@@ -42,9 +50,12 @@ def solve_lambda1(omega: float, delta1: float, g1: float, tol: float = _LAMBDA_T
 
     g1 = 0 returns 0.0 exactly.  delta1 = 0 reduces to g1 + lam*omega = 0.
     Raises NoBracketError when no sign change exists on [-1, 0], which
-    signals parameters outside the method's regime.
+    signals parameters outside the method's regime.  Raises ValueError
+    unless omega > 0 and delta1, g1 >= 0, all finite numbers.
     """
-    _check_qubit_params(omega, delta1, g1)
+    check_bound("omega", omega, ">", 0)
+    check_bound("delta1", delta1, ">=", 0)
+    check_bound("g1", g1, ">=", 0)
     if g1 == 0.0:
         return 0.0
     return find_root(lambda lam: residual_eq8(omega, delta1, g1, lam), -1.0, 0.0, tol)
@@ -60,9 +71,12 @@ def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_T
     Raises SingularError when the dip never reaches zero.
 
     Otherwise (2*delta2 <= omega) the residual is monotone and the unique
-    root is negative; the bracket is [-1, 0].
+    root is negative; the bracket is [-1, 0].  Raises ValueError unless
+    omega > 0 and delta2, g2 >= 0, all finite numbers.
     """
-    _check_qubit_params(omega, delta2, g2)
+    check_bound("omega", omega, ">", 0)
+    check_bound("delta2", delta2, ">=", 0)
+    check_bound("g2", g2, ">=", 0)
     if g2 == 0.0:
         return 0.0
 
@@ -96,15 +110,6 @@ def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_T
             f"(omega={omega}, delta2={delta2}, g2={g2})"
         )
     return find_root(f, -1.0, 0.0, tol)
-
-
-def _check_qubit_params(omega: float, delta: float, g: float) -> None:
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if delta < 0.0 or not math.isfinite(delta):
-        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
-    if g < 0.0 or not math.isfinite(g):
-        raise ValueError(f"g must be nonnegative and finite, got {g}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,10 @@ def design_resonant(omega: float, delta2: float, g2: float, g1: float) -> Resona
     lam2 from the qubit-2 condition, lam1 = -lam2*g1/(g2 + lam2*omega) from
     the cross condition, delta1 by inverting the qubit-1 condition.  The
     derived delta1 may come out nonphysical (<= 0); that is reported via
-    the ``physical`` flag, not raised.
+    the ``physical`` flag, not raised.  Raises ValueError unless g1 >= 0
+    and finite (and omega, delta2, g2 as solve_lambda2 checks them).
     """
+    check_bound("g1", g1, ">=", 0)
     if g1 == 0.0:
         raise DegenerateDesignError("g1 = 0 leaves lambda1 = 0 and delta1 undetermined")
     lam2 = solve_lambda2(omega, delta2, g2)
@@ -197,22 +204,32 @@ class WindowScanRow:
         return record_dict(self)
 
 
-def _check_scan(
+# the failures a scan records per row instead of raising
+_POINT_ERRORS = (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError)
+
+
+def _scan(
     omega_values: Sequence[float],
     delta2_values: Sequence[float],
     g2_grid: Sequence[float],
     threshold: float,
-) -> None:
-    for name, values in (("omega", omega_values), ("delta2", delta2_values), ("g2", g2_grid)):
-        vals = list(values)
-        if not vals:
-            raise ValueError(f"{name} grid is empty")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"{name} grid contains non-finite value {v}")
-        check_increasing(f"{name} grid", vals)
-    if not (threshold > 0.0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    g1: float | None,
+    point: Callable[[float, float, float], dict],
+) -> list[WindowScanRow]:
+    """One WindowScanRow per grid point, in nested grid order (omega
+    outermost, g2 innermost): the fields point(omega, delta2, g2) returns,
+    or the error token of a failure it raises."""
+    grids = [check_grid(name, values) for name, values in (
+        ("omega_values", omega_values), ("delta2_values", delta2_values), ("g2_grid", g2_grid))]
+    check_bound("threshold", threshold, ">", 0)
+    rows = []
+    for omega, delta2, g2 in itertools.product(*grids):
+        try:
+            fields = point(omega, delta2, g2)
+        except _POINT_ERRORS as exc:
+            fields = {"error": error_token(exc)}
+        rows.append(WindowScanRow(omega, delta2, g2, g1=g1, **fields))
+    return rows
 
 
 def scan_lambda2_window(
@@ -224,25 +241,15 @@ def scan_lambda2_window(
     """Sweep lambda2 over (omega, delta2, g2) and flag |lambda2| <= threshold.
 
     Row order is the nested grid order: omega outermost, g2 innermost.
-    Raises ValueError unless every grid is non-empty, finite and strictly
-    increasing and threshold is positive and finite.
+    Raises ValueError unless every grid passes numerics.check_grid
+    (non-empty, finite, strictly increasing) and threshold is positive and
+    finite.
     """
-    _check_scan(omega_values, delta2_values, g2_grid, threshold)
-    rows = []
-    for omega in omega_values:
-        for delta2 in delta2_values:
-            for g2 in g2_grid:
-                try:
-                    lam2 = solve_lambda2(omega, delta2, g2)
-                except (NoBracketError, SingularError, NonFiniteError) as exc:
-                    rows.append(WindowScanRow(omega, delta2, g2, error=error_token(exc)))
-                else:
-                    rows.append(WindowScanRow(
-                        omega, delta2, g2,
-                        lambda2=lam2,
-                        in_window=abs(lam2) <= threshold,
-                    ))
-    return rows
+    def point(omega: float, delta2: float, g2: float) -> dict:
+        lam2 = solve_lambda2(omega, delta2, g2)
+        return {"lambda2": lam2, "in_window": abs(lam2) <= threshold}
+
+    return _scan(omega_values, delta2_values, g2_grid, threshold, None, point)
 
 
 def scan_delta1_window(
@@ -255,23 +262,14 @@ def scan_delta1_window(
     """Sweep the designed delta1 over (omega, delta2, g2) at fixed g1.
 
     A point is in the window when the derived delta1 is physical (> 0) and
-    |lambda1| <= threshold.  Inputs are checked as in scan_lambda2_window.
+    |lambda1| <= threshold.  Inputs are checked as in scan_lambda2_window,
+    and g1 must be >= 0 and finite.
     """
-    _check_scan(omega_values, delta2_values, g2_grid, threshold)
-    rows = []
-    for omega in omega_values:
-        for delta2 in delta2_values:
-            for g2 in g2_grid:
-                try:
-                    des = design_resonant(omega, delta2, g2, g1)
-                except (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError) as exc:
-                    rows.append(WindowScanRow(omega, delta2, g2, g1=g1, error=error_token(exc)))
-                else:
-                    rows.append(WindowScanRow(
-                        omega, delta2, g2, g1=g1,
-                        lambda1=des.lambda1,
-                        lambda2=des.lambda2,
-                        delta1=des.delta1,
-                        in_window=des.physical and abs(des.lambda1) <= threshold,
-                    ))
-    return rows
+    check_bound("g1", g1, ">=", 0)
+
+    def point(omega: float, delta2: float, g2: float) -> dict:
+        des = design_resonant(omega, delta2, g2, g1)
+        return {"lambda1": des.lambda1, "lambda2": des.lambda2, "delta1": des.delta1,
+                "in_window": des.physical and abs(des.lambda1) <= threshold}
+
+    return _scan(omega_values, delta2_values, g2_grid, threshold, g1, point)

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, formats, presets, determinism."""
 
 import argparse
+import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from rabi_spectra import cli
 from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
+from rabi_spectra.model import ModelParams
 from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
+from rabi_spectra.reservoir import ReservoirParams
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -416,6 +419,40 @@ def test_an_integer_past_the_float_range_is_a_named_violation(tmp_path, command,
     assert json.loads(out)["violations"] == [{"field": field, "message": message}]
 
 
+# parameter class -> (command, a valid configuration): the command's
+# settings hold every field of the class
+PARAM_CLASSES = {
+    ModelParams: ("lambda", {"omega": 1.0, "delta1": 2.0, "g1": 0.3, "delta2": 2.0, "g2": 0.7}),
+    ReservoirParams: ("reservoir-dark", {"omega": 1.0, "omega1": 0.8, "v": 0.2, "g1": 0.3,
+                                         "g2": 0.3, "g1p": 0.2, "g2p": 0.2, "delta1": 1.0,
+                                         "delta2": 1.0}),
+}
+BAD_VALUES = {"-1": -1, "nan": math.nan, "inf": math.inf, "True": True, "str": "1",
+              "huge": 10 ** 400}
+# omega and omega1 are positive, so 0 is bad for them; the rest are non-negative
+BAD_FIELDS = [
+    pytest.param(cls, field, bad, id=f"{cls.__name__}-{field}-{name}")
+    for cls in PARAM_CLASSES for field in (f.name for f in dataclasses.fields(cls))
+    for name, bad in [*BAD_VALUES.items(), *([("0", 0)] if field.startswith("omega") else [])]
+]
+
+
+@pytest.mark.parametrize("cls, field, bad", BAD_FIELDS)
+def test_a_parameter_class_rejects_a_field_with_the_message_validate_reports(tmp_path, cls,
+                                                                             field, bad):
+    command, good = PARAM_CLASSES[cls]
+    settings = {**good, field: bad}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = run(["validate", "--for", command, "--config", str(cfg)])
+    assert (code, err) == (1, "")
+    (violation,) = json.loads(out)["violations"]
+    assert violation["field"] == field
+    with pytest.raises(ValueError) as exc:
+        cls(**settings)
+    assert str(exc.value) == violation["message"]
+
+
 def test_oracle_compare_runs_without_scipy():
     # the package is numpy only; importing scipy.linalg would cost more
     # time and memory than the whole exact solve at n_max 300
@@ -531,37 +568,28 @@ def test_generated_parser_keeps_every_option():
     }
 
 
-def _subparsers(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+# (id, argv): the help, version, usage errors and validation that main
+# prints from its one parser; the ids of the help of one command are its name
+PARSER_ARGVS = [
+    *((f"argv{k}", argv) for k, argv in enumerate([
+        ["-h"], ["--version"], ["oracle-compare", "-h"], ["spectrum", "--bogus"], ["nope"],
+        ["validate", "--for", "spectrum"], ["-h", "spectrum"],
+    ])),
+    *((command, [command, "-h"]) for command in [*COMMANDS, "validate"]),
+]
 
 
-@pytest.mark.parametrize("command", [*COMMANDS, "validate"])
-def test_a_parser_for_one_command_flags_only_that_command(command):
-    full, one = build_parser(), build_parser(command)
-    assert one.format_help() == full.format_help()
-    for name, p in _subparsers(one).items():
-        options = sorted(s for a in p._actions for s in a.option_strings)
-        if name == command:
-            assert options == OPTION_STRINGS[name]
-            assert p.format_help() == _subparsers(full)[name].format_help()
-        else:
-            assert options == ["--help", "-h"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["-h"], ["--version"], ["oracle-compare", "-h"], ["spectrum", "--bogus"], ["nope"],
-    ["validate", "--for", "spectrum"], ["-h", "spectrum"],
-])
-def test_cli_output_is_the_same_with_every_subparser_built(monkeypatch, argv):
-    # main builds only the subparser argv names (the others are help lines);
-    # the full parser must print the same help, version, usage errors and
-    # validation, with the same exit code
-    named = run(argv)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert run(argv) == named
-    assert list(_subparsers(build_parser("spectrum"))) == ["spectrum"]
-    assert list(_subparsers(build_parser("nope"))) == [*COMMANDS, "validate"]
+@pytest.mark.parametrize("argv", [argv for _, argv in PARSER_ARGVS],
+                         ids=[name for name, _ in PARSER_ARGVS])
+def test_cli_output_is_the_same_with_every_subparser_built(argv):
+    # main parses every argv with the parser built at import: parsing other
+    # commands in between must not change what it prints or returns
+    first = run(argv)
+    assert run(["design", "--omega", "1", "--delta2", "2", "--g2", "0.7", "--g1", "0.9"])[0] == 0
+    assert run(["validate", "--for", "design", "--omega", "-1"])[0] == 1
+    assert run(["spectrum", "--fig", "3", "--n-blocks", "2", "--format", "json"])[0] == 0
+    assert run(["reservoir-quasi", "--m", "1"])[0] == 1
+    assert run(argv) == first
 
 
 def test_parse_grid_tiny_step_keeps_points_distinct():

@@ -75,3 +75,23 @@ def test_oracle_does_not_import_reservoir():
             imported.update(alias.name for alias in node.names)
     assert imported
     assert not imported & {".reservoir", "rabi_spectra.reservoir"}
+
+
+def test_cli_reads_no_private_argparse_attribute():
+    # argparse internals such as _ChoicesPseudoAction or _choices_actions
+    # are not API and change between the Python versions CI runs, so the
+    # CLI reads no underscore attribute of any object
+    path = ROOT / "src" / "rabi_spectra" / "cli.py"
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if isinstance(name, str) and name.startswith("_") and not name.endswith("__"):
+            private.append(f"{node.lineno}: {name}")
+    assert private == []

@@ -17,6 +17,7 @@ from rabi_spectra import (
     scan_lambda2_window,
     solve_lambda1,
     solve_lambda2,
+    spectrum_vs_g1,
 )
 
 # Frozen from an independent oracle: sign-change scan of the residual on a
@@ -192,3 +193,16 @@ def test_to_dict_equals_asdict_in_field_order():
     expected = {**dataclasses.asdict(d), "approx_valid": d.approx_valid,
                 "physical": d.physical}
     assert list(d.to_dict().items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("g1", [math.nan, math.inf, -0.5, True, 10 ** 400],
+                         ids=["nan", "inf", "negative", "True", "huge"])
+@pytest.mark.parametrize("call", [
+    lambda g1: design_resonant(1.0, 2.0, 0.7, g1),
+    lambda g1: scan_delta1_window([1.0], [2.0], g1, [0.7]),
+    lambda g1: spectrum_vs_g1(1.0, 2.0, 0.7, [g1], n_blocks=1),
+], ids=["design_resonant", "scan_delta1_window", "spectrum_vs_g1"])
+def test_a_g1_that_is_not_a_finite_non_negative_number_is_rejected(call, g1):
+    # a nan g1 used to give a design, or a scan row, of nan numbers
+    with pytest.raises(ValueError, match="g1"):
+        call(g1)
