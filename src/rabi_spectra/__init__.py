@@ -3,163 +3,103 @@
 Displaced-frame rotating-wave treatment with per-qubit displacement roots,
 closed four-state blocks at joint resonance, exact-diagonalization
 cross-checks, and a pseudomode-reservoir extension with dark states.
+
+The exports are lazy (PEP 562): `import rabi_spectra` loads no submodule,
+and the first read of an exported name imports the module that _EXPORTS
+names for it.  A command that runs only the resonant spectra never
+compiles the oracle or the reservoir.
 """
-from .numerics import (
-    ConvergenceFailureError,
-    EigenDecomposition,
-    NoBracketError,
-    NonFiniteError,
-    SymmetricMatrix,
-    eigh,
-    eigvals_sym,
-    eval_laguerre,
-    find_root,
-    laguerre_table,
-)
-from .model import (
-    CoefficientMode,
-    ModelParams,
-    TrwaParams,
-    coeff_f1,
-    coeff_g0,
-    constant_offset,
-    resonance_residual,
-    residual_eq8,
-    residual_eq9,
-)
-from .resonance import (
-    DegenerateDesignError,
-    ResonantDesign,
-    SingularError,
-    WindowScanRow,
-    design_resonant,
-    scan_delta1_window,
-    scan_lambda2_window,
-    solve_lambda1,
-    solve_lambda2,
-)
-from .fockspace import (
-    Block4,
-    ChainState,
-    ParityChain,
-    SpectrumRow,
-    SpectrumTable,
-    block_eigenvector_to_wavefunction,
-    block_leakage,
-    build_block4,
-    build_effective_chain_matrix,
-    build_parity_chain,
-    chain_n_max_for_blocks,
-    closed_block_index_groups,
-    spectrum_vs_g1,
-    trwa_block_energies,
-)
-from .oracle import (
-    ConvergenceReport,
-    DeviationRow,
-    TrwaExactComparison,
-    build_full_rabi,
-    build_parity_sector,
-    build_rotated_rabi,
-    compare_trwa_exact,
-    exact_spectrum,
-)
-from .reservoir import (
-    AsymmetricParamsError,
-    DiscrepancyReport,
-    EntryMismatch,
-    ReservoirChain,
-    ReservoirChainState,
-    ReservoirCoefficients,
-    ReservoirParams,
-    SingularDenominatorError,
-    SingularEtaError,
-    build_full_pseudomode,
-    build_h_2w1_2w,
-    build_reservoir_chain,
-    build_reservoir_matrix,
-    compute_K,
-    dark_state_energy,
-    dark_state_residual,
-    eq24_vector,
-    lorentzian_density,
-    quasi_exact_subspace,
-    reservoir_constant,
-    verify_eq24,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricParamsError",
-    "Block4",
-    "ChainState",
-    "CoefficientMode",
-    "ConvergenceFailureError",
-    "ConvergenceReport",
-    "DegenerateDesignError",
-    "DeviationRow",
-    "DiscrepancyReport",
-    "EigenDecomposition",
-    "EntryMismatch",
-    "ModelParams",
-    "NoBracketError",
-    "NonFiniteError",
-    "ParityChain",
-    "ReservoirChain",
-    "ReservoirChainState",
-    "ReservoirCoefficients",
-    "ReservoirParams",
-    "ResonantDesign",
-    "SingularDenominatorError",
-    "SingularError",
-    "SingularEtaError",
-    "SpectrumRow",
-    "SpectrumTable",
-    "SymmetricMatrix",
-    "TrwaExactComparison",
-    "TrwaParams",
-    "WindowScanRow",
-    "block_eigenvector_to_wavefunction",
-    "block_leakage",
-    "build_block4",
-    "build_effective_chain_matrix",
-    "build_full_pseudomode",
-    "build_full_rabi",
-    "build_h_2w1_2w",
-    "build_parity_chain",
-    "build_parity_sector",
-    "build_reservoir_chain",
-    "build_reservoir_matrix",
-    "build_rotated_rabi",
-    "chain_n_max_for_blocks",
-    "closed_block_index_groups",
-    "coeff_f1",
-    "coeff_g0",
-    "compare_trwa_exact",
-    "compute_K",
-    "constant_offset",
-    "dark_state_energy",
-    "dark_state_residual",
-    "design_resonant",
-    "eigh",
-    "eigvals_sym",
-    "eq24_vector",
-    "eval_laguerre",
-    "exact_spectrum",
-    "find_root",
-    "laguerre_table",
-    "lorentzian_density",
-    "quasi_exact_subspace",
-    "reservoir_constant",
-    "resonance_residual",
-    "residual_eq8",
-    "residual_eq9",
-    "scan_delta1_window",
-    "scan_lambda2_window",
-    "solve_lambda1",
-    "solve_lambda2",
-    "spectrum_vs_g1",
-    "trwa_block_energies",
-    "verify_eq24",
-]
+# each exported name -> the module that binds it, in __all__ order
+_EXPORTS = {
+    "AsymmetricParamsError": "reservoir",
+    "Block4": "fockspace",
+    "ChainState": "fockspace",
+    "CoefficientMode": "model",
+    "ConvergenceFailureError": "numerics",
+    "ConvergenceReport": "oracle",
+    "DegenerateDesignError": "resonance",
+    "DeviationRow": "oracle",
+    "DiscrepancyReport": "reservoir",
+    "EigenDecomposition": "numerics",
+    "EntryMismatch": "reservoir",
+    "ModelParams": "model",
+    "NoBracketError": "numerics",
+    "NonFiniteError": "numerics",
+    "ParityChain": "fockspace",
+    "ReservoirChain": "reservoir",
+    "ReservoirChainState": "reservoir",
+    "ReservoirCoefficients": "reservoir",
+    "ReservoirParams": "reservoir",
+    "ResonantDesign": "resonance",
+    "SingularDenominatorError": "numerics",
+    "SingularError": "resonance",
+    "SingularEtaError": "numerics",
+    "SpectrumRow": "fockspace",
+    "SpectrumTable": "fockspace",
+    "SymmetricMatrix": "numerics",
+    "TrwaExactComparison": "oracle",
+    "TrwaParams": "model",
+    "WindowScanRow": "resonance",
+    "block_eigenvector_to_wavefunction": "fockspace",
+    "block_leakage": "fockspace",
+    "build_block4": "fockspace",
+    "build_effective_chain_matrix": "fockspace",
+    "build_full_pseudomode": "reservoir",
+    "build_full_rabi": "oracle",
+    "build_h_2w1_2w": "reservoir",
+    "build_parity_chain": "fockspace",
+    "build_parity_sector": "oracle",
+    "build_reservoir_chain": "reservoir",
+    "build_reservoir_matrix": "reservoir",
+    "build_rotated_rabi": "oracle",
+    "chain_n_max_for_blocks": "fockspace",
+    "closed_block_index_groups": "fockspace",
+    "coeff_f1": "model",
+    "coeff_g0": "model",
+    "compare_trwa_exact": "oracle",
+    "compute_K": "reservoir",
+    "constant_offset": "model",
+    "dark_state_energy": "reservoir",
+    "dark_state_residual": "reservoir",
+    "design_resonant": "resonance",
+    "eigh": "numerics",
+    "eigvals_sym": "numerics",
+    "eq24_vector": "reservoir",
+    "eval_laguerre": "numerics",
+    "exact_spectrum": "oracle",
+    "find_root": "numerics",
+    "laguerre_table": "numerics",
+    "lorentzian_density": "reservoir",
+    "quasi_exact_subspace": "reservoir",
+    "reservoir_constant": "reservoir",
+    "resonance_residual": "model",
+    "residual_eq8": "model",
+    "residual_eq9": "model",
+    "scan_delta1_window": "resonance",
+    "scan_lambda2_window": "resonance",
+    "solve_lambda1": "resonance",
+    "solve_lambda2": "resonance",
+    "spectrum_vs_g1": "fockspace",
+    "trwa_block_energies": "fockspace",
+    "verify_eq24": "reservoir",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

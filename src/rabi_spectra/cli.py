@@ -14,6 +14,12 @@ JSON object; either way the bytes are deterministic for a given version and
 parameter set, including under --jobs parallelism (workers only change wall
 time, never row order).
 
+Each command imports the modules it runs when it runs: oracle-compare
+loads oracle, and the reservoir-* commands (and their settings checks) load
+reservoir, so the other commands never compile them.  A function-local
+import reads the name from its module at call time, so a wrapper bound
+there later is the one called.
+
 Exit codes: 0 success, 1 invalid or degenerate inputs, 2 numerical failure
 (no bracket, singular resonance condition, non-finite evaluation, failed
 convergence).  Failures print a machine-readable JSON error record to
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -34,29 +41,18 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
-from .model import LAMBDA_WINDOW, CoefficientMode, ModelParams, residual_eq8, residual_eq9
+from .model import LAMBDA_WINDOW, MIN_N_MAX, CoefficientMode, residual_eq8, residual_eq9
 from .numerics import (
     ConvergenceFailureError,
     NoBracketError,
     NonFiniteError,
+    SingularDenominatorError,
+    SingularEtaError,
     _grid_entries,
     check_bound,
     check_grid,
     check_number,
     error_token,
-)
-from .oracle import MIN_N_MAX, check_n_levels, compare_trwa_exact
-from .reservoir import (
-    ReservoirParams,
-    SingularDenominatorError,
-    SingularEtaError,
-    check_seed,
-    compute_K,
-    dark_state_energy,
-    dark_state_residual,
-    quasi_exact_subspace,
-    reservoir_constant,
-    verify_eq24,
 )
 from .resonance import (
     SingularError,
@@ -136,15 +132,16 @@ def parse_grid(text: str) -> list[float]:
     return _grid_entries([float(x) for x in text.split(",")])
 
 
-def _grid_rule(name: str, value, owner: str | None) -> list[float]:
+def _grid_rule(name: str, value, owner: str | None, op: str, low: int) -> list[float]:
     """A grid string (parse_grid), one number or a list of numbers, read
-    by numerics.check_grid."""
+    by numerics.check_grid, each entry within the bound `op low` of the
+    parameter it sweeps."""
     if isinstance(value, str):
         try:
             value = parse_grid(value)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-    return check_grid(name, value)
+    return check_grid(name, value, op, low)
 
 
 def _mode(name: str, value, owner: str | None) -> CoefficientMode:
@@ -163,7 +160,8 @@ RULES: dict[str, tuple[Callable, Callable]] = {
     "positive": (functools.partial(check_bound, op=">", low=0), float),
     "non-negative": (functools.partial(check_bound, op=">=", low=0), float),
     "number": (lambda name, value, owner: check_number(name, value), float),
-    "grid": (_grid_rule, str),
+    "positive grid": (functools.partial(_grid_rule, op=">", low=0), str),
+    "non-negative grid": (functools.partial(_grid_rule, op=">=", low=0), str),
     "count >= 1": (functools.partial(check_bound, op=">=", low=1, integer=True), int),
     _TRUNCATION: (functools.partial(check_bound, op=">=", low=MIN_N_MAX, integer=True), int),
     "index >= 0": (functools.partial(check_bound, op=">=", low=0, integer=True), int),
@@ -181,14 +179,16 @@ class Setting(NamedTuple):
 
 
 class Command(NamedTuple):
-    """One subcommand's table entry.  owner is the parameter class named in
-    messages about its fields; each pair in pairs must come together, and
-    need_pair asks for at least one; switches are (flag, help) of store_true
-    flags.  relation is (field, check) of a rule across settings: check
-    reads the typed values and raises ValueError, reported against field."""
+    """One subcommand's table entry.  owner names the parameter class (a
+    package export) that messages about its fields name; read_settings
+    loads it, so only a command that reads its settings imports its module.
+    Each pair in pairs must come together, and need_pair asks for at least
+    one; switches are (flag, help) of store_true flags.  relation is
+    (field, check) of a rule across settings: check reads the typed values
+    and raises ValueError, reported against field."""
     run: Callable
     help: str
-    owner: type
+    owner: str
     settings: tuple[Setting, ...]
     required: tuple[str, ...] = ()
     pairs: tuple[tuple[str, str], ...] = ()
@@ -220,10 +220,11 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
         bad(field, f"{field}: not a setting of {command}")
     values = dict.fromkeys(cmd.keys)
     typed = True
+    fields = getattr(importlib.import_module(__package__), cmd.owner).__dataclass_fields__
     for s in sorted(cmd.settings):
         if s.name not in settings and s.default is None:
             continue
-        owner = cmd.owner.__name__ if s.name in cmd.owner.__dataclass_fields__ else None
+        owner = cmd.owner if s.name in fields else None
         try:
             values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default),
                                               owner=owner)
@@ -420,6 +421,8 @@ def cmd_spectrum(args, settings: dict, values: dict) -> int:
 
 
 def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
+    from .oracle import compare_trwa_exact
+
     summary = compare_trwa_exact(**values).to_dict()
     rows = summary.pop("rows")
     fields = ("level_index", "e_trwa", "e_exact", "abs_dev", "rel_dev")
@@ -428,6 +431,14 @@ def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
 
 
 def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
+    from .reservoir import (
+        ReservoirParams,
+        compute_K,
+        dark_state_energy,
+        dark_state_residual,
+        reservoir_constant,
+    )
+
     r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
     m_max, n_max = values["m_max"], values["n_max"]
     require_symmetric = not args.allow_asymmetric
@@ -447,6 +458,8 @@ def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
 
 
 def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:
+    from .reservoir import ReservoirParams, quasi_exact_subspace, verify_eq24
+
     r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
     if values["m"] is None and not args.window:
         raise ValueError("reservoir-quasi: give --m/--n, --window, or both")
@@ -492,45 +505,58 @@ _RESERVOIR = (
 _RESERVOIR_KEYS = tuple(s.name for s in _RESERVOIR)
 _DESIGN_KEYS = ("omega", "delta2", "g2", "g1")
 
+
+def _check_n_levels(values: dict) -> None:
+    from .oracle import check_n_levels
+
+    check_n_levels(values["n_levels"], values["n_max"], values["n_blocks"])
+
+
+def _check_seed(values: dict) -> None:
+    if values["m"] is not None and values["n"] is not None:
+        from .reservoir import check_seed
+
+        check_seed(values["m"], values["n"])
+
+
 COMMANDS = {
     "lambda": Command(
-        cmd_lambda, "solve the displacement root(s) for the given qubit(s)", ModelParams,
+        cmd_lambda, "solve the displacement root(s) for the given qubit(s)", "ModelParams",
         (_OMEGA, _DELTA1, _G1, _DELTA2, _G2),
         required=("omega",), pairs=(("delta1", "g1"), ("delta2", "g2")), need_pair=True,
     ),
     "design": Command(
         cmd_design, "complete a resonant parameter set from (omega, delta2, g2, g1)",
-        ModelParams, (_OMEGA, _DELTA2, _G2, _G1), required=_DESIGN_KEYS,
+        "ModelParams", (_OMEGA, _DELTA2, _G2, _G1), required=_DESIGN_KEYS,
     ),
     "scan-window": Command(
-        cmd_scan_window, "sweep the displacement window over parameter grids", ModelParams,
+        cmd_scan_window, "sweep the displacement window over parameter grids", "ModelParams",
         (
-            Setting("omega_values", "grid", None, _GRID_HELP),
-            Setting("delta2_values", "grid", None, _GRID_HELP),
-            Setting("g2_grid", "grid", None, _GRID_HELP),
+            Setting("omega_values", "positive grid", None, _GRID_HELP),
+            Setting("delta2_values", "non-negative grid", None, _GRID_HELP),
+            Setting("g2_grid", "non-negative grid", None, _GRID_HELP),
             Setting("g1", "non-negative", None, "fixed g1: scan the derived-delta1 window"),
             Setting("threshold", "positive", LAMBDA_WINDOW, "window half-width on |lambda|"),
         ),
         required=("omega_values", "delta2_values", "g2_grid"), jobs=True,
     ),
     "spectrum": Command(
-        cmd_spectrum, "block spectrum swept over g1 at a resonant design", ModelParams,
-        (_OMEGA, _DELTA2, _G2, Setting("g1_grid", "grid", None, _GRID_HELP), _N_BLOCKS, _MODE),
+        cmd_spectrum, "block spectrum swept over g1 at a resonant design", "ModelParams",
+        (_OMEGA, _DELTA2, _G2, Setting("g1_grid", "non-negative grid", None, _GRID_HELP),
+         _N_BLOCKS, _MODE),
         required=("omega", "delta2", "g2", "g1_grid"), jobs=True,
     ),
     "oracle-compare": Command(
         cmd_oracle_compare, "block spectrum vs exact diagonalization, ground-aligned",
-        ModelParams,
+        "ModelParams",
         (_OMEGA, _DELTA2, _G2, _G1, Setting("n_levels", "count >= 1", 6, "lowest levels compared"),
          Setting("n_max", _TRUNCATION, 60, "photon truncation of the exact solve"),
          _N_BLOCKS, _MODE),
-        required=_DESIGN_KEYS,
-        relation=("n_levels",
-                  lambda v: check_n_levels(v["n_levels"], v["n_max"], v["n_blocks"])),
+        required=_DESIGN_KEYS, relation=("n_levels", _check_n_levels),
     ),
     "reservoir-dark": Command(
         cmd_reservoir_dark, "dark-state energies and residuals on an (m, n) grid",
-        ReservoirParams,
+        "ReservoirParams",
         (*_RESERVOIR, Setting("m_max", "index >= 0", 4, "largest pseudomode number m"),
          Setting("n_max", "index >= 0", 4, "largest photon number n")),
         required=_RESERVOIR_KEYS,
@@ -538,15 +564,14 @@ COMMANDS = {
     ),
     "reservoir-quasi": Command(
         cmd_reservoir_quasi, "quasi-exact subspace and printed-window reports (JSON)",
-        ReservoirParams,
+        "ReservoirParams",
         (*_RESERVOIR, Setting("m", "index >= 0", None, "pseudomode number of the subspace"),
          Setting("n", "index >= 0", None, "photon number of the subspace"),
          Setting("k_value", "number", None, "folded coupling K to use in the window check")),
         required=_RESERVOIR_KEYS, pairs=(("m", "n"),),
         switches=(("--window", "add the printed 6x6 window check at E = 2*omega1 + 2*omega"),),
         formats=("json",),
-        relation=("m", lambda v: None if v["m"] is None or v["n"] is None
-                  else check_seed(v["m"], v["n"])),
+        relation=("m", _check_seed),
     ),
 }
 

@@ -452,10 +452,10 @@ def spectrum_vs_g1(
     first), the parity label of the block the level came from, and the
     constant diagonal offset so spectra can be compared shift-free.  Design
     failures become single rows with the error token and empty numeric
-    fields.  Raises ValueError unless check_grid accepts g1_grid and
-    design_resonant accepts each g1.
+    fields.  Raises ValueError unless check_grid accepts g1_grid with
+    entries >= 0 and design_resonant accepts each g1.
     """
-    g1_grid = check_grid("g1_grid", g1_grid)
+    g1_grid = check_grid("g1_grid", g1_grid, ">=", 0)
     points = [_point_columns(omega, delta2, g2, g1, n_blocks, mode) for g1 in g1_grid]
     columns = tuple(
         tuple(itertools.chain.from_iterable(point[k] for point in points))

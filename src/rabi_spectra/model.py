@@ -27,6 +27,9 @@ from .numerics import check_bound, check_number, laguerre_table
 # the small-lambda treatment of the Laguerre weights is controlled.
 LAMBDA_WINDOW = 0.1
 
+# Smallest photon truncation of the exact-diagonalization builders (oracle).
+MIN_N_MAX = 4
+
 # Ket labels of the spin-x eigenvalues +1 and -1.
 SPIN_CHARS = {1: "+", -1: "-"}
 

@@ -9,6 +9,9 @@ parameter classes, the solvers, the sweeps and the command line all check
 through them, so the library and `validate` reject the same values with the
 same message.
 
+The named numerical errors live here, the reservoir's two among them, so
+the command line names them without importing the reservoir.
+
 The TRWA parity chains (fockspace) and the exact parity sectors (oracle)
 share one band layout, rung blocks (R, 2, 2) and couplings (R - 1, 2, 2),
 rung n holding photon number n; band_to_dense is its one dense writer.
@@ -74,6 +77,15 @@ class NonFiniteError(ArithmeticError):
 
 class ConvergenceFailureError(RuntimeError):
     """The underlying eigensolver failed to converge."""
+
+
+class SingularEtaError(ArithmeticError):
+    """omega = 2*delta makes the reservoir's eta exponent blow up."""
+
+
+class SingularDenominatorError(ArithmeticError):
+    """omega - eta is (numerically) zero, so the reservoir's
+    mu = g/(omega - eta) diverges."""
 
 
 def error_token(exc: BaseException) -> str:
@@ -142,14 +154,19 @@ def check_bound(name: str, value, op: str, low: int, owner: str | None = None,
     return x
 
 
-def check_grid(name: str, values) -> list[float]:
+def check_grid(name: str, values, op: str | None = None, low: int = 0) -> list[float]:
     """The entries of a grid as floats: one number, or a non-empty
-    sequence of finite numbers, strictly increasing (check_increasing)."""
+    sequence of finite numbers, strictly increasing (check_increasing).
+    With op, each entry is checked against the bound `op low` by
+    check_bound, the bound of the parameter the grid sweeps."""
     try:
         grid = _grid_entries(values)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
     check_increasing(name, grid)
+    if op is not None:
+        for x in grid:
+            check_bound(name, x, op, low)
     return grid
 
 

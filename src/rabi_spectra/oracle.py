@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import trwa_block_energies
-from .model import _ZLABELS, CoefficientMode, ModelParams, TrwaParams
+from .model import _ZLABELS, MIN_N_MAX, CoefficientMode, ModelParams, TrwaParams
 from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense, check_bound
-from .resonance import design_resonant
+from .resonance import NonphysicalDesignError, design_resonant
 from .serialize import record_dict
-
-# smallest photon truncation of the exact builders
-MIN_N_MAX = 4
 
 
 def _check_truncation(n_max: int) -> None:
@@ -280,11 +277,14 @@ def compare_trwa_exact(
     Both spectra are offset-aligned by their own ground energies before the
     per-level deviations are taken (the block energies contain the global
     displacement constant, the exact ones do not).  Raises ValueError unless
-    check_n_levels accepts n_levels.
+    check_n_levels accepts n_levels, and NonphysicalDesignError when the
+    design derives delta1 <= 0.
     """
     _check_truncation(n_max)
     check_n_levels(n_levels, n_max, n_blocks)
     des = design_resonant(omega, delta2, g2, g1)
+    if not des.physical:
+        raise NonphysicalDesignError(f"the resonant design derives delta1 = {des.delta1} <= 0")
     p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
     t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
 

@@ -39,15 +39,17 @@ from typing import Sequence
 import numpy as np
 
 from .model import _ZLABELS, SPIN_CHARS, CoefficientMode, coeff_g0
-from .numerics import SymmetricMatrix, band_to_dense, check_bound, check_number, eigh, sym_set
+from .numerics import (
+    SingularDenominatorError,
+    SingularEtaError,
+    SymmetricMatrix,
+    band_to_dense,
+    check_bound,
+    check_number,
+    eigh,
+    sym_set,
+)
 from .serialize import record_dict
-
-class SingularEtaError(ArithmeticError):
-    """omega = 2*delta makes the eta exponent blow up."""
-
-
-class SingularDenominatorError(ArithmeticError):
-    """omega - eta is (numerically) zero, so mu = g/(omega - eta) diverges."""
 
 
 class AsymmetricParamsError(ValueError):

@@ -45,6 +45,12 @@ class DegenerateDesignError(ValueError):
     """The design formulas degenerate (division by zero coupling or displacement)."""
 
 
+class NonphysicalDesignError(ValueError):
+    """A resonant design derived a qubit-1 splitting delta1 <= 0.  Its
+    token, NonphysicalDesign, is the one spectrum rows record for such a
+    point."""
+
+
 def solve_lambda1(omega: float, delta1: float, g1: float, tol: float = _LAMBDA_TOL) -> float:
     """Solve the qubit-1 condition for lambda1 in [-1, 0].
 
@@ -219,8 +225,9 @@ def _scan(
     """One WindowScanRow per grid point, in nested grid order (omega
     outermost, g2 innermost): the fields point(omega, delta2, g2) returns,
     or the error token of a failure it raises."""
-    grids = [check_grid(name, values) for name, values in (
-        ("omega_values", omega_values), ("delta2_values", delta2_values), ("g2_grid", g2_grid))]
+    grids = [check_grid(name, values, op, 0) for name, values, op in (
+        ("omega_values", omega_values, ">"), ("delta2_values", delta2_values, ">="),
+        ("g2_grid", g2_grid, ">="))]
     check_bound("threshold", threshold, ">", 0)
     rows = []
     for omega, delta2, g2 in itertools.product(*grids):
@@ -242,8 +249,8 @@ def scan_lambda2_window(
 
     Row order is the nested grid order: omega outermost, g2 innermost.
     Raises ValueError unless every grid passes numerics.check_grid
-    (non-empty, finite, strictly increasing) and threshold is positive and
-    finite.
+    (non-empty, finite, strictly increasing, within the bound of the
+    parameter it sweeps) and threshold is positive and finite.
     """
     def point(omega: float, delta2: float, g2: float) -> dict:
         lam2 = solve_lambda2(omega, delta2, g2)

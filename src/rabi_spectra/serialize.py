@@ -27,7 +27,6 @@ always quotes it.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -165,6 +164,9 @@ def write_text(path: str, text: str) -> None:
 def read_csv_text(text: str) -> tuple[dict | None, list[str], list[dict]]:
     """Parse a document produced by csv_text back into (header, fieldnames,
     rows); cell values stay strings."""
+    # no command reads CSV back, so only a caller of this function loads csv
+    import csv
+
     lines = text.splitlines()
     header = None
     start = 0

@@ -19,6 +19,7 @@ from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
 from rabi_spectra.model import ModelParams
 from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
 from rabi_spectra.reservoir import ReservoirParams
+from rabi_spectra.resonance import design_resonant
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -360,7 +361,7 @@ ORACLE_FLAGS = ["oracle-compare", "--omega", "1.0", "--delta2", "2.0", "--g2", "
 
 @pytest.mark.parametrize("n_max", ["1", "3"])
 def test_oracle_compare_and_validate_reject_the_same_truncations(n_max):
-    # the truncation rule comes from oracle.MIN_N_MAX, which the builders check
+    # the truncation rule comes from model.MIN_N_MAX, which the builders check
     code, out, _ = run([*ORACLE_FLAGS, "--n-max", n_max])
     assert code == 1
     record = json.loads(out)
@@ -453,6 +454,29 @@ def test_a_parameter_class_rejects_a_field_with_the_message_validate_reports(tmp
     assert str(exc.value) == violation["message"]
 
 
+def _fresh(script: str) -> str:
+    """The stripped stdout of script, run in a fresh interpreter on this
+    tree's src, so that no module an earlier test imported is loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def _loaded_after(argv) -> set[str]:
+    """The package modules loaded after main(argv), in a fresh interpreter."""
+    return set(_fresh(
+        "import sys\n"
+        "from rabi_spectra.cli import main\n"
+        f"code = main({[*argv, '--out', os.devnull]!r})\n"
+        "assert code == 0, code\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rabi_spectra'))\n"
+    ).split())
+
+
 def test_oracle_compare_runs_without_scipy():
     # the package is numpy only; importing scipy.linalg would cost more
     # time and memory than the whole exact solve at n_max 300
@@ -463,13 +487,49 @@ def test_oracle_compare_runs_without_scipy():
         "assert code == 0, code\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh(script) == "[]"
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["spectrum", "--fig", "3", "--g1-grid", "0.9", "--n-blocks", "1"],
+     {"fockspace"}, {"oracle", "reservoir"}),
+    ([*ORACLE_FLAGS, "--n-max", "4", "--n-levels", "2", "--n-blocks", "1"],
+     {"fockspace", "oracle"}, {"reservoir"}),
+    (["reservoir-dark", "--omega", "1", "--omega1", "0.8", "--v", "0.2", "--g1", "0.3",
+      "--g2", "0.3", "--g1p", "0.2", "--g2p", "0.2", "--delta1", "1", "--delta2", "1"],
+     {"reservoir"}, {"oracle"}),
+], ids=["spectrum", "oracle-compare", "reservoir-dark"])
+def test_commands_import_only_the_modules_they_run(argv, loads, skips):
+    # each command compiles only what it runs: oracle-compare loads the
+    # exact oracle and the reservoir-* commands load the reservoir
+    loaded = _loaded_after(argv)
+    assert {f"rabi_spectra.{m}" for m in loads} <= loaded
+    assert not {f"rabi_spectra.{m}" for m in skips} & loaded
+
+
+def test_a_bare_package_import_loads_no_submodule():
+    # the exports are lazy; dir() lists them without loading their modules
+    script = (
+        "import sys\n"
+        "import rabi_spectra\n"
+        "assert set(rabi_spectra.__all__) <= set(dir(rabi_spectra))\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rabi_spectra'))\n"
+    )
+    assert _fresh(script) == "rabi_spectra"
+
+
+def test_oracle_compare_names_a_nonphysical_design():
+    # the derived delta1 is negative: the command reports the token that
+    # spectrum rows record for the same design, not a ModelParams message
+    design = ["--omega", "1", "--delta2", "0.2", "--g2", "0.5"]
+    code, out, _ = run(["oracle-compare", *design, "--g1", "0.3"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == "NonphysicalDesign"
+    assert f"delta1 = {design_resonant(1.0, 0.2, 0.5, 0.3).delta1} <= 0" in record["message"]
+    code, out, _ = run(["spectrum", *design, "--g1-grid", "0.3", "--n-blocks", "1"])
+    assert code == 0
+    assert [row["error"] for row in read_csv_text(out)[2]] == ["NonphysicalDesign"]
 
 
 SCAN_SETTINGS = {"omega_values": [1.0], "delta2_values": [2.0], "g2_grid": [0.3, 0.7]}
@@ -479,8 +539,10 @@ SCAN_SETTINGS = {"omega_values": [1.0], "delta2_values": [2.0], "g2_grid": [0.3,
     ("spectrum", "g1_grid", {"omega": 1, "delta2": 2.0, "g2": 0.7, "n_blocks": 2}),
     ("scan-window", "g2_grid", SCAN_SETTINGS),
     ("scan-window", "omega_values", SCAN_SETTINGS),
+    ("scan-window", "delta2_values", SCAN_SETTINGS),
 ])
-@pytest.mark.parametrize("grid", [["0.5", "0.9"], [], [True, 2], True, {"a": 1}])
+@pytest.mark.parametrize("grid", [["0.5", "0.9"], [], [True, 2], True, {"a": 1},
+                                  [-0.5, 0.9], "-0.5,0.9", -0.5])
 def test_commands_reject_the_grids_validate_rejects(tmp_path, command, field, settings, grid):
     # the commands and validate read a grid through one rule
     cfg = tmp_path / "cfg.json"
@@ -511,6 +573,7 @@ SCAN_FLAGS = ["--omega-values", "1", "--delta2-values", "2", "--g2-grid", "0.3,0
     ("reservoir-dark", "m_max", {}, [*RESERVOIR_FLAGS, "--m-max", "-1"]),
     ("scan-window", "omega_values", {}, [*SCAN_FLAGS, "--omega-values", "1,0.5"]),
     ("scan-window", "delta2_values", {}, [*SCAN_FLAGS, "--delta2-values", "2,2"]),
+    ("scan-window", "omega_values", {}, [*SCAN_FLAGS, "--omega-values", "0,1"]),
     ("reservoir-quasi", "m", {}, [*RESERVOIR_FLAGS, "--m", "1", "--n", "0"]),
 ])
 def test_commands_reject_the_settings_validate_rejects(tmp_path, command, field, config, flags):

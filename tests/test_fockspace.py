@@ -631,6 +631,11 @@ def test_spectrum_vs_g1_rejects_a_grid_that_is_not_strictly_increasing(grid):
         spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=1)
 
 
+def test_spectrum_vs_g1_rejects_a_negative_g1_entry():
+    with pytest.raises(ValueError, match="g1_grid must be >= 0, got -0.5"):
+        spectrum_vs_g1(1.0, 2.0, 0.7, [-0.5, 0.9], n_blocks=1)
+
+
 def test_spectrum_row_to_dict_matches_asdict():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1)
     assert [r.to_dict() for r in table.rows] == [dataclasses.asdict(r) for r in table.rows]

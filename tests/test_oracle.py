@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rabi_spectra import (
 from rabi_spectra import oracle
 from rabi_spectra.numerics import eigvals_lowest
 from rabi_spectra.oracle import ConvergenceReport, _sector_band
+from rabi_spectra.resonance import NonphysicalDesignError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
@@ -378,6 +380,15 @@ def test_compare_trwa_exact_improves_at_weaker_coupling():
     assert max(abs(r.abs_dev) for r in weak.rows) < max(
         abs(r.abs_dev) for r in strong.rows
     )
+
+
+def test_compare_trwa_exact_rejects_a_nonphysical_design():
+    # the design derives delta1 < 0; the error names it before any
+    # parameter class sees it
+    delta1 = design_resonant(1.0, 0.2, 0.5, 0.3).delta1
+    assert delta1 < 0
+    with pytest.raises(NonphysicalDesignError, match=re.escape(f"delta1 = {delta1} <= 0")):
+        compare_trwa_exact(1.0, 0.2, 0.5, 0.3)
 
 
 def test_compare_trwa_exact_report_round_trips():

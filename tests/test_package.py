@@ -35,6 +35,32 @@ def test_every_exported_name_resolves_once():
         assert getattr(rabi_spectra, name) is not None, name
 
 
+def test_each_export_is_the_object_its_home_module_binds():
+    # the lazy exports hand out what the defining module binds, not a copy;
+    # the reservoir re-imports its two numerical errors from numerics
+    for name in rabi_spectra.__all__:
+        value = getattr(rabi_spectra, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.split(".")[0] == "rabi_spectra", name
+        assert getattr(home, name) is value, name
+    from rabi_spectra import numerics, reservoir
+
+    for name in ("SingularEtaError", "SingularDenominatorError"):
+        assert getattr(reservoir, name) is getattr(numerics, name) is getattr(rabi_spectra, name)
+
+
+def test_dir_lists_every_export():
+    assert set(rabi_spectra.__all__) <= set(dir(rabi_spectra))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rabi_spectra.no_such_name
+    assert not hasattr(rabi_spectra, "MIN_N_MAX")
+    with pytest.raises(ImportError):
+        from rabi_spectra import no_such_name  # noqa: F401
+
+
 def test_benchmark_spans_import_against_this_tree(monkeypatch):
     # perfbench/spans.py wraps package functions by name at import time, so
     # a deleted or renamed name fails here.  The file is read and compiled,

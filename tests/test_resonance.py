@@ -173,6 +173,19 @@ def test_scan_grids_must_be_strictly_increasing():
         scan_lambda2_window([1.0], [2.0], [])
 
 
+@pytest.mark.parametrize("grids, message", [
+    (([0.0, 1.0], [2.0], [0.3]), "omega_values must be > 0, got 0.0"),
+    (([1.0], [-2.0], [0.3]), "delta2_values must be >= 0, got -2.0"),
+    (([1.0], [2.0], [-0.3, 0.3]), "g2_grid must be >= 0, got -0.3"),
+])
+def test_scan_grids_hold_the_bound_of_the_parameter_they_sweep(grids, message):
+    with pytest.raises(ValueError, match=message):
+        scan_lambda2_window(*grids)
+    omegas, deltas, g2_grid = grids
+    with pytest.raises(ValueError, match=message):
+        scan_delta1_window(omegas, deltas, 0.9, g2_grid)
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.1, 0.0])
 def test_scans_reject_a_threshold_that_is_not_finite_and_positive(threshold):
     with pytest.raises(ValueError, match="threshold"):
