@@ -44,7 +44,6 @@ _EXPORTS = {
     "TrwaExactComparison": "oracle",
     "TrwaParams": "model",
     "WindowScanRow": "resonance",
-    "block_eigenvector_to_wavefunction": "fockspace",
     "block_leakage": "fockspace",
     "build_block4": "fockspace",
     "build_effective_chain_matrix": "fockspace",

@@ -29,6 +29,7 @@ and still exit 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -56,6 +57,7 @@ from .numerics import (
 )
 from .resonance import (
     SingularError,
+    WindowScanRow,
     design_resonant,
     scan_delta1_window,
     scan_lambda2_window,
@@ -382,9 +384,7 @@ def cmd_design(args, settings: dict, values: dict) -> int:
     return _emit(args, fields, columns_of(fields, [row]), _header("design", settings))
 
 
-_SCAN_FIELDS = (
-    "omega", "delta2", "g2", "g1", "lambda1", "lambda2", "delta1", "in_window", "error",
-)
+_SCAN_FIELDS = tuple(f.name for f in dataclasses.fields(WindowScanRow))
 
 
 def cmd_scan_window(args, settings: dict, values: dict) -> int:
@@ -421,11 +421,11 @@ def cmd_spectrum(args, settings: dict, values: dict) -> int:
 
 
 def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
-    from .oracle import compare_trwa_exact
+    from .oracle import DeviationRow, compare_trwa_exact
 
     summary = compare_trwa_exact(**values).to_dict()
     rows = summary.pop("rows")
-    fields = ("level_index", "e_trwa", "e_exact", "abs_dev", "rel_dev")
+    fields = tuple(f.name for f in dataclasses.fields(DeviationRow))
     return _emit(args, fields, columns_of(fields, rows),
                  _header("oracle-compare", settings, **summary))
 

@@ -14,6 +14,13 @@ where qubit i is the one that flips and s_i' is its sign in the
 higher-photon state.  Under a resonant design in approx mode the elements
 with s_1' = +1 or s_2' = -1 vanish identically, which tiles each chain into
 closed 4x4 blocks plus a small boundary block at photon number zero.
+
+Each structural fact has one home: _chain_layout states the chain order
+(build_parity_chain, the band and the layout check read it), and
+closed_block_index_groups states the block tiling (the stacked block
+solve and Block4 read it; _block_level_count beside it counts its states
+in O(1)).  _block_levels merges the two chains' levels, for the g1 sweep
+and the oracle comparison alike.
 """
 from __future__ import annotations
 
@@ -34,7 +41,6 @@ from .model import (
     resonance_residual,
 )
 from .numerics import (
-    NoBracketError,
     NonFiniteError,
     SymmetricMatrix,
     band_to_dense,
@@ -43,7 +49,7 @@ from .numerics import (
     eigvals_stacked,
     error_token,
 )
-from .resonance import DegenerateDesignError, SingularError, design_resonant
+from .resonance import _POINT_ERRORS, design_resonant
 from .serialize import record_dict
 
 @dataclass(frozen=True)
@@ -69,13 +75,9 @@ class ChainState:
 
 
 def _normalize_parity(parity) -> int:
-    if parity in (1, -1):
-        return parity
-    if parity == "+":
-        return 1
-    if parity == "-":
-        return -1
-    raise ValueError(f"parity must be +1/-1 or '+'/'-', got {parity!r}")
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity!r}")
+    return parity
 
 
 @dataclass(frozen=True)
@@ -92,34 +94,14 @@ class ParityChain:
         return tuple(s.ket() for s in self.states)
 
 
-def build_parity_chain(parity, n_max: int) -> ParityChain:
-    """Enumerate the parity sector: two states per photon number, ascending n.
-
-    At each n the spin pair is fixed by parity = (-1)^n s1 s2; the (-,+)
-    member precedes (+,-) and (+,+) precedes (-,-).
-    """
-    par = _normalize_parity(parity)
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    states = []
-    for n in range(n_max + 1):
-        product = par * (1 if n % 2 == 0 else -1)
-        if product == -1:
-            states.append(ChainState(n, -1, 1))
-            states.append(ChainState(n, 1, -1))
-        else:
-            states.append(ChainState(n, 1, 1))
-            states.append(ChainState(n, -1, -1))
-    chain = ParityChain(parity=par, n_max=n_max, states=tuple(states))
-    assert all(s.parity == par for s in chain.states)
-    return chain
-
-
 def _chain_layout(parity, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Photon number, s1 and s2 of every chain index, in build_parity_chain order.
+    """Photon number, s1 and s2 of every chain index: the one statement of
+    the chain order.
 
-    At photon number n the spin product s1*s2 is parity*(-1)^n; the first
-    member of the pair has s1 equal to that product, the second its negative.
+    Two states per photon number, ascending n.  At photon number n the spin
+    product s1*s2 is parity*(-1)^n; the first member of the pair has s1
+    equal to that product, the second its negative.  So (-,+) precedes
+    (+,-) and (+,+) precedes (-,-).
     """
     par = _normalize_parity(parity)
     idx = np.arange(2 * n_max + 2)
@@ -127,6 +109,16 @@ def _chain_layout(parity, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     product = par * (1 - 2 * (ns % 2))
     s1 = product * (1 - 2 * (idx % 2))
     return ns, s1, product * s1
+
+
+def build_parity_chain(parity, n_max: int) -> ParityChain:
+    """Enumerate the parity sector up to photon number n_max, in
+    _chain_layout order."""
+    par = _normalize_parity(parity)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    layout = (a.tolist() for a in _chain_layout(par, n_max))
+    return ParityChain(parity=par, n_max=n_max, states=tuple(map(ChainState, *layout)))
 
 
 def _chain_band(
@@ -179,11 +171,13 @@ def _chain_band(
     return rungs, couple
 
 
-def _block4_stack(rungs: np.ndarray, couple: np.ndarray, first: int, count: int) -> np.ndarray:
-    """(count, 4, 4) stack of chain indices 2 first + 4k + 1 .. + 4, the
-    middle of rungs first + 2k .. first + 2k + 2; band entries that couple
-    two blocks, or leave them, are dropped."""
-    r = first + 2 * np.arange(count)[:, None] + np.arange(3)
+def _block4_stack(rungs: np.ndarray, couple: np.ndarray,
+                  groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """(len(groups), 4, 4) stack of closed 4-groups of a chain.  Each group
+    starts in the second slot of rung g[0] // 2, so it is the middle of
+    that rung and the next two; band entries that couple two blocks, or
+    leave them, are dropped."""
+    r = np.array([g[0] // 2 for g in groups])[:, None] + np.arange(3)
     return band_to_dense(rungs[r], couple[r[:, :2]])[:, 1:5, 1:5]
 
 
@@ -210,22 +204,20 @@ def build_effective_chain_matrix(
     return SymmetricMatrix(band_to_dense(*band), chain.labels())
 
 
-def _block4_states(n: int) -> tuple[ChainState, ...]:
-    return (
-        ChainState(2 * n + 1, 1, -1),
-        ChainState(2 * n + 2, 1, 1),
-        ChainState(2 * n + 2, -1, -1),
-        ChainState(2 * n + 3, -1, 1),
-    )
+def _plus_block(n: int) -> tuple[tuple[int, ...], tuple[ChainState, ...]]:
+    """Plus-chain indices of the window-n block and the chain states there."""
+    group = closed_block_index_groups(1, n + 1)[-1]
+    states = build_parity_chain(1, group[-1] // 2).states
+    return group, tuple(states[i] for i in group)
 
 
 @dataclass(frozen=True)
 class Block4:
     """One 4x4 block of the resonant decomposition, window index n.
 
-    Basis order: |2n+1,+,->, |2n+2,+,+>, |2n+2,-,->, |2n+3,-,+>.  The
-    elements are those of the plus chain; couplings that leave the block
-    are dropped.
+    Basis order: |2n+1,+,->, |2n+2,+,+>, |2n+2,-,->, |2n+3,-,+>, the plus
+    chain's states at the block's group.  The elements are those of the
+    plus chain; couplings that leave the block are dropped.
     """
     n: int
     matrix: SymmetricMatrix
@@ -237,7 +229,7 @@ class Block4:
 
     @property
     def states(self) -> tuple[ChainState, ...]:
-        return _block4_states(self.n)
+        return _plus_block(self.n)[1]
 
 
 def build_block4(
@@ -250,46 +242,38 @@ def build_block4(
     from the chain band (_chain_band)."""
     if n < 0:
         raise ValueError(f"block index must be nonnegative, got {n}")
-    arr = _block4_stack(*_chain_band(p, t, 1, 2 * n + 3, mode), 1 + 2 * n, 1)[0]
-    labels = tuple(s.ket() for s in _block4_states(n))
-    return Block4(n=n, matrix=SymmetricMatrix(arr, labels))
+    group, states = _plus_block(n)
+    arr = _block4_stack(*_chain_band(p, t, 1, states[-1].n, mode), [group])[0]
+    return Block4(n=n, matrix=SymmetricMatrix(arr, tuple(s.ket() for s in states)))
 
 
-def block_eigenvector_to_wavefunction(
-    block: Block4, eigvec: Sequence[float]
-) -> list[tuple[str, float]]:
-    """Attach ket labels to a block eigenvector, normalized to unit norm."""
-    v = np.asarray(eigvec, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero eigenvector")
-    v = v / norm
-    return [(lab, float(c)) for lab, c in zip(block.matrix.labels, v)]
+# states in each chain's boundary group at photon number zero
+_BOUNDARY_SIZE = {1: 3, -1: 1}
+
+
+def _block_level_count(parity: int, n_blocks: int) -> int:
+    """States, and so levels, in the closed blocks of one chain: its
+    boundary group and four per block."""
+    return _BOUNDARY_SIZE[parity] + 4 * n_blocks
 
 
 def closed_block_index_groups(parity, n_blocks: int) -> list[tuple[int, ...]]:
-    """Index sets of the closed blocks of a chain under a resonant design.
+    """Index sets of the closed blocks of a chain under a resonant design:
+    the one statement of the block tiling.
 
     The plus chain opens with a 3-state boundary group {|0,+,+>, |0,-,->,
     |1,-,+>} followed by 4-blocks starting at |2k+1,+,->; the minus chain
     opens with the lone state |0,-,+> followed by 4-blocks starting at
-    |2k,+,->.  Indices refer to positions in build_parity_chain order.
+    |2k,+,->.  Indices refer to positions in _chain_layout order.
     """
     par = _normalize_parity(parity)
     if n_blocks < 1:
         raise ValueError("need at least one block")
-    if par == 1:
-        groups = [(0, 1, 2)]
-        start = 3
-    else:
-        groups = [(0,)]
-        start = 1
-    for k in range(n_blocks):
-        base = start + 4 * k
-        groups.append((base, base + 1, base + 2, base + 3))
-    return groups
+    start = _BOUNDARY_SIZE[par]
+    return [tuple(range(start))] + [
+        tuple(range(base, base + 4))
+        for base in range(start, _block_level_count(par, n_blocks), 4)
+    ]
 
 
 def chain_n_max_for_blocks(n_blocks: int) -> int:
@@ -315,7 +299,7 @@ def trwa_block_energies(
     rungs, couple = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode)
     size = len(groups[0])
     edge = band_to_dense(rungs[:2], couple[:1])[:size, :size]
-    quads = _block4_stack(rungs, couple, groups[1][0] // 2, n_blocks)
+    quads = _block4_stack(rungs, couple, groups[1:])
     energies = [float(v) for v in eigh(SymmetricMatrix(edge)).values]
     energies.extend(eigvals_stacked(quads).ravel().tolist())
     energies.sort()
@@ -393,10 +377,20 @@ class SpectrumTable:
         ]
 
 
-_SPECTRUM_ERRORS = (NoBracketError, SingularError, NonFiniteError, DegenerateDesignError)
-
 # parity tag of each chain, in the order its energies are concatenated
 _PARITY_TAGS = np.array(["+", "-"], dtype=object)
+
+
+def _block_levels(p: ModelParams, t: TrwaParams, n_blocks: int,
+                  mode: CoefficientMode) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-block levels of both chains, ascending, and the parity
+    tag of each.  The argsort is stable over the + chain's energies
+    followed by the - chain's, so a tie puts the + level first."""
+    plus = trwa_block_energies(p, t, 1, n_blocks, mode)
+    minus = trwa_block_energies(p, t, -1, n_blocks, mode)
+    energies = np.array(plus + minus)
+    order = np.argsort(energies, kind="stable")
+    return energies[order], np.repeat(_PARITY_TAGS, (len(plus), len(minus)))[order]
 
 
 def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]:
@@ -416,22 +410,17 @@ def _point_columns(
     error row."""
     try:
         des = design_resonant(omega, delta2, g2, g1)
-    except _SPECTRUM_ERRORS as exc:
+    except _POINT_ERRORS as exc:
         return _failed_point(g1, None, None, None, error_token(exc))
     if not des.physical:
         return _failed_point(g1, des.delta1, des.lambda1, des.lambda2, "NonphysicalDesign")
     p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
     t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
-    plus = trwa_block_energies(p, t, 1, n_blocks, mode)
-    minus = trwa_block_energies(p, t, -1, n_blocks, mode)
-    energies = np.array(plus + minus)
-    # stable: a tie keeps the plus level first, as it is concatenated first
-    order = np.argsort(energies, kind="stable")
-    tags = np.repeat(_PARITY_TAGS, (len(plus), len(minus)))[order]
-    n = len(order)
+    energies, tags = _block_levels(p, t, n_blocks, mode)
+    n = len(energies)
     return (
         (g1,) * n, (des.delta1,) * n, (des.lambda1,) * n, (des.lambda2,) * n,
-        tags.tolist(), range(n), energies[order].tolist(),
+        tags.tolist(), range(n), energies.tolist(),
         (constant_offset(p, t),) * n, (None,) * n,
     )
 

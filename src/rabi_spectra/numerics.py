@@ -232,12 +232,14 @@ def eval_laguerre(n: int, k: int, x: float) -> float:
     return float(laguerre_table(n, k, x)[n])
 
 
+_ROOT_MAX_ITER = 256
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 256,
 ) -> float:
     """Find a root of f on [lo, hi] by bisection interleaved with secant steps.
 
@@ -247,8 +249,9 @@ def find_root(
     the secant point is not strictly inside the bracket.
 
     Returns the evaluated point with the smallest |f| once the bracket has
-    shrunk to ``tol``.  Raises NoBracketError when sign(f(lo)) == sign(f(hi)),
-    NonFiniteError when f returns a non-finite value.
+    shrunk to ``tol``, or after _ROOT_MAX_ITER steps.  Raises
+    NoBracketError when sign(f(lo)) == sign(f(hi)), NonFiniteError when f
+    returns a non-finite value.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -268,7 +271,7 @@ def find_root(
     else:
         best_x, best_f = hi, abs(fhi)
 
-    for it in range(max_iter):
+    for it in range(_ROOT_MAX_ITER):
         if hi - lo <= tol:
             break
         x = 0.5 * (lo + hi)

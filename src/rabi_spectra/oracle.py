@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import trwa_block_energies
+from .fockspace import _block_level_count, _block_levels
 from .model import _ZLABELS, MIN_N_MAX, CoefficientMode, ModelParams, TrwaParams
 from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense, check_bound
 from .resonance import NonphysicalDesignError, design_resonant
@@ -31,12 +31,12 @@ def check_n_levels(n_levels: int, n_max: int, n_blocks: int | None = None) -> No
     """Raise ValueError unless 1 <= n_levels <= the levels there are.
 
     The exact truncation at n_max holds 4 (n_max + 1) levels; with
-    n_blocks, the closed blocks of both parity chains hold 8 n_blocks + 4
-    (3 + 4 n_blocks in the plus chain, 1 + 4 n_blocks in the minus chain).
+    n_blocks, the closed blocks of both parity chains hold as many as
+    fockspace counts beside its block tiling.
     """
     top = 4 * (n_max + 1)
     if n_blocks is not None:
-        top = min(top, 8 * n_blocks + 4)
+        top = min(top, _block_level_count(1, n_blocks) + _block_level_count(-1, n_blocks))
     if not 1 <= n_levels <= top:
         where = f"n_max={n_max}" + ("" if n_blocks is None else f", n_blocks={n_blocks}")
         raise ValueError(f"n_levels={n_levels} outside [1, {top}] at {where}")
@@ -287,11 +287,7 @@ def compare_trwa_exact(
         raise NonphysicalDesignError(f"the resonant design derives delta1 = {des.delta1} <= 0")
     p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
     t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
-
-    trwa: list[float] = []
-    for par in (1, -1):
-        trwa.extend(trwa_block_energies(p, t, par, n_blocks, mode))
-    trwa.sort()
+    trwa = _block_levels(p, t, n_blocks, mode)[0].tolist()
 
     exact, report = exact_spectrum(p, n_max, n_levels)
     rows = []

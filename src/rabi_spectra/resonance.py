@@ -51,7 +51,7 @@ class NonphysicalDesignError(ValueError):
     point."""
 
 
-def solve_lambda1(omega: float, delta1: float, g1: float, tol: float = _LAMBDA_TOL) -> float:
+def solve_lambda1(omega: float, delta1: float, g1: float) -> float:
     """Solve the qubit-1 condition for lambda1 in [-1, 0].
 
     g1 = 0 returns 0.0 exactly.  delta1 = 0 reduces to g1 + lam*omega = 0.
@@ -64,10 +64,10 @@ def solve_lambda1(omega: float, delta1: float, g1: float, tol: float = _LAMBDA_T
     check_bound("g1", g1, ">=", 0)
     if g1 == 0.0:
         return 0.0
-    return find_root(lambda lam: residual_eq8(omega, delta1, g1, lam), -1.0, 0.0, tol)
+    return find_root(lambda lam: residual_eq8(omega, delta1, g1, lam), -1.0, 0.0, _LAMBDA_TOL)
 
 
-def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_TOL) -> float:
+def solve_lambda2(omega: float, delta2: float, g2: float) -> float:
     """Solve the qubit-2 condition for the root of smallest magnitude.
 
     When 2*delta2 > omega the admissible bracket is (0, lam_star) with
@@ -98,7 +98,7 @@ def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_T
         def fp(lam: float) -> float:
             return omega - 2.0 * delta2 * math.exp(-2.0 * lam * lam) * (1.0 - 4.0 * lam * lam)
 
-        lam_dip = find_root(fp, 0.0, min(0.5, lam_star), tol)
+        lam_dip = find_root(fp, 0.0, min(0.5, lam_star), _LAMBDA_TOL)
         f_dip = f(lam_dip)
         if f_dip > 0.0:
             raise SingularError(
@@ -107,7 +107,7 @@ def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_T
             )
         if f_dip == 0.0:
             return lam_dip
-        return find_root(f, 0.0, lam_dip, tol)
+        return find_root(f, 0.0, lam_dip, _LAMBDA_TOL)
 
     # monotone branch: root, if any, lies in [-1, 0)
     if f(-1.0) > 0.0:
@@ -115,7 +115,7 @@ def solve_lambda2(omega: float, delta2: float, g2: float, tol: float = _LAMBDA_T
             f"qubit-2 residual has no sign change on [-1, 0] "
             f"(omega={omega}, delta2={delta2}, g2={g2})"
         )
-    return find_root(f, -1.0, 0.0, tol)
+    return find_root(f, -1.0, 0.0, _LAMBDA_TOL)
 
 
 @dataclass(frozen=True)

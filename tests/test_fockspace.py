@@ -15,7 +15,6 @@ from rabi_spectra import (
     ParityChain,
     SymmetricMatrix,
     TrwaParams,
-    block_eigenvector_to_wavefunction,
     block_leakage,
     build_block4,
     build_effective_chain_matrix,
@@ -279,11 +278,19 @@ def test_chain_matrix_rejects_a_pair_in_the_other_spin_order():
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 17])
 @pytest.mark.parametrize("parity", [+1, -1])
 def test_parity_arithmetic_layout_matches_the_enumerated_chain(parity, n_max):
+    # the enumeration as the docstring states it: the spin pair at n is
+    # fixed by parity = (-1)^n s1 s2, (-,+) before (+,-), (+,+) before (-,-)
+    expected = []
+    for n in range(n_max + 1):
+        if parity * (-1) ** n == -1:
+            expected += [(n, -1, 1), (n, 1, -1)]
+        else:
+            expected += [(n, 1, 1), (n, -1, -1)]
     ns, s1, s2 = _chain_layout(parity, n_max)
-    states = build_parity_chain(parity, n_max).states
-    assert list(zip(ns.tolist(), s1.tolist(), s2.tolist())) == [
-        (s.n, s.s1, s.s2) for s in states
-    ]
+    chain = build_parity_chain(parity, n_max)
+    assert list(zip(ns.tolist(), s1.tolist(), s2.tolist())) == expected
+    assert [(s.n, s.s1, s.s2) for s in chain.states] == expected
+    assert all(s.parity == parity for s in chain.states)
 
 
 def dense_route_block_energies(p, t, parity, n_blocks, mode):
@@ -491,6 +498,8 @@ def test_block4_matches_chain_principal_submatrix():
             assert np.array_equal(blk.matrix.data.view(np.uint64), sub.view(np.uint64))
             assert blk.matrix.labels == tuple(chain.labels()[i] for i in idx)
             assert blk.matrix.labels == tuple(s.ket() for s in blk.states)
+    # the basis order Block4 documents, written out
+    assert build_block4(p, t, 1).matrix.labels == ("|3,+,->", "|4,+,+>", "|4,-,->", "|5,-,+>")
 
 
 def test_decoupled_limit_energies():
@@ -503,6 +512,22 @@ def test_decoupled_limit_energies():
             p.omega * s.n + s.s1 * p.delta1 + s.s2 * p.delta2 for s in chain.states
         )
         np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 7, 200])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_block_level_count_is_the_size_of_the_tiling(parity, n_blocks):
+    groups = closed_block_index_groups(parity, n_blocks)
+    count = fockspace._block_level_count(parity, n_blocks)
+    assert [i for g in groups for i in g] == list(range(count))
+
+
+@pytest.mark.parametrize("parity", ["+", "-", 0, 2])
+def test_parity_must_be_plus_or_minus_one(parity):
+    with pytest.raises(ValueError, match="parity must be"):
+        build_parity_chain(parity, 2)
+    with pytest.raises(ValueError, match="parity must be"):
+        closed_block_index_groups(parity, 2)
 
 
 def test_closed_block_index_groups_layout():
@@ -573,18 +598,6 @@ def test_eigenvalues_invariant_under_basis_permutation():
     np.testing.assert_allclose(
         eigvals_sym(h.submatrix(perm)), eigvals_sym(h), rtol=0, atol=1e-10
     )
-
-
-def test_wavefunction_labels_and_normalization():
-    p, t = fig3_design()
-    blk = build_block4(p, t, 1, CoefficientMode.APPROX)
-    wf = block_eigenvector_to_wavefunction(blk, (1.0, 0.0, 0.0, 0.0))
-    assert [lab for lab, _ in wf] == ["|3,+,->", "|4,+,+>", "|4,-,->", "|5,-,+>"]
-    assert [c for _, c in wf] == [1.0, 0.0, 0.0, 0.0]
-    wf = block_eigenvector_to_wavefunction(blk, (3.0, -1.0, 0.5, 2.0))
-    assert sum(c * c for _, c in wf) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        block_eigenvector_to_wavefunction(blk, (0.0, 0.0, 0.0, 0.0))
 
 
 def test_block_ground_vector_matches_full_diagonalization_at_small_lambda():

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from rabi_spectra import (
+    CoefficientMode,
     ModelParams,
     ReservoirParams,
     SymmetricMatrix,
+    TrwaParams,
     build_full_pseudomode,
     build_full_rabi,
     build_parity_sector,
@@ -19,8 +21,10 @@ from rabi_spectra import (
     design_resonant,
     eigvals_sym,
     exact_spectrum,
+    spectrum_vs_g1,
 )
 from rabi_spectra import oracle
+from rabi_spectra.fockspace import _chain_band, _chain_layout
 from rabi_spectra.numerics import eigvals_lowest
 from rabi_spectra.oracle import ConvergenceReport, _sector_band
 from rabi_spectra.resonance import NonphysicalDesignError
@@ -366,6 +370,47 @@ def test_oracle_to_dict_equals_asdict_in_field_order():
     expected = {**dataclasses.asdict(cmp), "rows": [r.to_dict() for r in cmp.rows],
                 "convergence": conv.to_dict()}
     assert list(cmp.to_dict().items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_undisplaced_chain_band_is_the_sector_band(parity, mode):
+    # At lambda1 = lambda2 = 0 the TRWA is exact, so the two single-mode
+    # builders must agree entry for entry, coupling signs included, once
+    # each rung's chain slots are mapped onto the sector's slots (chain
+    # state (n, s1, s2) is sector state (n, z1 = s1, z2 = s2)).  The
+    # couplings are nonzero, so a wrong hop or diagonal term shows.
+    rng = np.random.default_rng(1000 + 2 * (parity > 0) + (mode is CoefficientMode.EXACT))
+    for _ in range(50):
+        p = ModelParams(
+            omega=float(rng.uniform(0.5, 1.5)),
+            delta1=float(rng.uniform(0.1, 2.5)), delta2=float(rng.uniform(0.1, 2.5)),
+            g1=float(rng.uniform(0.05, 1.2)), g2=float(rng.uniform(0.05, 1.2)),
+        )
+        n_max = int(rng.integers(4, 61))
+        rungs, couple = _chain_band(p, TrwaParams(0.0, 0.0), parity, n_max, mode)
+        _, s1, s2 = _chain_layout(parity, n_max)
+        chain_pairs = list(zip(s1.tolist(), s2.tolist()))
+        _, k = oracle._sector_states(n_max, parity)
+        slot = np.array([
+            [chain_pairs.index((1 - 2 * (kk >> 1), 1 - 2 * (kk & 1)), 2 * n) - 2 * n
+             for kk in pair]
+            for n, pair in enumerate(k.tolist())
+        ])
+        r = np.arange(n_max + 1)[:, None, None]
+        mapped_rungs = rungs[r, slot[:, :, None], slot[:, None, :]]
+        mapped_couple = couple[r[:-1], slot[:-1, :, None], slot[1:, None, :]]
+        ref_rungs, ref_couple = _sector_band(p, n_max, parity)
+        assert np.array_equal(mapped_rungs.view(np.uint64), ref_rungs.view(np.uint64))
+        assert np.array_equal(mapped_couple.view(np.uint64), ref_couple.view(np.uint64))
+
+
+def test_oracle_and_sweep_read_the_same_merged_levels():
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.9], n_blocks=8)
+    energies = [e for _, _, e in table.energies_for(0.9)]
+    cmp = compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=6, n_max=40, n_blocks=8)
+    assert cmp.trwa_ground == energies[0]
+    assert [r.e_trwa for r in cmp.rows] == [e - energies[0] for e in energies[:6]]
 
 
 def test_compare_trwa_exact_tiny_couplings():
