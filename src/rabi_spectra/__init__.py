@@ -30,7 +30,6 @@ _EXPORTS = {
     "NoBracketError": "numerics",
     "NonFiniteError": "numerics",
     "ParityChain": "fockspace",
-    "ReservoirChain": "reservoir",
     "ReservoirChainState": "reservoir",
     "ReservoirCoefficients": "reservoir",
     "ReservoirParams": "reservoir",
@@ -72,7 +71,6 @@ _EXPORTS = {
     "exact_spectrum": "oracle",
     "find_root": "numerics",
     "laguerre_table": "numerics",
-    "lorentzian_density": "reservoir",
     "quasi_exact_subspace": "reservoir",
     "reservoir_constant": "reservoir",
     "resonance_residual": "model",

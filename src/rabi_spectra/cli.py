@@ -41,8 +41,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
-from .model import LAMBDA_WINDOW, MIN_N_MAX, CoefficientMode, residual_eq8, residual_eq9
+from .fockspace import MAX_N_BLOCKS, SPECTRUM_FIELDS, check_n_blocks, spectrum_vs_g1
+from .model import (
+    LAMBDA_WINDOW,
+    MIN_N_MAX,
+    CoefficientMode,
+    in_lambda_window,
+    residual_eq8,
+    residual_eq9,
+)
 from .numerics import (
     ConvergenceFailureError,
     NoBracketError,
@@ -154,6 +161,8 @@ def _mode(name: str, value, owner: str | None) -> CoefficientMode:
 
 # the photon truncation of the exact oracle: the least that its builders take
 _TRUNCATION = f"count >= {MIN_N_MAX}"
+# closed blocks per chain: at most what the exact-mode Laguerre tables reach
+_BLOCK_COUNT = f"count from 1 to {MAX_N_BLOCKS}"
 
 # Each rule reads one raw value and returns it typed, or raises ValueError
 # with a message that names the setting: rule -> (check, type of its flag).
@@ -166,6 +175,7 @@ RULES: dict[str, tuple[Callable, Callable]] = {
     "non-negative grid": (functools.partial(_grid_rule, op=">=", low=0), str),
     "count >= 1": (functools.partial(check_bound, op=">=", low=1, integer=True), int),
     _TRUNCATION: (functools.partial(check_bound, op=">=", low=MIN_N_MAX, integer=True), int),
+    _BLOCK_COUNT: (check_n_blocks, int),
     "index >= 0": (functools.partial(check_bound, op=">=", low=0, integer=True), int),
     "mode": (_mode, str),
 }
@@ -372,7 +382,7 @@ def cmd_lambda(args, settings: dict, values: dict) -> int:
         rows.append({
             "qubit": qubit, "omega": omega, "delta": delta, "g": g,
             "lam": lam, "residual": resid(omega, delta, g, lam),
-            "in_window": abs(lam) <= LAMBDA_WINDOW,
+            "in_window": in_lambda_window(lam),
         })
     fields = ("qubit", "omega", "delta", "g", "lam", "residual", "in_window")
     return _emit(args, fields, columns_of(fields, rows), _header("lambda", settings))
@@ -493,7 +503,7 @@ _DELTA1 = Setting("delta1", "non-negative", None, "qubit-1 splitting")
 _DELTA2 = Setting("delta2", "non-negative", None, "qubit-2 splitting")
 _G1 = Setting("g1", "non-negative", None, "qubit-1 coupling")
 _G2 = Setting("g2", "non-negative", None, "qubit-2 coupling")
-_N_BLOCKS = Setting("n_blocks", "count >= 1", 8, "closed 4x4 blocks per parity chain")
+_N_BLOCKS = Setting("n_blocks", _BLOCK_COUNT, 8, "closed 4x4 blocks per parity chain")
 _MODE = Setting("mode", "mode", "approx", "exact: full Laguerre weights; approx: small lambda")
 _GRID_HELP = "comma list or start:stop:step"
 _RESERVOIR = (

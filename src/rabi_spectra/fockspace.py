@@ -19,8 +19,9 @@ Each structural fact has one home: _chain_layout states the chain order
 (build_parity_chain, the band and the layout check read it), and
 closed_block_index_groups states the block tiling (the stacked block
 solve and Block4 read it; _block_level_count beside it counts its states
-in O(1)).  _block_levels merges the two chains' levels, for the g1 sweep
-and the oracle comparison alike.
+in O(1), and check_n_blocks caps n_blocks for it and the command line).
+_block_levels merges the two chains' levels, for the g1 sweep and the
+oracle comparison alike.
 """
 from __future__ import annotations
 
@@ -41,9 +42,11 @@ from .model import (
     resonance_residual,
 )
 from .numerics import (
+    LAGUERRE_MAX_DEGREE,
     NonFiniteError,
     SymmetricMatrix,
     band_to_dense,
+    check_bound,
     check_grid,
     eigh,
     eigvals_stacked,
@@ -239,9 +242,9 @@ def build_block4(
     mode: CoefficientMode = CoefficientMode.APPROX,
 ) -> Block4:
     """The window-n block of the plus chain (photons 2n+1 .. 2n+3), cut
-    from the chain band (_chain_band)."""
-    if n < 0:
-        raise ValueError(f"block index must be nonnegative, got {n}")
+    from the chain band (_chain_band); 0 <= n < MAX_N_BLOCKS."""
+    if not 0 <= n < MAX_N_BLOCKS:
+        raise ValueError(f"block index must be in [0, {MAX_N_BLOCKS - 1}], got {n}")
     group, states = _plus_block(n)
     arr = _block4_stack(*_chain_band(p, t, 1, states[-1].n, mode), [group])[0]
     return Block4(n=n, matrix=SymmetricMatrix(arr, tuple(s.ket() for s in states)))
@@ -249,6 +252,19 @@ def build_block4(
 
 # states in each chain's boundary group at photon number zero
 _BOUNDARY_SIZE = {1: 3, -1: 1}
+
+# The most closed blocks per chain: exact mode runs the Laguerre recurrence
+# to the chain's truncation, chain_n_max_for_blocks(n_blocks) = 2 n_blocks + 1.
+MAX_N_BLOCKS = (LAGUERRE_MAX_DEGREE - 1) // 2
+
+
+def check_n_blocks(name: str, value, owner: str | None = None) -> int:
+    """value as an int; ValueError unless it is an integer-valued number
+    from 1 to MAX_N_BLOCKS (check_bound, then the cap)."""
+    n_blocks = check_bound(name, value, ">=", 1, owner, integer=True)
+    if n_blocks > MAX_N_BLOCKS:
+        raise ValueError(f"{name} must be <= {MAX_N_BLOCKS}, got {n_blocks}")
+    return n_blocks
 
 
 def _block_level_count(parity: int, n_blocks: int) -> int:
@@ -264,11 +280,11 @@ def closed_block_index_groups(parity, n_blocks: int) -> list[tuple[int, ...]]:
     The plus chain opens with a 3-state boundary group {|0,+,+>, |0,-,->,
     |1,-,+>} followed by 4-blocks starting at |2k+1,+,->; the minus chain
     opens with the lone state |0,-,+> followed by 4-blocks starting at
-    |2k,+,->.  Indices refer to positions in _chain_layout order.
+    |2k,+,->.  Indices refer to positions in _chain_layout order.  Raises
+    ValueError unless check_n_blocks accepts n_blocks.
     """
     par = _normalize_parity(parity)
-    if n_blocks < 1:
-        raise ValueError("need at least one block")
+    n_blocks = check_n_blocks("n_blocks", n_blocks)
     start = _BOUNDARY_SIZE[par]
     return [tuple(range(start))] + [
         tuple(range(base, base + 4))
@@ -277,8 +293,9 @@ def closed_block_index_groups(parity, n_blocks: int) -> list[tuple[int, ...]]:
 
 
 def chain_n_max_for_blocks(n_blocks: int) -> int:
-    """Photon truncation that contains every group from closed_block_index_groups."""
-    return 2 * n_blocks + 3
+    """The largest photon number of any group of closed_block_index_groups,
+    in either chain: the last rung the block solve reads."""
+    return 2 * n_blocks + 1
 
 
 def trwa_block_energies(
@@ -442,9 +459,10 @@ def spectrum_vs_g1(
     constant diagonal offset so spectra can be compared shift-free.  Design
     failures become single rows with the error token and empty numeric
     fields.  Raises ValueError unless check_grid accepts g1_grid with
-    entries >= 0 and design_resonant accepts each g1.
+    entries >= 0, check_n_blocks n_blocks, and design_resonant each g1.
     """
     g1_grid = check_grid("g1_grid", g1_grid, ">=", 0)
+    check_n_blocks("n_blocks", n_blocks)
     points = [_point_columns(omega, delta2, g2, g1, n_blocks, mode) for g1 in g1_grid]
     columns = tuple(
         tuple(itertools.chain.from_iterable(point[k] for point in points))

@@ -27,6 +27,12 @@ from .numerics import check_bound, check_number, laguerre_table
 # the small-lambda treatment of the Laguerre weights is controlled.
 LAMBDA_WINDOW = 0.1
 
+
+def in_lambda_window(*lambdas: float) -> bool:
+    """Every |lambda| <= LAMBDA_WINDOW: the one statement of the window."""
+    return all(abs(lam) <= LAMBDA_WINDOW for lam in lambdas)
+
+
 # Smallest photon truncation of the exact-diagonalization builders (oracle).
 MIN_N_MAX = 4
 
@@ -80,7 +86,7 @@ class TrwaParams:
     @property
     def approx_valid(self) -> bool:
         """Small-displacement regime where the Laguerre truncation is controlled."""
-        return abs(self.lambda1) <= LAMBDA_WINDOW and abs(self.lambda2) <= LAMBDA_WINDOW
+        return in_lambda_window(self.lambda1, self.lambda2)
 
 
 def coeff_g0_table(lam: float, n_max: int,

@@ -66,6 +66,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+# Highest degree laguerre_table runs its recurrence to.
+LAGUERRE_MAX_DEGREE = 10_000
+
 
 class NoBracketError(ValueError):
     """f(lo) and f(hi) have the same sign, so no root is bracketed."""
@@ -197,7 +200,7 @@ def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:
     Parameters
     ----------
     n_max : int
-        Highest degree, 0 <= n_max <= 10_000.
+        Highest degree, 0 <= n_max <= LAGUERRE_MAX_DEGREE.
     k : int
         Order, k >= 0.  k=0 gives the ordinary Laguerre polynomials.
     x : float
@@ -209,8 +212,8 @@ def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:
         Length n_max + 1, entry n holding L_n^k(x).  Exact binomial values
         at x = 0: L_n^k(0) = C(n+k, n).
     """
-    if n_max < 0 or n_max > 10_000:
-        raise ValueError(f"degree n={n_max} outside [0, 10000]")
+    if n_max < 0 or n_max > LAGUERRE_MAX_DEGREE:
+        raise ValueError(f"degree n={n_max} outside [0, {LAGUERRE_MAX_DEGREE}]")
     if k < 0:
         raise ValueError(f"order k={k} must be nonnegative")
     if not math.isfinite(x):
@@ -227,7 +230,7 @@ def eval_laguerre(n: int, k: int, x: float) -> float:
     """Evaluate the generalized Laguerre polynomial L_n^k(x).
 
     The last entry of laguerre_table(n, k, x), with the same validation:
-    0 <= n <= 10_000, k >= 0, x finite.
+    0 <= n <= LAGUERRE_MAX_DEGREE, k >= 0, x finite.
     """
     return float(laguerre_table(n, k, x)[n])
 

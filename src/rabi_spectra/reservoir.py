@@ -23,9 +23,13 @@ when t - c is even and the --/++ pair when it is odd, and a state sits in
 slot (s2 + 1)/2 of its rung.  Shell partners differ in both spins, so the
 rung blocks are diagonal; every state of rung t differs from every state
 of rung t + 1 in one spin, flipped the way the selection rules allow.
-build_reservoir_matrix cuts the band's dense form down to a list of states
-of one chain, and build_reservoir_chain and quasi_exact_subspace list their
-states from the same layout.
+
+A chain window is the tuple of its states: build_reservoir_chain and
+quasi_exact_subspace list them from the same layout, and
+build_reservoir_matrix cuts the band's dense form down to any list of
+distinct states of one chain.  dark_state_residual and
+quasi_exact_subspace measure the singlet on their matrices with one helper
+(_singlet_residual).
 
 build_full_pseudomode is the untransformed two-mode Hamiltonian, with no
 displacement and no folding into K_i, for exact cross-checks.
@@ -45,7 +49,6 @@ from .numerics import (
     SymmetricMatrix,
     band_to_dense,
     check_bound,
-    check_number,
     eigh,
     sym_set,
 )
@@ -86,23 +89,12 @@ class ReservoirParams:
 
 
 def check_seed(m: int, n: int) -> None:
-    """Raise ValueError unless the singlet seed (m, n) has m + n even."""
+    """Raise ValueError unless the singlet seed (m, n) has m, n >= 0 and
+    m + n even."""
+    if m < 0 or n < 0:
+        raise ValueError(f"seed indices must be nonnegative, got ({m}, {n})")
     if (m + n) % 2 != 0:
         raise ValueError(f"m + n must be even for a singlet seed, got ({m}, {n})")
-
-
-def lorentzian_density(omega_eval: float, gamma: float, omega_c: float) -> float:
-    """Reservoir spectral weight gamma / ((omega - omega_c)^2 + (gamma/2)^2).
-
-    Peak value 4/gamma at omega_c, half maximum at omega_c +/- gamma/2.
-    Raises ValueError unless gamma > 0 and all three are finite numbers.
-    """
-    check_number("omega_eval", omega_eval)
-    check_bound("gamma", gamma, ">", 0)
-    check_number("omega_c", omega_c)
-    d = omega_eval - omega_c
-    half = 0.5 * gamma
-    return gamma / (d * d + half * half)
 
 
 @dataclass(frozen=True)
@@ -177,24 +169,6 @@ class ReservoirChainState:
         return f"|{self.m},{self.n},{SPIN_CHARS[self.s1]},{SPIN_CHARS[self.s2]}>"
 
 
-@dataclass(frozen=True)
-class ReservoirChain:
-    """Chain window around the seed pair at (m0, n0), shells -1 .. depth."""
-    m0: int
-    n0: int
-    depth: int
-    states: tuple[ReservoirChainState, ...]
-
-    def index(self, state: ReservoirChainState) -> int:
-        return self.states.index(state)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.ket() for s in self.states)
-
-    def shell_of(self, state: ReservoirChainState) -> int:
-        return (state.m + state.n) - (self.m0 + self.n0)
-
-
 def _chain_slots(c: int, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """m, n, s1, s2 of the two slots of each rung t of chain c, each
     (len(t), 2); a slot past the lattice boundary has m or n = -1."""
@@ -215,24 +189,18 @@ def _chain_states(c: int, t: np.ndarray) -> tuple[ReservoirChainState, ...]:
     )
 
 
-def build_reservoir_chain(m0: int, n0: int, depth: int) -> ReservoirChain:
-    """Enumerate the chain window: shells k = -1 .. depth around the seed,
-    that is rungs m0 + n0 - 1 .. m0 + n0 + depth of chain m0 - n0.
+def build_reservoir_chain(m0: int, n0: int, depth: int) -> tuple[ReservoirChainState, ...]:
+    """The states of the chain window: shells k = -1 .. depth around the
+    seed, that is rungs m0 + n0 - 1 .. m0 + n0 + depth of chain m0 - n0,
+    rung by rung.  A state's shell is its m + n - (m0 + n0).
 
-    The seed (m0, n0) must have m0 + n0 even so the +-/-+ pair carries the
-    odd two-mode parity; every listed state shares that parity.
+    The seed must pass check_seed, so the +-/-+ pair carries the odd
+    two-mode parity; every listed state shares that parity.
     """
-    if m0 < 0 or n0 < 0:
-        raise ValueError(f"seed indices must be nonnegative, got ({m0}, {n0})")
-    if (m0 + n0) % 2 != 0:
-        raise ValueError(f"seed must have m0 + n0 even, got ({m0}, {n0})")
+    check_seed(m0, n0)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    states = _chain_states(m0 - n0, np.arange(m0 + n0 - 1, m0 + n0 + depth + 1))
-    chain = ReservoirChain(m0=m0, n0=n0, depth=depth, states=states)
-    seed_parity = -1 if (m0 + n0) % 2 == 0 else 1
-    assert all(s.parity == seed_parity for s in chain.states)
-    return chain
+    return _chain_states(m0 - n0, np.arange(m0 + n0 - 1, m0 + n0 + depth + 1))
 
 
 def _reservoir_band(
@@ -275,9 +243,9 @@ def _reservoir_band(
 
 def build_reservoir_matrix(
     r: ReservoirParams,
-    chain: ReservoirChain | Sequence[ReservoirChainState],
+    states: Sequence[ReservoirChainState],
     coeffs: ReservoirCoefficients | None = None,
-    verbatim_unprimed: bool = False,
+    seed: tuple[int, int] | None = None,
 ) -> SymmetricMatrix:
     """Effective two-mode Hamiltonian on distinct states of one chain c, in
     any order: the dense band of the rungs they span (_reservoir_band), cut
@@ -288,41 +256,42 @@ def build_reservoir_matrix(
     it separately) and G0 taken in the small-lambda limit, consistent with
     the approximation already folded into the K coefficients.
 
-    ``verbatim_unprimed`` reproduces the printed variant where pseudomode
-    couplings into shells two or more above the seed use the bare cavity
-    couplings g_i instead of g_i'; it is the only record of that reading,
-    and requires a ReservoirChain (shell bookkeeping).
+    ``seed=(m0, n0)``, checked by check_seed and lying on chain c,
+    reproduces the printed variant where pseudomode couplings into rungs
+    m0 + n0 + 2 and above, two or more shells above the seed, use the bare
+    cavity couplings g_i instead of g_i'; it is the only record of that
+    reading.
     """
     if coeffs is None:
         coeffs = compute_K(r)
-    bare_from = None
-    if isinstance(chain, ReservoirChain):
-        states = chain.states
-        if verbatim_unprimed:
-            bare_from = chain.m0 + chain.n0 + 2
-    else:
-        states = tuple(chain)
-        if verbatim_unprimed:
-            raise ValueError("verbatim_unprimed needs a ReservoirChain, not a bare state list")
+    states = tuple(states)
     if len(set(states)) != len(states):
         raise ValueError("chain contains duplicate states")
     m, n, s1, s2 = np.array([(s.m, s.n, s.s1, s.s2) for s in states], dtype=int).reshape(-1, 4).T
     chains = np.unique(m - n + (s1 + s2) // 2)
     if len(chains) != 1:
         raise ValueError(f"states must lie on one chain, got chains {chains.tolist()}")
+    c = int(chains[0])
+    bare_from = None
+    if seed is not None:
+        check_seed(*seed)
+        if seed[0] - seed[1] != c:
+            raise ValueError(f"seed {tuple(seed)} lies on chain {seed[0] - seed[1]}, "
+                             f"the states on chain {c}")
+        bare_from = sum(seed) + 2
     t = m + n
-    band = _reservoir_band(r, coeffs, int(chains[0]), np.arange(t.min(), t.max() + 1), bare_from)
+    band = _reservoir_band(r, coeffs, c, np.arange(t.min(), t.max() + 1), bare_from)
     pos = 2 * (t - t.min()) + (s2 + 1) // 2
     return SymmetricMatrix(band_to_dense(*band)[np.ix_(pos, pos)], tuple(s.ket() for s in states))
 
 
-def _singlet_vector(states: Sequence[ReservoirChainState], m: int, n: int) -> np.ndarray:
-    v = np.zeros(len(states))
-    i_pm = states.index(ReservoirChainState(m, n, 1, -1))
-    i_mp = states.index(ReservoirChainState(m, n, -1, 1))
-    v[i_pm] = 1.0 / math.sqrt(2.0)
-    v[i_mp] = -1.0 / math.sqrt(2.0)
-    return v
+def _singlet_residual(h: SymmetricMatrix, m: int, n: int, energy: float) -> float:
+    """||(H - E) v|| of the singlet v = (|m,n,+,-> - |m,n,-,+>)/sqrt(2) on
+    the states of h (both kets among its labels), E = energy."""
+    v = np.zeros(h.dim)
+    v[h.labels.index(ReservoirChainState(m, n, 1, -1).ket())] = 1.0 / math.sqrt(2.0)
+    v[h.labels.index(ReservoirChainState(m, n, -1, 1).ket())] = -1.0 / math.sqrt(2.0)
+    return float(np.linalg.norm(h.data @ v - energy * v))
 
 
 def dark_state_energy(r: ReservoirParams, coeffs: ReservoirCoefficients,
@@ -343,18 +312,14 @@ def dark_state_residual(
     case raises AsymmetricParamsError; pass False to get the (positive)
     residual anyway.
     """
-    check_seed(m, n)
     if require_symmetric and not r.symmetric:
         raise AsymmetricParamsError(
             "dark state requires g1 = g2, delta1 = delta2, g1' = g2' "
             "(pass require_symmetric=False to compute the residual anyway)"
         )
     coeffs = compute_K(r)
-    chain = build_reservoir_chain(m, n, depth=1)
-    h = build_reservoir_matrix(r, chain, coeffs)
-    v = _singlet_vector(chain.states, m, n)
-    e0 = dark_state_energy(r, coeffs, m, n)
-    return float(np.linalg.norm(h.data @ v - e0 * v))
+    h = build_reservoir_matrix(r, build_reservoir_chain(m, n, depth=1), coeffs)
+    return _singlet_residual(h, m, n, dark_state_energy(r, coeffs, m, n))
 
 
 def build_full_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> SymmetricMatrix:
@@ -453,8 +418,7 @@ def quasi_exact_subspace(
     e_target = dark_state_energy(r, coeffs, m, n)
     dec = eigh(h)
     gap = float(np.min(np.abs(dec.values - e_target)))
-    v = _singlet_vector(states, m, n)
-    dark_res = float(np.linalg.norm(h.data @ v - e_target * v))
+    dark_res = _singlet_residual(h, m, n, e_target)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     closure_g = (r.g1p - r.g2p) * inv_sqrt2
     closure_k = (coeffs.k2 - coeffs.k1) * inv_sqrt2
@@ -602,8 +566,7 @@ def verify_eq24(r: ReservoirParams, k_value: float | None = None) -> Discrepancy
     else:
         best, best_overlap, best_eigenvalue, best_vector = -1, 0.0, math.nan, None
 
-    chain = build_reservoir_chain(0, 0, depth=2)
-    gen = build_reservoir_matrix(r, chain, coeffs)
+    gen = build_reservoir_matrix(r, build_reservoir_chain(0, 0, depth=2), coeffs)
     c0 = reservoir_constant(r, coeffs)
     gen_shifted = gen.data - c0 * np.eye(gen.dim)
     mismatches = []

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .model import LAMBDA_WINDOW, residual_eq8, residual_eq9, resonance_residual
+from .model import LAMBDA_WINDOW, in_lambda_window, residual_eq8, residual_eq9, resonance_residual
 from .numerics import (
     NoBracketError,
     NonFiniteError,
@@ -138,7 +138,7 @@ class ResonantDesign:
 
     @property
     def approx_valid(self) -> bool:
-        return abs(self.lambda1) <= LAMBDA_WINDOW and abs(self.lambda2) <= LAMBDA_WINDOW
+        return in_lambda_window(self.lambda1, self.lambda2)
 
     @property
     def physical(self) -> bool:

@@ -278,6 +278,21 @@ def test_reservoir_quasi_window_report():
     assert len(doc["window"]["eigenvalues"]) == 6
 
 
+RESERVOIR_PINS = json.loads(
+    (Path(__file__).parent / "data" / "reservoir_cli.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("pin", RESERVOIR_PINS, ids=lambda pin: pin["name"])
+def test_reservoir_commands_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pin):
+    # stdout, exit code and --out file of the reservoir-* commands, byte for
+    # byte; no benchmark reference covers these commands
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(pin["argv"])
+    assert (code, out) == (pin["exit"], pin["stdout"])
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == pin["files"]
+
+
 def test_validate_flags_bad_numbers():
     code, out, _ = run(["validate", "--for", "design", "--omega", "-1",
                         "--delta2", "2.0", "--g2", "0.7", "--g1", "0.9"])
@@ -287,6 +302,20 @@ def test_validate_flags_bad_numbers():
     assert doc["violations"] == [
         {"field": "omega", "message": "ModelParams requires omega > 0, got -1.0"}
     ]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("spectrum", ["--fig", "3"]),
+    ("oracle-compare", ["--omega", "1.0", "--delta2", "2.0", "--g2", "0.7", "--g1", "0.9"]),
+])
+def test_validate_caps_the_block_count(command, flags):
+    # validate only: without the cap the command builds chains of 2e9 rungs
+    code, out, _ = run(["validate", "--for", command, *flags, "--n-blocks", "1000000000"])
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"field": "n_blocks", "message": "n_blocks must be <= 4999, got 1000000000"}
+    ]
+    assert run(["validate", "--for", command, *flags, "--n-blocks", "4999"])[0] == 0
 
 
 def test_validate_flags_bad_grid_step():
@@ -567,6 +596,7 @@ SCAN_FLAGS = ["--omega-values", "1", "--delta2-values", "2", "--g2-grid", "0.3,0
     ("spectrum", "delta2", {"delta2": True}, []),
     ("spectrum", "n_blocks", {"n_blocks": 2.5}, []),
     ("spectrum", "n_blocks", {"n_blocks": True}, []),
+    ("spectrum", "n_blocks", {"n_blocks": 5000}, []),
     ("spectrum", "mode", {"mode": "sloppy"}, []),
     ("scan-window", "threshold", {}, [*SCAN_FLAGS, "--threshold", "-1"]),
     ("scan-window", "threshold", {}, [*SCAN_FLAGS, "--threshold", "nan"]),

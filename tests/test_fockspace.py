@@ -35,6 +35,7 @@ from rabi_spectra import (
 from rabi_spectra import fockspace
 from rabi_spectra.fockspace import _chain_band, _chain_layout
 from rabi_spectra.numerics import (
+    LAGUERRE_MAX_DEGREE,
     NoBracketError,
     NonFiniteError,
     eigvals_lowest,
@@ -533,9 +534,40 @@ def test_parity_must_be_plus_or_minus_one(parity):
 def test_closed_block_index_groups_layout():
     assert closed_block_index_groups(+1, 2) == [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10)]
     assert closed_block_index_groups(-1, 2) == [(0,), (1, 2, 3, 4), (5, 6, 7, 8)]
-    assert chain_n_max_for_blocks(2) == 7
+    assert chain_n_max_for_blocks(2) == 5
     with pytest.raises(ValueError):
         closed_block_index_groups(+1, 0)
+
+
+def test_chain_truncation_is_the_last_photon_number_a_block_holds():
+    for n_blocks in range(1, 51):
+        last = max(max(g) for parity in (+1, -1)
+                   for g in closed_block_index_groups(parity, n_blocks))
+        assert chain_n_max_for_blocks(n_blocks) == last // 2, n_blocks
+
+
+def test_block_count_is_capped_by_the_laguerre_degree_limit():
+    # exact mode runs the Laguerre recurrence to the chain truncation
+    cap = fockspace.MAX_N_BLOCKS
+    assert cap == 4999
+    assert chain_n_max_for_blocks(cap) <= LAGUERRE_MAX_DEGREE < chain_n_max_for_blocks(cap + 1)
+    p, t = fig3_design()
+    assert len(trwa_block_energies(p, t, -1, cap, CoefficientMode.EXACT)) == 1 + 4 * cap
+    assert build_block4(p, t, cap - 1).n == cap - 1
+    for n in (-1, cap):
+        with pytest.raises(ValueError, match=r"block index must be in \[0, 4998\]"):
+            build_block4(p, t, n)
+    message = "n_blocks must be <= 4999, got 1000000000"
+    for parity in (+1, -1):
+        with pytest.raises(ValueError, match=message):
+            closed_block_index_groups(parity, 10**9)
+        for mode in CoefficientMode:
+            with pytest.raises(ValueError, match=message):
+                trwa_block_energies(p, t, parity, 10**9, mode)
+    # g1 = 0 fails its design, so no point reaches the block tiling
+    for grid in ([0.9], [0.0]):
+        with pytest.raises(ValueError, match=message):
+            spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=10**9)
 
 
 def test_off_block_elements_vanish_at_design_in_approx_mode():

@@ -1,5 +1,6 @@
 """Displaced-frame coefficient functions and residual definitions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -11,10 +12,12 @@ from rabi_spectra import (
     coeff_f1,
     coeff_g0,
     constant_offset,
+    design_resonant,
     resonance_residual,
     residual_eq8,
     residual_eq9,
 )
+from rabi_spectra.model import in_lambda_window
 
 
 def test_coeff_g0_spot_values():
@@ -114,6 +117,18 @@ def test_model_params_validation_and_flags():
     assert not ModelParams(omega=1.0, delta1=1.0, delta2=1.0, g1=0.05, g2=0.9).ultrastrong
     assert TrwaParams(lambda1=-0.1, lambda2=0.05).approx_valid
     assert not TrwaParams(lambda1=-0.3, lambda2=0.05).approx_valid
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [
+    (-0.1, 0.05), (-0.3, 0.05), (0.1, -0.1), (0.05, 0.1000000000000001), (0.0, -0.2),
+])
+def test_both_displacement_records_read_one_window(lambda1, lambda2):
+    inside = abs(lambda1) <= 0.1 and abs(lambda2) <= 0.1
+    design = dataclasses.replace(design_resonant(1.0, 2.0, 0.7, 0.9),
+                                 lambda1=lambda1, lambda2=lambda2)
+    assert in_lambda_window(lambda1, lambda2) is inside
+    assert TrwaParams(lambda1=lambda1, lambda2=lambda2).approx_valid is inside
+    assert design.approx_valid is inside
 
 
 def test_coefficient_mode_accepts_strings_and_rejects_junk():

@@ -436,6 +436,11 @@ def test_compare_trwa_exact_rejects_a_nonphysical_design():
         compare_trwa_exact(1.0, 0.2, 0.5, 0.3)
 
 
+def test_compare_trwa_exact_rejects_more_blocks_than_the_cap():
+    with pytest.raises(ValueError, match="n_blocks must be <= 4999, got 1000000000"):
+        compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=6, n_max=60, n_blocks=10**9)
+
+
 def test_compare_trwa_exact_report_round_trips():
     cmp = compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=4, n_max=30, n_blocks=6)
     d = cmp.to_dict()

@@ -23,11 +23,11 @@ from rabi_spectra import (
     dark_state_energy,
     dark_state_residual,
     eq24_vector,
-    lorentzian_density,
     quasi_exact_subspace,
     reservoir_constant,
     verify_eq24,
 )
+from rabi_spectra.reservoir import check_seed
 
 SYM = ReservoirParams(
     omega=1.0, omega1=0.8, v=0.2, g1=0.3, g2=0.3,
@@ -37,22 +37,6 @@ ASYM = ReservoirParams(
     omega=1.0, omega1=0.8, v=0.25, g1=0.3, g2=0.45,
     g1p=0.15, g2p=0.2, delta1=0.9, delta2=1.3,
 )
-
-
-def test_lorentzian_density_shape():
-    assert lorentzian_density(1.0, 0.5, 1.0) == pytest.approx(4.0 / 0.5, rel=1e-15)
-    assert lorentzian_density(1.3, 0.5, 1.0) == lorentzian_density(0.7, 0.5, 1.0)
-    # half maximum one half-width away from the peak
-    assert lorentzian_density(1.25, 0.5, 1.0) == pytest.approx(2.0 / 0.5, rel=1e-15)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("position, name", [(0, "omega_eval"), (1, "gamma"), (2, "omega_c")])
-def test_lorentzian_density_rejects_a_non_finite_argument(position, name, bad):
-    args = [1.0, 0.5, 1.0]
-    args[position] = bad
-    with pytest.raises(ValueError, match=name):
-        lorentzian_density(*args)
 
 
 def test_compute_k_zero_coupling():
@@ -98,29 +82,40 @@ def test_compute_k_singular_denominator():
 
 def test_chain_seed_window():
     chain = build_reservoir_chain(0, 0, 1)
-    assert [s.ket() for s in chain.states] == [
+    assert [s.ket() for s in chain] == [
         "|0,0,+,->", "|0,0,-,+>", "|1,0,-,->", "|0,1,+,+>",
     ]
 
 
 def test_chain_six_state_window():
     chain = build_reservoir_chain(1, 1, 1)
-    assert [s.ket() for s in chain.states] == [
+    assert [s.ket() for s in chain] == [
         "|1,0,-,->", "|0,1,+,+>", "|1,1,+,->", "|1,1,-,+>", "|2,1,-,->", "|1,2,+,+>",
     ]
-    assert [chain.shell_of(s) for s in chain.states] == [-1, -1, 0, 0, 1, 1]
+    assert [s.m + s.n - 2 for s in chain] == [-1, -1, 0, 0, 1, 1]
 
 
 def test_chain_parity_is_uniform():
     for seed in ((0, 0), (1, 1), (2, 2), (3, 1)):
         chain = build_reservoir_chain(seed[0], seed[1], 2)
-        parities = {s.parity for s in chain.states}
+        parities = {s.parity for s in chain}
         assert len(parities) == 1
 
 
 def test_chain_rejects_odd_seed():
     with pytest.raises(ValueError):
         build_reservoir_chain(1, 0, 1)
+
+
+@pytest.mark.parametrize("m, n", [(-1, 1), (2, -2), (1, 0)])
+def test_chain_and_matrix_check_the_seed_with_one_rule(m, n):
+    with pytest.raises(ValueError) as chain_error:
+        build_reservoir_chain(m, n, 1)
+    with pytest.raises(ValueError) as seed_error:
+        check_seed(m, n)
+    with pytest.raises(ValueError) as matrix_error:
+        build_reservoir_matrix(ASYM, build_reservoir_chain(2, 2, 1), seed=(m, n))
+    assert str(chain_error.value) == str(seed_error.value) == str(matrix_error.value)
 
 
 def test_pseudomode_hop_element():
@@ -179,8 +174,8 @@ def test_deep_band_off_diagonals_match_hand_transcription():
     r = ASYM
     c = compute_K(r)
     chain = build_reservoir_chain(2, 2, 3)
-    assert len(chain.states) == 10
-    h = np.asarray(build_reservoir_matrix(r, chain, c, verbatim_unprimed=True).data)
+    assert len(chain) == 10
+    h = np.asarray(build_reservoir_matrix(r, chain, c, seed=(2, 2)).data)
 
     m, n = 2, 2
     lit = np.zeros((10, 10))
@@ -208,9 +203,10 @@ def test_deep_band_off_diagonals_match_hand_transcription():
     for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)):
         assert h[i, j] == 0.0
     # and neither do states two or more shells apart
+    rung = [s.m + s.n for s in chain]
     for i in range(10):
         for j in range(i + 1, 10):
-            if abs(chain.shell_of(chain.states[j]) - chain.shell_of(chain.states[i])) >= 2:
+            if abs(rung[j] - rung[i]) >= 2:
                 assert h[i, j] == 0.0
 
 
@@ -302,38 +298,30 @@ def test_band_matrix_equals_the_pair_formula_reference(name):
     seeds = [(m0, n0) for m0 in range(5) for n0 in range(5) if (m0 + n0) % 2 == 0]
     for m0, n0 in seeds:
         for depth in (1, 2, 3, 5):
-            chain = build_reservoir_chain(m0, n0, depth)
-            states = chain.states
-            for verbatim in (False, True):
-                h = build_reservoir_matrix(r, chain, c, verbatim_unprimed=verbatim)
-                ref = _reference_matrix(r, c, states, (m0, n0) if verbatim else None)
-                assert np.array_equal(h.data, ref), (m0, n0, depth, verbatim)
-                assert h.labels == chain.labels()
-            rev = build_reservoir_matrix(r, states[::-1], c)
-            assert np.array_equal(rev.data, _reference_matrix(r, c, states[::-1]))
+            states = build_reservoir_chain(m0, n0, depth)
             # any subset of a chain, in any order, has the elements it has
-            # inside the whole chain
+            # inside the whole chain, with or without the bare-coupling seed
             pick = rng.permutation(len(states))[:rng.integers(1, len(states) + 1)]
             sub = [states[i] for i in pick]
-            h = build_reservoir_matrix(r, sub, c)
-            assert np.array_equal(h.data, _reference_matrix(r, c, sub)), (m0, n0, depth)
-            assert h.labels == tuple(s.ket() for s in sub)
+            for seed in (None, (m0, n0)):
+                for part in (states, states[::-1], sub):
+                    h = build_reservoir_matrix(r, part, c, seed=seed)
+                    ref = _reference_matrix(r, c, part, seed)
+                    assert np.array_equal(h.data, ref), (m0, n0, depth, seed)
+                    assert h.labels == tuple(s.ket() for s in part)
 
 
 def test_band_matrix_rejects_states_on_two_chains():
     # seeds (0, 0) and (2, 0) lie on chains c = 0 and c = 2; a pair loop
     # would have returned a block-diagonal matrix
-    states = build_reservoir_chain(0, 0, 1).states + build_reservoir_chain(2, 0, 1).states
+    states = build_reservoir_chain(0, 0, 1) + build_reservoir_chain(2, 0, 1)
     with pytest.raises(ValueError, match=r"one chain, got chains \[0, 2\]"):
         build_reservoir_matrix(SYM, states)
     with pytest.raises(ValueError, match="duplicate"):
         build_reservoir_matrix(SYM, [ReservoirChainState(1, 1, 1, -1)] * 2)
-
-
-def test_verbatim_flag_needs_shell_bookkeeping():
-    chain = build_reservoir_chain(2, 2, 1)
-    with pytest.raises(ValueError):
-        build_reservoir_matrix(ASYM, chain.states, verbatim_unprimed=True)
+    # the bare-coupling seed must be the singlet pair of the states' chain
+    with pytest.raises(ValueError, match=r"seed \(4, 0\) lies on chain 4, the states on chain 0"):
+        build_reservoir_matrix(SYM, build_reservoir_chain(2, 2, 1), seed=(4, 0))
 
 
 def test_all_couplings_zero_gives_diagonal_matrix():
