@@ -443,6 +443,7 @@ def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
 def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
     from .reservoir import (
         ReservoirParams,
+        _check_dark_symmetric,
         compute_K,
         dark_state_energy,
         dark_state_residual,
@@ -451,15 +452,16 @@ def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
 
     r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
     m_max, n_max = values["m_max"], values["n_max"]
-    require_symmetric = not args.allow_asymmetric
     coeffs = compute_K(r)
+    if not args.allow_asymmetric:
+        _check_dark_symmetric(r, "--allow-asymmetric")
     rows = []
     for m in range(m_max + 1):
         for n in range(m % 2, n_max + 1, 2):  # even m + n only
             rows.append({
                 "m": m, "n": n,
                 "energy": dark_state_energy(r, coeffs, m, n),
-                "residual": dark_state_residual(r, m, n, require_symmetric),
+                "residual": dark_state_residual(r, m, n, require_symmetric=False),
             })
     header = _header("reservoir-dark", settings, m_max=m_max, n_max=n_max,
                      constant=reservoir_constant(r, coeffs), **coeffs.to_dict())

@@ -124,12 +124,22 @@ def build_parity_chain(parity, n_max: int) -> ParityChain:
     return ParityChain(parity=par, n_max=n_max, states=tuple(map(ChainState, *layout)))
 
 
+def _chain_tables(t: TrwaParams, n_max: int, mode: CoefficientMode) -> tuple[np.ndarray, ...]:
+    """The coefficient tables a chain band reads up to photon number n_max,
+    one Laguerre recurrence each: G0 at lambda1 and lambda2, then F1 at
+    each.  They depend on the displacements, not on the parity, so both
+    chains of one design can share them."""
+    return (coeff_g0_table(t.lambda1, n_max, mode), coeff_g0_table(t.lambda2, n_max, mode),
+            coeff_f1_table(t.lambda1, n_max, mode), coeff_f1_table(t.lambda2, n_max, mode))
+
+
 def _chain_band(
     p: ModelParams,
     t: TrwaParams,
     parity,
     n_max: int,
     mode: CoefficientMode,
+    tables: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Band of one chain: rung blocks (R, 2, 2) and couplings (R-1, 2, 2),
     laid out as in numerics.band_to_dense.
@@ -141,12 +151,12 @@ def _chain_band(
     differ in both spins, so the rung's off-diagonal is the double flip.
     The spin product s1*s2 = parity*(-1)^n alternates with n, so a state of
     rung n and one of rung n + 1 differ in exactly one spin, and
-    couple[n, a, b] is that qubit's hop.  Raises NonFiniteError when an
-    entry is not finite.
+    couple[n, a, b] is that qubit's hop.  tables, when given, are
+    _chain_tables(t, n_max, mode).  Raises NonFiniteError when an entry is
+    not finite.
     """
     ns, s1, s2 = _chain_layout(parity, n_max)
-    g0_1 = coeff_g0_table(t.lambda1, n_max, mode)
-    g0_2 = coeff_g0_table(t.lambda2, n_max, mode)
+    g0_1, g0_2, f1_1, f1_2 = _chain_tables(t, n_max, mode) if tables is None else tables
     rungs = np.empty((n_max + 1, 2, 2))
     rungs[:, (0, 1), (0, 1)] = (
         p.omega * ns
@@ -162,12 +172,10 @@ def _chain_band(
     s1, s2 = s1.reshape(-1, 2), s2.reshape(-1, 2)
     s1_hi, s2_hi = s1[1:, None, :], s2[1:, None, :]
     root = np.sqrt(np.arange(n_max) + 1.0)[:, None, None]
-    f1_1 = coeff_f1_table(t.lambda1, n_max, mode)[:n_max, None, None]
-    f1_2 = coeff_f1_table(t.lambda2, n_max, mode)[:n_max, None, None]
     couple = np.where(
         s1[:-1, :, None] != s1_hi,
-        (p.g1 + t.lambda1 * p.omega) * root + s1_hi * p.delta1 * f1_1,
-        (p.g2 + t.lambda2 * p.omega) * root + s2_hi * p.delta2 * f1_2,
+        (p.g1 + t.lambda1 * p.omega) * root + s1_hi * p.delta1 * f1_1[:n_max, None, None],
+        (p.g2 + t.lambda2 * p.omega) * root + s2_hi * p.delta2 * f1_2[:n_max, None, None],
     )
     if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
         raise NonFiniteError("chain matrix entries must be finite")
@@ -304,16 +312,18 @@ def trwa_block_energies(
     parity,
     n_blocks: int,
     mode: CoefficientMode = CoefficientMode.APPROX,
+    tables: tuple[np.ndarray, ...] | None = None,
 ) -> list[float]:
     """Eigenvalues of all closed blocks of one parity chain, ascending.
 
     Blocks are cut from the chain band (_chain_band) without building the
     dense chain matrix.  The 4x4 blocks are diagonalized in one stacked
-    call; the boundary group at photon number zero on its own.
+    call; the boundary group at photon number zero on its own.  tables,
+    when given, are the chain's _chain_tables, shared with the other chain.
     """
     par = _normalize_parity(parity)
     groups = closed_block_index_groups(par, n_blocks)
-    rungs, couple = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode)
+    rungs, couple = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode, tables)
     size = len(groups[0])
     edge = band_to_dense(rungs[:2], couple[:1])[:size, :size]
     quads = _block4_stack(rungs, couple, groups[1:])
@@ -402,9 +412,12 @@ def _block_levels(p: ModelParams, t: TrwaParams, n_blocks: int,
                   mode: CoefficientMode) -> tuple[np.ndarray, np.ndarray]:
     """The closed-block levels of both chains, ascending, and the parity
     tag of each.  The argsort is stable over the + chain's energies
-    followed by the - chain's, so a tie puts the + level first."""
-    plus = trwa_block_energies(p, t, 1, n_blocks, mode)
-    minus = trwa_block_energies(p, t, -1, n_blocks, mode)
+    followed by the - chain's, so a tie puts the + level first.  Both
+    chains read one set of coefficient tables."""
+    n_max = chain_n_max_for_blocks(check_n_blocks("n_blocks", n_blocks))
+    tables = _chain_tables(t, n_max, mode)
+    plus = trwa_block_energies(p, t, 1, n_blocks, mode, tables)
+    minus = trwa_block_energies(p, t, -1, n_blocks, mode, tables)
     energies = np.array(plus + minus)
     order = np.argsort(energies, kind="stable")
     return energies[order], np.repeat(_PARITY_TAGS, (len(plus), len(minus)))[order]

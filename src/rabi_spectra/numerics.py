@@ -31,23 +31,28 @@ the whole band with an inertia count:
   checks the interlacing side too, so the certificate does not trust the
   dense solve.
 * tol is 64 eps times the largest absolute row sum of the leading rungs:
-  a margin over the rounding of the dense solve and of the count.  A
-  failed certificate doubles the leading block; at the whole band it
+  a margin over the rounding of the dense solve and of the count.
+* The first leading block is sized from the band (_first_lead): a probe
+  block of the fewest leading rungs that hold k levels gives an upper
+  bound on lambda_{k-1}, and the block reaches _LEAD_MARGIN rungs past the
+  first rung from which every row's Gershgorin lower bound is above it.
+  A failed certificate doubles the leading block; at the whole band it
   raises ConvergenceFailureError.
 * rungs_read (the private _certified_lowest) is how many leading rungs
-  the solve read: its largest leading block, and for each count the rungs
-  it factored before stopping plus the rung where its stop test's
-  Gershgorin bound was attained.  A shorter truncation of the same band
-  that keeps those rungs gives the same levels bit for bit, which lets the
-  oracle certify two truncations with one solve.
+  the solve read: its largest leading block, which holds every rung the
+  sizing read, and for each count the rungs it factored before stopping
+  plus the rung where its stop test's Gershgorin bound was attained.  A
+  shorter truncation of the same band that keeps those rungs gives the
+  same levels bit for bit, which lets the oracle certify two truncations
+  with one solve.
 
 The count (_count_below) is a plain-Python loop over the shifts at each
 rung: a solve counts a dozen shifts, theta_i -/+ tol, and numpy call
 overhead on arrays that short costs more than their arithmetic.  Its steps
 are the IEEE operations of the array loop it replaced, so its counts are
 bit-identical to that loop's.  The band check, row sums and Gershgorin
-bounds run once per band (_band), not once per count.  An overflow in a
-count raises ConvergenceFailureError.
+bounds run once per band (_band), not once per count or leading block.
+An overflow in a count raises ConvergenceFailureError.
 
 This is numpy only on purpose.  scipy.linalg.eig_banded would solve the
 same band, but importing scipy.linalg costs 0.19-0.26 s and 28 MiB of
@@ -58,6 +63,7 @@ Everything here is deterministic: the same inputs produce the same floats.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from collections.abc import Iterable, Mapping
@@ -327,6 +333,16 @@ class SymmetricMatrix:
                 raise ValueError(f"{len(labels)} labels for dim {arr.shape[0]}")
             object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _unchecked(cls, data: np.ndarray) -> "SymmetricMatrix":
+        """An unlabeled SymmetricMatrix of a C-contiguous float array that
+        its builder wrote exactly symmetric from entries already checked
+        finite, without checking it again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "labels", None)
+        return m
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -424,9 +440,12 @@ def eigvals_sym(m: SymmetricMatrix) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
 
 
-# rungs in the first leading block of eigvals_lowest, and its tolerance in
-# units of eps times the block's largest absolute row sum
-_LEADING_RUNGS = 32
+# rungs in the smallest probe block that sizes the first leading block of
+# eigvals_lowest (_first_lead), the rungs that block holds past the rung
+# where the band's Gershgorin bounds pass the probe's level, and the
+# tolerance in units of eps times the block's largest absolute row sum
+_PROBE_RUNGS = 4
+_LEAD_MARGIN = 16
 _TOL_EPS = 64
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -459,7 +478,11 @@ def band_to_dense(rungs: np.ndarray, couple: np.ndarray) -> np.ndarray:
     written to both triangles.  Leading axes are a batch of bands of one
     size, giving a (..., 2R, 2R) stack.
     """
-    rungs, couple = _check_band(rungs, couple, batched=True)
+    return _dense(*_check_band(rungs, couple, batched=True))
+
+
+def _dense(rungs: np.ndarray, couple: np.ndarray) -> np.ndarray:
+    """band_to_dense of a band that is already checked."""
     size = rungs.shape[-3]
     arr = np.zeros((*rungs.shape[:-3], 2 * size, 2 * size))
     # row and column of entry [n, a, b] of the rung blocks
@@ -606,10 +629,38 @@ def _count_below(band: _Band, shifts) -> tuple[np.ndarray, int]:
     return count, n + 2 + int(np.argmin(band.low[n + 1:]))
 
 
-def _leading_levels(rungs: np.ndarray, couple: np.ndarray, lead: int, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the leading `lead` rungs of a band, dense."""
-    block = SymmetricMatrix(band_to_dense(rungs[:lead], couple[:lead - 1]))
+def _leading_levels(band: _Band, lead: int, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of the leading `lead` rungs of a checked band,
+    dense.  _band checked the entries once; _dense writes both triangles
+    from one float, so the block is exactly symmetric and is not checked
+    again."""
+    block = SymmetricMatrix._unchecked(_dense(band.rungs[:lead], band.couple[:lead - 1]))
     return eigvals_sym(block)[:k]
+
+
+def _first_lead(band: _Band, k: int) -> int:
+    """Rungs in the first leading block of eigvals_lowest.
+
+    A probe block of the fewest leading rungs that hold k levels (at least
+    _PROBE_RUNGS) gives theta_hat, its k-th level.  By Cauchy interlacing
+    theta_hat bounds lambda_{k-1} from above, and the k-th level of every
+    larger leading block too.  From the crossing rung c, the first with
+    tail[c] > theta_hat, every row's Gershgorin lower bound is above
+    theta_hat, so the lowest k eigenvectors decay past c, and the block
+    holds c + _LEAD_MARGIN rungs (the whole band if no rung crosses), never
+    fewer than the probe.  The margin is a size, not a bound: the
+    certificate still checks the block.
+
+    tail is nondecreasing, so c is decided by tail[c - 1] <= theta_hat,
+    which is low[c - 1], and tail[c] > theta_hat.  The sizing reads the
+    probe's rungs and rungs 0..c, all inside the block, and of the later
+    rungs only that their Gershgorin bounds are above theta_hat.
+    """
+    total = len(band.rungs)
+    probe = min(total, max(_PROBE_RUNGS, (k + 1) // 2))
+    theta_hat = _leading_levels(band, probe, k)[-1]
+    cross = bisect.bisect_right(band.tail, theta_hat)
+    return min(total, max(probe, cross + _LEAD_MARGIN))
 
 
 def eigvals_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
@@ -617,14 +668,16 @@ def eigvals_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
     certificate (rung blocks (R, 2, 2) and couplings (R - 1, 2, 2), laid
     out as in band_to_dense).
 
-    Diagonalizes the leading block of r = 32 rungs (all of them if fewer)
-    densely, takes its lowest k eigenvalues theta_i, and certifies them on
-    the whole band: inertia_count must find at most i eigenvalues below
-    theta_i - tol and at least i + 1 below theta_i + tol, so the i-th
-    eigenvalue of the band lies within tol of theta_i (see the module
-    docstring; tol = 64 eps times the largest absolute row sum of the
-    leading rungs).  A failed certificate doubles r.  When it fails with
-    the leading block grown to the whole band, raises
+    Diagonalizes a leading block of the band densely, takes its lowest k
+    eigenvalues theta_i, and certifies them on the whole band:
+    inertia_count must find at most i eigenvalues below theta_i - tol and
+    at least i + 1 below theta_i + tol, so the i-th eigenvalue of the band
+    lies within tol of theta_i (see the module docstring; tol = 64 eps
+    times the largest absolute row sum of the leading rungs).  The first
+    block is sized from the band: _LEAD_MARGIN rungs past the rung where
+    the Gershgorin bounds of the rest of the band pass the k-th level of a
+    small probe block.  A failed certificate doubles the block.  When it
+    fails with the block grown to the whole band, raises
     ConvergenceFailureError.
     """
     return _certified_lowest(rungs, couple, k)[0]
@@ -632,26 +685,27 @@ def eigvals_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> np.ndarray:
 
 def _certified_lowest(rungs: np.ndarray, couple: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """eigvals_lowest, plus rungs_read: the number of leading rungs the
-    whole solve read, over every leading block, tolerance and count.
+    whole solve read, over every leading block, tolerance and count (the
+    sizing of the first block reads no rung past that block).
 
-    Of the rest of the band, the counts read only that no rung past
-    rungs_read has a smaller Gershgorin lower bound than the smallest one
-    they used.  So another band with the same rungs[:rungs_read] and
-    couple[:rungs_read] (the last coupling enters through the row sums),
-    none of whose later rungs has a Gershgorin lower bound below the
-    smallest of this band's later rungs, gives the same theta for the same
-    k, bit for bit.
+    Of the rest of the band, the sizing and the counts read only that no
+    rung past rungs_read has a smaller Gershgorin lower bound than the
+    smallest one they used.  So another band with the same
+    rungs[:rungs_read] and couple[:rungs_read] (the last coupling enters
+    through the row sums), none of whose later rungs has a Gershgorin lower
+    bound below the smallest of this band's later rungs, gives the same
+    theta for the same k, bit for bit: that bound is at least tail[c] of
+    _first_lead, above theta_hat, so the sizing picks the same block.
     """
     band = _band(rungs, couple)
-    rungs, couple = band.rungs, band.couple
-    total = len(rungs)
+    total = len(band.rungs)
     if not 1 <= k <= 2 * total:
         raise ValueError(f"k={k} outside [1, {2 * total}]")
     below = np.arange(k)
-    lead = min(total, max(_LEADING_RUNGS, (k + 1) // 2))
+    lead = _first_lead(band, k)
     rungs_read = 0
     while True:
-        theta = _leading_levels(rungs, couple, lead, k)
+        theta = _leading_levels(band, lead, k)
         # + tiny keeps tol positive on an all-zero band
         tol = _TOL_EPS * _EPS * max(band.rowmax[:lead]) + _TINY
         count, counted = _count_below(band, np.concatenate([theta - tol, theta + tol]))

@@ -176,14 +176,17 @@ def exact_spectrum(
 
     Each truncation is solved one parity sector at a time, and only for its
     lowest levels: numerics.eigvals_lowest diagonalizes a leading block of
-    32 photon numbers of the sector's band (_sector_band) and certifies the
-    values on the whole sector.  Cauchy interlacing bounds each level from
-    above by the block's; a block LDL^T inertia count (Sylvester's law)
-    bounds it from below and checks the interlacing side, to a tolerance of
-    64 eps times the block's largest absolute row sum (7e-13 to 1.4e-12
-    on the fig-3 design).  The block grows until the certificate holds;
-    ConvergenceFailureError is raised if it fails on the whole sector.  No
-    sector matrix is built.
+    the sector's band (_sector_band) and certifies the values on the whole
+    sector.  Cauchy interlacing bounds each level from above by the
+    block's; a block LDL^T inertia count (Sylvester's law) bounds it from
+    below and checks the interlacing side, to a tolerance of 64 eps times
+    the block's largest absolute row sum (6.8e-13 to 1e-12 on the fig-3
+    design).  The first block is sized from the band: 16 photon numbers
+    past the rung where the Gershgorin bounds of the rest of the sector
+    pass the k-th level of a small probe block (32 to 43 rungs on the
+    fig-3 design for g1 from 0.5 to 1.2).  A failed certificate doubles
+    the block; ConvergenceFailureError is raised if it fails on the whole
+    sector.  No sector matrix is built.
 
     The 2 n_max truncation is solved first.  When both of its sector solves
     read at most n_max rungs (rungs_read, see numerics), its values are the
@@ -191,15 +194,23 @@ def exact_spectrum(
 
     * Rung n of _sector_band depends only on n and p, so below rung n_max
       both bands have the same entries and the same row sums (rung
-      n_max - 1 couples to rung n_max in both).  Every leading block, tol
-      and pivot threshold the fine solve used is then the coarse one's.
-      Both solve for the same k: a k above 2 (n_max + 1) would start the
-      fine leading block past rung n_max.
+      n_max - 1 couples to rung n_max in both).  The probe block is the
+      coarse one's, and so is its k-th level theta_hat.  Both solve for
+      the same k: a k above 2 (n_max + 1) would start the fine probe past
+      rung n_max.
+    * The coarse band's rung n_max has fewer couplings than the fine
+      band's, so its Gershgorin lower bound is not smaller, and the coarse
+      band has no rungs beyond it.  So every suffix minimum of the coarse
+      bounds from a rung below n_max is at least the fine one, and equal
+      to it when the fine one is attained below n_max.
+    * The sizing's crossing rung c lies inside the fine first block, so
+      below n_max, and the rungs from c on pass theta_hat in the coarse
+      band too: the coarse c, and so the first block, are the fine ones.
+      Every leading block, tol and pivot threshold the fine solve used is
+      then the coarse one's.
     * The stop test of each count reads the smallest Gershgorin lower bound
       of the rungs past the current one.  The fine solve found it at a rung
-      below n_max.  The coarse band's rung n_max has fewer couplings than
-      the fine band's, so its bound is not smaller, and the coarse band has
-      no rungs beyond it; so the coarse suffix minimum is the same float.
+      below n_max, so the coarse suffix minimum is the same float.
     * So the coarse counts factor the same pivots, stop at the same rung
       and give the same counts, the doubling rounds pass and fail alike,
       and the coarse theta is the fine theta bit for bit.

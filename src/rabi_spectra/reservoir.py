@@ -300,6 +300,17 @@ def dark_state_energy(r: ReservoirParams, coeffs: ReservoirCoefficients,
     return r.omega * n + r.omega1 * m + reservoir_constant(r, coeffs)
 
 
+def _check_dark_symmetric(r: ReservoirParams, override: str) -> None:
+    """Raise AsymmetricParamsError unless r has the dark state's symmetry;
+    the message names override, the caller's way to get the residual
+    anyway (a keyword for the library, a switch for the command line)."""
+    if not r.symmetric:
+        raise AsymmetricParamsError(
+            "dark state requires g1 = g2, delta1 = delta2, g1' = g2' "
+            f"(pass {override} to compute the residual anyway)"
+        )
+
+
 def dark_state_residual(
     r: ReservoirParams, m: int, n: int, require_symmetric: bool = True
 ) -> float:
@@ -312,11 +323,8 @@ def dark_state_residual(
     case raises AsymmetricParamsError; pass False to get the (positive)
     residual anyway.
     """
-    if require_symmetric and not r.symmetric:
-        raise AsymmetricParamsError(
-            "dark state requires g1 = g2, delta1 = delta2, g1' = g2' "
-            "(pass require_symmetric=False to compute the residual anyway)"
-        )
+    if require_symmetric:
+        _check_dark_symmetric(r, "require_symmetric=False")
     coeffs = compute_K(r)
     h = build_reservoir_matrix(r, build_reservoir_chain(m, n, depth=1), coeffs)
     return _singlet_residual(h, m, n, dark_state_energy(r, coeffs, m, n))

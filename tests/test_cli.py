@@ -179,7 +179,7 @@ def test_spectrum_csv_equals_the_benchmark_reference_bytes(tmp_path, workload, s
     assert out.read_bytes() == reference.encode("utf-8")
 
 
-@pytest.mark.parametrize("seed", [0, WORKLOADS.HELD_OUT_SEED])
+@pytest.mark.parametrize("seed", [0, 1, 2, WORKLOADS.HELD_OUT_SEED])
 def test_oracle_csv_passes_the_benchmark_gate(tmp_path, seed):
     # the oracle bytes have moved in the last bits (<= 5e-13) since the
     # references were recorded, so this holds them to the gate's 1e-10
@@ -191,6 +191,35 @@ def test_oracle_csv_passes_the_benchmark_gate(tmp_path, seed):
     assert gate.check(text, gate.load_reference("oracle-n300", wl.variant)) == []
     header, _, _ = read_csv_text(text)
     assert header["convergence"]["passed"] is True
+
+
+def _with_g1(argv, g1):
+    argv = list(argv)
+    argv[argv.index("--g1") + 1] = g1
+    return argv
+
+
+@pytest.mark.parametrize("seed, g1", [
+    (0, None), (1, None), (2, None), (WORKLOADS.HELD_OUT_SEED, None), (0, "0.5"), (0, "1.2"),
+])
+def test_each_oracle_sector_certifies_in_one_round(monkeypatch, seed, g1):
+    # at the g1 of every oracle-n300 variant and at both ends of their g1
+    # range, the first leading block of each sector of the 2 n_max = 600
+    # band holds the certificate: one inertia count per sector, and the
+    # n_max = 300 levels reuse that solve
+    from rabi_spectra import numerics
+
+    rungs = []
+    count_below = numerics._count_below
+
+    def spy(band, shifts):
+        rungs.append(len(band.rungs))
+        return count_below(band, shifts)
+
+    monkeypatch.setattr(numerics, "_count_below", spy)
+    argv = WORKLOADS.build("oracle-n300", seed).argv
+    assert run(argv if g1 is None else _with_g1(argv, g1))[0] == 0
+    assert rungs == [601, 601]
 
 
 def test_spectrum_jobs_do_not_change_bytes():

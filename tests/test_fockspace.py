@@ -397,6 +397,24 @@ def test_block_energies_reject_a_nonfinite_band(monkeypatch, table):
             trwa_block_energies(p, t, parity, 8, CoefficientMode.EXACT)
 
 
+def test_both_chains_of_a_point_share_one_set_of_coefficient_tables(monkeypatch):
+    # four tables, one Laguerre recurrence each, for the two chains
+    # together; the merged levels are those of the two chains solved alone
+    p, t = fig3_design()
+    separate = sorted(trwa_block_energies(p, t, +1, 8, CoefficientMode.EXACT)
+                      + trwa_block_energies(p, t, -1, 8, CoefficientMode.EXACT))
+    calls = []
+    for table in ("coeff_g0_table", "coeff_f1_table"):
+        def counted(lam, n_max, mode, original=getattr(fockspace, table)):
+            calls.append(n_max)
+            return original(lam, n_max, mode)
+
+        monkeypatch.setattr(fockspace, table, counted)
+    energies, _ = fockspace._block_levels(p, t, 8, CoefficientMode.EXACT)
+    assert calls == [17] * 4
+    assert energies.tolist() == separate
+
+
 def test_block_energies_allocate_no_dense_chain_matrix():
     # the dense 806 x 806 chain matrix alone is 5.2 MB
     p, t = fig3_design()

@@ -325,7 +325,8 @@ def _sector(p, n_max, parity):
     return _sector_band(p, n_max, parity), build_parity_sector(p, n_max, parity).data
 
 
-# n_max 6 and 20 fit in the first leading block (32 rungs); 40 and 90 do not
+# the first leading block holds the whole band at n_max 6, part of it at
+# 90 for most parameters, and either at 20 and 40, by the parameters
 @pytest.mark.parametrize("n_max", [6, 20, 40, 90])
 @pytest.mark.parametrize("equal_qubits", [False, True])
 def test_eigvals_lowest_matches_a_dense_solve_of_the_sector(n_max, equal_qubits):
@@ -382,7 +383,34 @@ def test_rungs_read_covers_the_rung_of_the_stop_tests_gershgorin_bound():
     theta, rungs_read = numerics._certified_lowest(rungs, couple, 6)
     dipped_theta, dipped_rungs_read = numerics._certified_lowest(dipped, couple, 6)
     assert np.array_equal(dipped_theta, theta)
-    assert (rungs_read, dipped_rungs_read) == (32, 81)
+    assert (rungs_read, dipped_rungs_read) == (37, 81)
+
+
+def test_leading_levels_equal_the_checked_dense_solve_bit_for_bit():
+    # the leading block is written from the band checked once per solve;
+    # its levels are those of the checked dense block of the same rungs
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    band = numerics._band(*_sector_band(p, 100, -1))
+    for lead in (4, 37, 101):
+        dense = band_to_dense(band.rungs[:lead], band.couple[:lead - 1])
+        checked = eigvals_sym(SymmetricMatrix(dense))[:6]
+        assert np.array_equal(numerics._leading_levels(band, lead, 6), checked)
+
+
+def test_first_lead_reads_of_later_rungs_only_that_they_pass_the_probe_level():
+    # the first leading block of this band holds 37 rungs, 16 past the
+    # crossing rung 21; lowering rung 80 to a Gershgorin bound still above
+    # the probe's sixth level keeps it, lowering it below that level moves
+    # the crossing rung past rung 80
+    p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
+    rungs, couple = _sector_band(p, 100, 1)
+    band = numerics._band(rungs, couple)
+    theta_hat = numerics._leading_levels(band, 4, 6)[-1]
+    assert numerics._first_lead(band, 6) == 37 and band.tail[21] > theta_hat >= band.tail[20]
+    for bound, lead in ((theta_hat + 0.01, 37), (theta_hat - 0.01, 97)):
+        dipped = rungs.copy()
+        dipped[80] -= (band.low[80] - bound) * np.eye(2)
+        assert numerics._first_lead(numerics._band(dipped, couple), 6) == lead
 
 
 def test_inertia_count_of_a_random_band():
@@ -430,36 +458,43 @@ def test_solver_checks_fail_when_a_coupling_diagonal_is_dropped():
 
 @pytest.mark.parametrize("offset", [1e-6, -1e-6])
 def test_eigvals_lowest_raises_when_the_certificate_fails(monkeypatch, offset):
-    # leading-block levels off by 1e-6 are refused at every block size
+    # leading-block levels off by 1e-6 are refused at every block size: the
+    # sized first block (37 rungs after a 4-rung probe) and each doubling,
+    # up to the whole band
     leading = numerics._leading_levels
     sizes = []
 
-    def shifted(rungs, couple, lead, k):
+    def shifted(band, lead, k):
         sizes.append(lead)
-        return leading(rungs, couple, lead, k) + offset
+        return leading(band, lead, k) + offset
 
     monkeypatch.setattr(numerics, "_leading_levels", shifted)
     p = ModelParams(omega=1.0, delta1=1.357, delta2=2.0, g1=0.9, g2=0.7)
     with pytest.raises(ConvergenceFailureError, match="not certified"):
         eigvals_lowest(*_sector_band(p, 90, 1), 6)
-    assert sizes == [32, 64, 91]
+    assert sizes == [4, 37, 74, 91]
 
 
 def test_eigvals_lowest_grows_the_leading_block_until_certified(monkeypatch):
-    # at g1 = 1.2 the lowest six levels move by more than the tolerance
-    # between 32 and 601 rungs, so the first certificate fails
+    # a level at rung 0 coupled into a strongly coupled continuum whose
+    # Gershgorin bounds pass it from rung 1 on, but only just: its
+    # eigenvector decays slowly past that rung, so the sized first block
+    # (17 rungs) fails the certificate and the doubled one holds
     leading = numerics._leading_levels
     sizes = []
 
-    def recorded(rungs, couple, lead, k):
+    def recorded(band, lead, k):
         sizes.append(lead)
-        return leading(rungs, couple, lead, k)
+        return leading(band, lead, k)
 
     monkeypatch.setattr(numerics, "_leading_levels", recorded)
-    p = ModelParams(omega=1.0, delta1=1.2, delta2=2.0, g1=1.2, g2=0.7)
-    band, dense = _sector(p, 300, 1)
-    assert _lowest_error(band, dense, 6) <= 1e-12
-    assert sizes == [32, 64]
+    rungs = np.zeros((120, 2, 2))
+    rungs[:, 0, 0] = rungs[:, 1, 1] = 4.0 + 0.001 * np.arange(120)
+    rungs[0] = np.diag([-1.0, 3.0])
+    couple = np.full((119, 2, 2), 1.0)
+    couple[0] = 0.3
+    assert _lowest_error((rungs, couple), band_to_dense(rungs, couple), 1) <= 1e-12
+    assert sizes == [4, 17, 34]
 
 
 def test_inertia_count_handles_zero_pivots_without_warnings():

@@ -317,11 +317,11 @@ def fig3_params():
     return ModelParams(omega=1.0, delta1=des.delta1, delta2=2.0, g1=0.9, g2=0.7)
 
 
-# certified only once the leading block has grown to 64 rungs
+# a strong coupling: its 2 n_max solve reads 41 rungs, fig-3's 37
 STRONG = ModelParams(omega=1.0, delta1=1.2, delta2=2.0, g1=1.2, g2=0.7)
 
 
-@pytest.mark.parametrize("n_max", [4, 31, 32, 33, 63, 64, 65, 90, 300])
+@pytest.mark.parametrize("n_max", [4, 31, 32, 33, 36, 37, 38, 40, 41, 42, 63, 64, 65, 90, 300])
 def test_one_solve_certifies_both_truncations_bit_for_bit(n_max):
     # exact_spectrum reuses the 2 n_max levels for n_max when that solve read
     # no rung past n_max; values and report must equal two separate solves
@@ -344,7 +344,7 @@ def test_the_n_max_solve_runs_only_when_the_fine_one_read_past_n_max(monkeypatch
     monkeypatch.setattr(oracle, "_certified_lowest", spy)
     p = fig3_params()
     for n_max in (4, 20, 31):
-        # the first leading block of the 2 n_max band (32 rungs, or all of
+        # the first leading block of the 2 n_max band (37 rungs, or all of
         # them) is longer than n_max
         solved.clear()
         exact_spectrum(p, n_max, 6)
@@ -353,8 +353,8 @@ def test_the_n_max_solve_runs_only_when_the_fine_one_read_past_n_max(monkeypatch
     _, report = exact_spectrum(p, 300, 6)
     assert solved == [601, 601]
     assert report.passed and report.deltas == (0.0,) * 6
-    # the 2 n_max solve of STRONG reads 64 rungs
-    for n_max, coarse in ((63, [64, 64]), (64, [])):
+    # the 2 n_max solve of STRONG reads 41 rungs
+    for n_max, coarse in ((40, [41, 41]), (41, [])):
         solved.clear()
         exact_spectrum(STRONG, n_max, 6)
         assert solved == [2 * n_max + 1] * 2 + coarse

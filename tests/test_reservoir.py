@@ -364,7 +364,7 @@ def test_dark_state_rejects_odd_window():
 
 def test_dark_state_asymmetric_params():
     skew = dataclasses.replace(SYM, g1p=0.25, g2p=0.1)
-    with pytest.raises(AsymmetricParamsError):
+    with pytest.raises(AsymmetricParamsError, match="pass require_symmetric=False"):
         dark_state_residual(skew, 0, 0)
     # with the guard off, the leak is the singlet projection of the two
     # pseudomode channels: |g1'-g2'| * sqrt((2m+1)/2)
