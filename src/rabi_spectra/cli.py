@@ -12,7 +12,9 @@ with the first violation that validate reports for the same settings.
 Tables are emitted as CSV (with a '#'-prefixed JSON header record) or as a
 JSON object; either way the bytes are deterministic for a given version and
 parameter set, including under --jobs parallelism (workers only change wall
-time, never row order).
+time, never row order).  spectrum hands each worker one contiguous chunk
+of the g1 grid, which spectrum_vs_g1 solves stacked (one chunk by
+default); scan-window runs one task per (omega, delta2) pair.
 
 Each command imports the modules it runs when it runs: oracle-compare
 loads oracle, and the reservoir-* commands (and their settings checks) load
@@ -355,10 +357,10 @@ def _run(command: str, args) -> int:
         return _fail(command, exc, settings, EXIT_VALIDATION)
 
 
-def _sweep(args, task, points) -> list:
-    """task(point) for each point, run on --jobs worker threads, in point
+def _sweep(jobs: int, task, points) -> list:
+    """task(point) for each point, run on jobs worker threads, in point
     order."""
-    with ThreadPoolExecutor(max_workers=_resolve_jobs(args)) as ex:
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(task, points))
 
 
@@ -408,7 +410,7 @@ def cmd_scan_window(args, settings: dict, values: dict) -> int:
         return scan_delta1_window([w], [d2], g1, g2_grid, threshold)
 
     kind = "lambda2" if g1 is None else "delta1"
-    parts = _sweep(args, task, [(w, d2) for w in omegas for d2 in deltas])
+    parts = _sweep(_resolve_jobs(args), task, [(w, d2) for w in omegas for d2 in deltas])
     header = _header("scan-window", settings, kind=kind, omega_values=omegas,
                      delta2_values=deltas, g2_grid=g2_grid, threshold=threshold)
     return _emit(args, _SCAN_FIELDS,
@@ -419,12 +421,16 @@ def cmd_spectrum(args, settings: dict, values: dict) -> int:
     omega, delta2, g2, g1_grid = values["omega"], values["delta2"], values["g2"], values["g1_grid"]
     n_blocks, mode = values["n_blocks"], values["mode"]
 
-    def task(g1: float):
-        return spectrum_vs_g1(omega, delta2, g2, [g1], n_blocks, mode).columns
+    def task(chunk: list[float]):
+        return spectrum_vs_g1(omega, delta2, g2, chunk, n_blocks, mode).columns
 
-    # each field's cells of every point, in point order
+    # one contiguous chunk of the grid per worker, each solved stacked; then
+    # each field's cells of every chunk, in grid order
+    jobs = _resolve_jobs(args)
+    size = -(-len(g1_grid) // jobs)
+    chunks = [g1_grid[i:i + size] for i in range(0, len(g1_grid), size)]
     columns = [list(itertools.chain.from_iterable(parts))
-               for parts in zip(*_sweep(args, task, g1_grid))]
+               for parts in zip(*_sweep(jobs, task, chunks))]
     header = _header("spectrum", settings, omega=omega, delta2=delta2, g2=g2,
                      g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value)
     return _emit(args, SPECTRUM_FIELDS, columns, header)

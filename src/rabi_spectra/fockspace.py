@@ -20,8 +20,16 @@ Each structural fact has one home: _chain_layout states the chain order
 closed_block_index_groups states the block tiling (the stacked block
 solve and Block4 read it; _block_level_count beside it counts its states
 in O(1), and check_n_blocks caps n_blocks for it and the command line).
-_block_levels merges the two chains' levels, for the g1 sweep and the
-oracle comparison alike.
+
+The g1 sweep solves its points stacked.  Each point's design stays its
+own, but _chain_bands builds each chain's band at all points at once, a
+leading point axis on the same elementwise operations, and the 4x4
+blocks of every point of a chain go through one eigvals_stacked call
+(_chain_levels; each point's boundary group through eigh).
+_stacked_levels merges the two chains' levels of every point.  A grid
+goes through in chunks of at most _STACK_BLOCKS blocks per chain.
+trwa_block_energies, _block_levels (the oracle comparison's levels) and
+_chain_band are the one-point views of the same code.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ from .numerics import (
     LAGUERRE_MAX_DEGREE,
     NonFiniteError,
     SymmetricMatrix,
+    _dense,
     band_to_dense,
     check_bound,
     check_grid,
@@ -124,13 +133,77 @@ def build_parity_chain(parity, n_max: int) -> ParityChain:
     return ParityChain(parity=par, n_max=n_max, states=tuple(map(ChainState, *layout)))
 
 
-def _chain_tables(t: TrwaParams, n_max: int, mode: CoefficientMode) -> tuple[np.ndarray, ...]:
-    """The coefficient tables a chain band reads up to photon number n_max,
-    one Laguerre recurrence each: G0 at lambda1 and lambda2, then F1 at
-    each.  They depend on the displacements, not on the parity, so both
-    chains of one design can share them."""
-    return (coeff_g0_table(t.lambda1, n_max, mode), coeff_g0_table(t.lambda2, n_max, mode),
-            coeff_f1_table(t.lambda1, n_max, mode), coeff_f1_table(t.lambda2, n_max, mode))
+def _chain_tables(ts: Sequence[TrwaParams], n_max: int,
+                  mode: CoefficientMode) -> tuple[np.ndarray, ...]:
+    """The coefficient tables the chain bands of len(ts) points read up to
+    photon number n_max, each (P, n_max + 1): G0 at lambda1 and lambda2,
+    then F1 at each, one Laguerre recurrence per point and table.  They
+    depend on the displacements, not on the parity, so both chains of one
+    design share them."""
+    per_point = [
+        (coeff_g0_table(t.lambda1, n_max, mode), coeff_g0_table(t.lambda2, n_max, mode),
+         coeff_f1_table(t.lambda1, n_max, mode), coeff_f1_table(t.lambda2, n_max, mode))
+        for t in ts
+    ]
+    return tuple(np.array(table) for table in zip(*per_point))
+
+
+def _chain_bands(
+    ps: Sequence[ModelParams],
+    ts: Sequence[TrwaParams],
+    parity,
+    n_max: int,
+    mode: CoefficientMode,
+    tables: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of one chain at P points, the designs (ps[k], ts[k]): rung
+    blocks (P, R, 2, 2) and couplings (P, R-1, 2, 2), each point's band
+    laid out as in numerics.band_to_dense.
+
+    The one source of chain elements: the three patterns of the module
+    docstring, applied elementwise over coefficient tables of the chain,
+    with each point's scalars broadcast along the leading point axis.
+    Rung n holds chain indices 2n and 2n + 1, the two states at photon
+    number n; they differ in both spins, so the rung's off-diagonal is the
+    double flip.  The spin product s1*s2 = parity*(-1)^n alternates with
+    n, so a state of rung n and one of rung n + 1 differ in exactly one
+    spin, and couple[k, n, a, b] is that qubit's hop.  tables, when given,
+    are _chain_tables(ts, n_max, mode).  Raises NonFiniteError when an
+    entry is not finite.
+    """
+    ns, s1, s2 = _chain_layout(parity, n_max)
+    g0_1, g0_2, f1_1, f1_2 = _chain_tables(ts, n_max, mode) if tables is None else tables
+    # each point's scalars as a column (P, 1)
+    omega, delta1, delta2, g1, g2 = np.array(
+        [(p.omega, p.delta1, p.delta2, p.g1, p.g2) for p in ps], dtype=float).T[:, :, None]
+    lam1, lam2, c0 = np.array(
+        [(t.lambda1, t.lambda2, constant_offset(p, t)) for p, t in zip(ps, ts)],
+        dtype=float).T[:, :, None]
+    rungs = np.empty((len(ps), n_max + 1, 2, 2))
+    rungs[:, :, (0, 1), (0, 1)] = (
+        omega * ns
+        + c0
+        + s1 * delta1 * g0_1[:, ns]
+        + s2 * delta2 * g0_2[:, ns]
+    ).reshape(len(ps), -1, 2)
+    rungs[:, :, 0, 1] = rungs[:, :, 1, 0] = resonance_residual(lam1, lam2, g1, g2, omega)
+
+    # n <-> n+1 over (k, n, a, b): state a of rung n to state b of rung
+    # n + 1 at point k; s_hi is the flipped qubit's sign in the
+    # higher-photon state
+    s1, s2 = s1.reshape(-1, 2), s2.reshape(-1, 2)
+    s1_hi, s2_hi = s1[1:, None, :], s2[1:, None, :]
+    root = np.sqrt(np.arange(n_max) + 1.0)[:, None, None]
+    hop1, hop2, d1, d2 = (x[..., None, None] for x in (
+        g1 + lam1 * omega, g2 + lam2 * omega, delta1, delta2))
+    couple = np.where(
+        s1[:-1, :, None] != s1_hi,
+        hop1 * root + s1_hi * d1 * f1_1[:, :n_max, None, None],
+        hop2 * root + s2_hi * d2 * f1_2[:, :n_max, None, None],
+    )
+    if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
+        raise NonFiniteError("chain matrix entries must be finite")
+    return rungs, couple
 
 
 def _chain_band(
@@ -139,57 +212,22 @@ def _chain_band(
     parity,
     n_max: int,
     mode: CoefficientMode,
-    tables: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Band of one chain: rung blocks (R, 2, 2) and couplings (R-1, 2, 2),
-    laid out as in numerics.band_to_dense.
-
-    The one source of chain elements: the three patterns of the module
-    docstring, applied elementwise over coefficient tables of the chain
-    (one Laguerre recurrence per displacement and order).  Rung n holds
-    chain indices 2n and 2n + 1, the two states at photon number n; they
-    differ in both spins, so the rung's off-diagonal is the double flip.
-    The spin product s1*s2 = parity*(-1)^n alternates with n, so a state of
-    rung n and one of rung n + 1 differ in exactly one spin, and
-    couple[n, a, b] is that qubit's hop.  tables, when given, are
-    _chain_tables(t, n_max, mode).  Raises NonFiniteError when an entry is
-    not finite.
-    """
-    ns, s1, s2 = _chain_layout(parity, n_max)
-    g0_1, g0_2, f1_1, f1_2 = _chain_tables(t, n_max, mode) if tables is None else tables
-    rungs = np.empty((n_max + 1, 2, 2))
-    rungs[:, (0, 1), (0, 1)] = (
-        p.omega * ns
-        + constant_offset(p, t)
-        + s1 * p.delta1 * g0_1[ns]
-        + s2 * p.delta2 * g0_2[ns]
-    ).reshape(-1, 2)
-    rungs[:, 0, 1] = rungs[:, 1, 0] = resonance_residual(
-        t.lambda1, t.lambda2, p.g1, p.g2, p.omega)
-
-    # n <-> n+1 over (n, a, b): state a of rung n to state b of rung n + 1;
-    # s_hi is the flipped qubit's sign in the higher-photon state
-    s1, s2 = s1.reshape(-1, 2), s2.reshape(-1, 2)
-    s1_hi, s2_hi = s1[1:, None, :], s2[1:, None, :]
-    root = np.sqrt(np.arange(n_max) + 1.0)[:, None, None]
-    couple = np.where(
-        s1[:-1, :, None] != s1_hi,
-        (p.g1 + t.lambda1 * p.omega) * root + s1_hi * p.delta1 * f1_1[:n_max, None, None],
-        (p.g2 + t.lambda2 * p.omega) * root + s2_hi * p.delta2 * f1_2[:n_max, None, None],
-    )
-    if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
-        raise NonFiniteError("chain matrix entries must be finite")
-    return rungs, couple
+    """Band of one chain at one design: rung blocks (R, 2, 2) and
+    couplings (R-1, 2, 2), the one-point view of _chain_bands."""
+    rungs, couple = _chain_bands([p], [t], parity, n_max, mode)
+    return rungs[0], couple[0]
 
 
 def _block4_stack(rungs: np.ndarray, couple: np.ndarray,
                   groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """(len(groups), 4, 4) stack of closed 4-groups of a chain.  Each group
-    starts in the second slot of rung g[0] // 2, so it is the middle of
-    that rung and the next two; band entries that couple two blocks, or
-    leave them, are dropped."""
+    """(..., len(groups), 4, 4) stack of closed 4-groups of a checked chain
+    band, whose leading axes, if any, are points.  Each group starts in
+    the second slot of rung g[0] // 2, so it is the middle of that rung and
+    the next two; band entries that couple two blocks, or leave them, are
+    dropped."""
     r = np.array([g[0] // 2 for g in groups])[:, None] + np.arange(3)
-    return band_to_dense(rungs[r], couple[r[:, :2]])[:, 1:5, 1:5]
+    return _dense(rungs[..., r, :, :], couple[..., r[:, :2], :, :])[..., 1:5, 1:5]
 
 
 def build_effective_chain_matrix(
@@ -306,31 +344,70 @@ def chain_n_max_for_blocks(n_blocks: int) -> int:
     return 2 * n_blocks + 1
 
 
+def _chain_levels(rungs: np.ndarray, couple: np.ndarray, parity: int,
+                  n_blocks: int) -> np.ndarray:
+    """The closed-block levels of one chain at P points, (P, levels), each
+    row ascending, from the checked bands _chain_bands gives.
+
+    The 4x4 blocks of all points go through one eigvals_stacked call; each
+    point's boundary group at photon number zero goes through eigh on its
+    own.  Each row is sorted stably, so equal levels keep their order:
+    0.0 and -0.0 compare equal but print differently.
+    """
+    groups = closed_block_index_groups(parity, n_blocks)
+    size = len(groups[0])
+    edges = _dense(rungs[:, :2], couple[:, :1])[:, :size, :size]
+    quads = _block4_stack(rungs, couple, groups[1:])
+    levels = np.concatenate([
+        np.array([eigh(SymmetricMatrix._unchecked(np.ascontiguousarray(e))).values
+                  for e in edges]),
+        eigvals_stacked(quads.reshape(-1, 4, 4)).reshape(len(quads), -1),
+    ], axis=1)
+    levels.sort(axis=1, kind="stable")
+    return levels
+
+
+# parity tag of each chain, in the order its levels are concatenated
+_PARITY_TAGS = np.array(["+", "-"], dtype=object)
+
+
+def _stacked_levels(ps: Sequence[ModelParams], ts: Sequence[TrwaParams], n_blocks: int,
+                    mode: CoefficientMode) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-block levels of both chains at P points, (P, levels),
+    each row ascending, and the parity tag of each level.
+
+    Both chains read one set of coefficient tables.  The argsort of a row
+    is stable over the + chain's levels followed by the - chain's, so a
+    tie puts the + level first.  n_blocks is already checked.
+    """
+    n_max = chain_n_max_for_blocks(n_blocks)
+    tables = _chain_tables(ts, n_max, mode)
+    plus, minus = (_chain_levels(*_chain_bands(ps, ts, par, n_max, mode, tables), par, n_blocks)
+                   for par in (1, -1))
+    levels = np.concatenate([plus, minus], axis=1)
+    order = np.argsort(levels, axis=1, kind="stable")
+    tags = np.repeat(_PARITY_TAGS, (plus.shape[1], minus.shape[1]))
+    return np.take_along_axis(levels, order, axis=1), tags[order]
+
+
 def trwa_block_energies(
     p: ModelParams,
     t: TrwaParams,
     parity,
     n_blocks: int,
     mode: CoefficientMode = CoefficientMode.APPROX,
-    tables: tuple[np.ndarray, ...] | None = None,
 ) -> list[float]:
     """Eigenvalues of all closed blocks of one parity chain, ascending.
 
-    Blocks are cut from the chain band (_chain_band) without building the
-    dense chain matrix.  The 4x4 blocks are diagonalized in one stacked
-    call; the boundary group at photon number zero on its own.  tables,
-    when given, are the chain's _chain_tables, shared with the other chain.
+    The one-point view of the stacked block solve of spectrum_vs_g1:
+    blocks are cut from the chain band (_chain_bands) without building the
+    dense chain matrix, the 4x4 blocks diagonalized in one stacked call,
+    the boundary group at photon number zero on its own.
     """
     par = _normalize_parity(parity)
-    groups = closed_block_index_groups(par, n_blocks)
-    rungs, couple = _chain_band(p, t, par, chain_n_max_for_blocks(n_blocks), mode, tables)
-    size = len(groups[0])
-    edge = band_to_dense(rungs[:2], couple[:1])[:size, :size]
-    quads = _block4_stack(rungs, couple, groups[1:])
-    energies = [float(v) for v in eigh(SymmetricMatrix(edge)).values]
-    energies.extend(eigvals_stacked(quads).ravel().tolist())
-    energies.sort()
-    return energies
+    n_blocks = check_n_blocks("n_blocks", n_blocks)
+    n_max = chain_n_max_for_blocks(n_blocks)
+    return _chain_levels(*_chain_bands([p], [t], par, n_max, mode), par, n_blocks)[0].tolist()
 
 
 def block_leakage(h: SymmetricMatrix, groups: Sequence[Sequence[int]]) -> float:
@@ -404,23 +481,13 @@ class SpectrumTable:
         ]
 
 
-# parity tag of each chain, in the order its energies are concatenated
-_PARITY_TAGS = np.array(["+", "-"], dtype=object)
-
-
 def _block_levels(p: ModelParams, t: TrwaParams, n_blocks: int,
                   mode: CoefficientMode) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-block levels of both chains, ascending, and the parity
-    tag of each.  The argsort is stable over the + chain's energies
-    followed by the - chain's, so a tie puts the + level first.  Both
-    chains read one set of coefficient tables."""
-    n_max = chain_n_max_for_blocks(check_n_blocks("n_blocks", n_blocks))
-    tables = _chain_tables(t, n_max, mode)
-    plus = trwa_block_energies(p, t, 1, n_blocks, mode, tables)
-    minus = trwa_block_energies(p, t, -1, n_blocks, mode, tables)
-    energies = np.array(plus + minus)
-    order = np.argsort(energies, kind="stable")
-    return energies[order], np.repeat(_PARITY_TAGS, (len(plus), len(minus)))[order]
+    """The closed-block levels of both chains at one design, ascending,
+    and the parity tag of each: the one-point view of the stacked solve,
+    which the oracle comparison reads."""
+    energies, tags = _stacked_levels([p], [t], check_n_blocks("n_blocks", n_blocks), mode)
+    return energies[0], tags[0]
 
 
 def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]:
@@ -428,31 +495,34 @@ def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]
     return tuple((cell,) for cell in (g1, delta1, lambda1, lambda2, "", None, None, None, token))
 
 
-def _point_columns(
-    omega: float,
-    delta2: float,
-    g2: float,
-    g1: float,
-    n_blocks: int,
-    mode: CoefficientMode,
-) -> tuple[Sequence, ...]:
-    """The SPECTRUM_FIELDS columns of one g1 point: its levels, or one
-    error row."""
+def _design_point(omega: float, delta2: float, g2: float, g1: float) -> tuple:
+    """The (ModelParams, TrwaParams) of the resonant design at g1 or, when
+    the design fails, the columns of the point: one error row, no level."""
     try:
         des = design_resonant(omega, delta2, g2, g1)
     except _POINT_ERRORS as exc:
         return _failed_point(g1, None, None, None, error_token(exc))
     if not des.physical:
         return _failed_point(g1, des.delta1, des.lambda1, des.lambda2, "NonphysicalDesign")
-    p = ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2)
-    t = TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2)
-    energies, tags = _block_levels(p, t, n_blocks, mode)
+    return (ModelParams(omega=omega, delta1=des.delta1, delta2=delta2, g1=g1, g2=g2),
+            TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2))
+
+
+def _level_columns(p: ModelParams, t: TrwaParams, energies: np.ndarray,
+                   tags: np.ndarray) -> tuple[Sequence, ...]:
+    """The SPECTRUM_FIELDS columns of a solved g1 point, one row per level."""
     n = len(energies)
     return (
-        (g1,) * n, (des.delta1,) * n, (des.lambda1,) * n, (des.lambda2,) * n,
+        (p.g1,) * n, (p.delta1,) * n, (t.lambda1,) * n, (t.lambda2,) * n,
         tags.tolist(), range(n), energies.tolist(),
         (constant_offset(p, t),) * n, (None,) * n,
     )
+
+
+# The most 4x4 blocks per chain in one stacked solve of spectrum_vs_g1: a
+# grid goes through in chunks of max(1, _STACK_BLOCKS // n_blocks) points,
+# so a long grid at the n_blocks cap holds one point's arrays at a time.
+_STACK_BLOCKS = 4096
 
 
 def spectrum_vs_g1(
@@ -471,14 +541,26 @@ def spectrum_vs_g1(
     first), the parity label of the block the level came from, and the
     constant diagonal offset so spectra can be compared shift-free.  Design
     failures become single rows with the error token and empty numeric
-    fields.  Raises ValueError unless check_grid accepts g1_grid with
-    entries >= 0, check_n_blocks n_blocks, and design_resonant each g1.
+    fields.  The designed points are solved stacked (_stacked_levels), in
+    chunks of max(1, _STACK_BLOCKS // n_blocks) points; a point's levels
+    do not depend on the chunk it is solved in.  Raises ValueError unless
+    check_grid accepts g1_grid with entries >= 0, check_n_blocks n_blocks,
+    and design_resonant each g1.
     """
     g1_grid = check_grid("g1_grid", g1_grid, ">=", 0)
-    check_n_blocks("n_blocks", n_blocks)
-    points = [_point_columns(omega, delta2, g2, g1, n_blocks, mode) for g1 in g1_grid]
+    blocks = check_n_blocks("n_blocks", n_blocks)
+    points = [_design_point(omega, delta2, g2, g1) for g1 in g1_grid]
+    solved = [point for point in points if isinstance(point[0], ModelParams)]
+    step = max(1, _STACK_BLOCKS // blocks)
+    levels = []
+    for start in range(0, len(solved), step):
+        ps, ts = zip(*solved[start:start + step])
+        levels.extend(zip(*_stacked_levels(ps, ts, blocks, mode)))
+    levels = iter(levels)
+    parts = [_level_columns(*point, *next(levels)) if isinstance(point[0], ModelParams)
+             else point for point in points]
     columns = tuple(
-        tuple(itertools.chain.from_iterable(point[k] for point in points))
+        tuple(itertools.chain.from_iterable(part[k] for part in parts))
         for k in range(len(SPECTRUM_FIELDS))
     )
     return SpectrumTable(

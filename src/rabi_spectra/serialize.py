@@ -14,7 +14,9 @@ field.  Tables held as rows, mappings (a missing key is an empty cell) or
 records read by attribute, become columns through ``columns_of``.  A cell
 whose value is the same object as the cell above it (``is``, never ``==``:
 ``0.0 == -0.0``, yet they print as ``0`` and ``-0``) reuses that cell's
-text; a sweep repeats its point's parameters on every level row.
+text; a sweep repeats its point's parameters on every level row.  A
+string's text is also kept by value for its whole column, so the parity
+column, which alternates two tags, quotes each tag once.
 
 The writer owns its quoting rule instead of leaving it to ``csv.writer``:
 numbers, booleans and None are never quoted; any other cell is quoted,
@@ -92,11 +94,15 @@ def _column(values: Iterable, lone: bool) -> list[str]:
 
     A float or int (exactly that type, so never a bool) takes the text
     _cell gives it without going through the quoting rule: never empty,
-    never quoted.
+    never quoted.  A str's text is kept by value for the whole column, so
+    a column that alternates a few strings (the parity tags) quotes each
+    once; numbers are not kept by value, since 0.0 == -0.0 yet they print
+    differently, and str() of a new int is cheaper than the lookup.
     """
     texts = []
     append = texts.append
     above = _NO_CELL
+    strings: dict[str, str] = {}
     for value in values:
         if value is not above:
             above = value
@@ -105,6 +111,10 @@ def _column(values: Iterable, lone: bool) -> list[str]:
                 text = format(value, ".17g")
             elif kind is int:
                 text = str(value)
+            elif kind is str:
+                text = strings.get(value)
+                if text is None:
+                    text = strings[value] = _cell(value, lone)
             else:
                 text = _cell(value, lone)
         append(text)

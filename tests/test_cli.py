@@ -15,11 +15,12 @@ from pathlib import Path
 
 import pytest
 
+from rabi_spectra import cli, fockspace
 from rabi_spectra.cli import COMMANDS, PRESETS, build_parser, main, parse_grid
 from rabi_spectra.model import ModelParams
 from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
 from rabi_spectra.reservoir import ReservoirParams
-from rabi_spectra.resonance import design_resonant
+from rabi_spectra.resonance import DegenerateDesignError, design_resonant
 from rabi_spectra.serialize import read_csv_text
 
 
@@ -226,6 +227,70 @@ def test_spectrum_jobs_do_not_change_bytes():
     argv = ["spectrum", "--fig", "3", "--n-blocks", "3"]
     base = run(argv + ["--jobs", "1"])
     para = run(argv + ["--jobs", "8"])
+    assert base[0] == para[0] == 0
+    assert base[1] == para[1]
+
+
+# g1 points of a spectrum grid whose design the planted_failures fixture
+# fails: 0.0 is degenerate on its own, 0.3 and 0.6 fail between solved points
+PLANTED_GRID = "0.0,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
+
+
+@pytest.fixture
+def planted_failures(monkeypatch):
+    """design_resonant with failures planted between solved points: at g1
+    0.3 the design derives a negative delta1, at 0.6 it is degenerate.
+    One design (omega, delta2, g2) is physical at every g1 > 0 or at
+    none, so a real grid cannot mix the two."""
+    original = fockspace.design_resonant
+
+    def planted(omega, delta2, g2, g1):
+        if g1 == 0.6:
+            raise DegenerateDesignError("planted")
+        des = original(omega, delta2, g2, g1)
+        return dataclasses.replace(des, delta1=-des.delta1) if g1 == 0.3 else des
+
+    monkeypatch.setattr(fockspace, "design_resonant", planted)
+
+
+def test_spectrum_bytes_do_not_depend_on_the_stack_chunk(monkeypatch, planted_failures):
+    argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", PLANTED_GRID, "--n-blocks", "3"]
+    code, default, _ = run(argv)
+    assert code == 0
+    _, _, rows = read_csv_text(default)
+    assert [(r["g1"], r["error"]) for r in rows if r["error"]] == [
+        ("0", "DegenerateDesign"), ("0.29999999999999999", "NonphysicalDesign"),
+        ("0.59999999999999998", "DegenerateDesign")]
+    sizes = []
+    stacked = fockspace.eigvals_stacked
+
+    def spy(blocks):
+        sizes.append(len(blocks))
+        return stacked(blocks)
+
+    monkeypatch.setattr(fockspace, "eigvals_stacked", spy)
+    monkeypatch.setattr(fockspace, "_STACK_BLOCKS", 3)  # one point per chunk
+    code, chunked, _ = run(argv)
+    assert code == 0
+    assert sizes == [3] * 10  # each of the 5 solved points, both chains
+    assert chunked == default
+
+
+def test_spectrum_jobs_solve_contiguous_chunks_with_the_same_bytes(monkeypatch, planted_failures):
+    chunks = []
+    sweep = cli.spectrum_vs_g1
+
+    def spy(omega, delta2, g2, g1_grid, *rest):
+        chunks.append(list(g1_grid))
+        return sweep(omega, delta2, g2, g1_grid, *rest)
+
+    monkeypatch.setattr(cli, "spectrum_vs_g1", spy)
+    argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", PLANTED_GRID, "--n-blocks", "3"]
+    base = run(argv + ["--jobs", "1"])
+    assert chunks == [[0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]]
+    chunks.clear()
+    para = run(argv + ["--jobs", "3"])
+    assert chunks == [[0.0, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8]]
     assert base[0] == para[0] == 0
     assert base[1] == para[1]
 

@@ -332,31 +332,39 @@ def test_band_block_energies_equal_the_dense_route(point, mode, n_blocks):
 
 
 @pytest.mark.parametrize("mode", [CoefficientMode.APPROX, CoefficientMode.EXACT])
-@pytest.mark.parametrize("parity", [+1, -1])
-def test_band_blocks_equal_the_dense_submatrices(monkeypatch, parity, mode):
+def test_band_blocks_equal_the_dense_submatrices(monkeypatch, mode):
     # energies alone would miss a wrong upper triangle: LAPACK reads one.
-    # The spies record the blocks trwa_block_energies cuts from the band.
-    p, t = fig3_design()
+    # The spies record the blocks the stacked solve of a sweep cuts from
+    # the bands: each point's boundary group, + chain then - chain, and
+    # one stack of every point's 4x4 blocks per chain.
+    grid = [0.5, 0.7, 0.9]
     n_blocks = 12
-    groups = closed_block_index_groups(parity, n_blocks)
-    chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
-    h = build_effective_chain_matrix(p, t, chain, mode).data
-    seen = {}
+    edges, stacks = [], []
 
     def eigh_spy(m):
-        seen["edge"] = m.data
+        edges.append(m.data)
         return eigh(m)
 
     def stacked_spy(blocks):
-        seen["quads"] = blocks
+        stacks.append(blocks)
         return eigvals_stacked(blocks)
 
     monkeypatch.setattr(fockspace, "eigh", eigh_spy)
     monkeypatch.setattr(fockspace, "eigvals_stacked", stacked_spy)
-    trwa_block_energies(p, t, parity, n_blocks, mode)
-    idx = np.array(groups[1:])
-    assert np.array_equal(seen["edge"], h[np.ix_(groups[0], groups[0])])
-    assert np.array_equal(seen["quads"], h[idx[:, :, None], idx[:, None, :]])
+    spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks, mode)
+    assert len(edges) == 2 * len(grid) and len(stacks) == 2
+    for c, parity in enumerate((+1, -1)):
+        groups = closed_block_index_groups(parity, n_blocks)
+        idx = np.array(groups[1:])
+        chain = build_parity_chain(parity, chain_n_max_for_blocks(n_blocks))
+        quads = stacks[c].reshape(len(grid), n_blocks, 4, 4)
+        for k, g1 in enumerate(grid):
+            d = design_resonant(1.0, 2.0, 0.7, g1)
+            p = ModelParams(omega=1.0, delta1=d.delta1, delta2=2.0, g1=g1, g2=0.7)
+            t = TrwaParams(lambda1=d.lambda1, lambda2=d.lambda2)
+            h = build_effective_chain_matrix(p, t, chain, mode).data
+            assert np.array_equal(edges[c * len(grid) + k], h[np.ix_(groups[0], groups[0])])
+            assert np.array_equal(quads[k], h[idx[:, :, None], idx[:, None, :]])
 
 
 @pytest.mark.parametrize("n_max", [20, 90])
@@ -708,7 +716,9 @@ def test_spectrum_row_to_dict_matches_asdict():
 def reference_spectrum_rows(omega, delta2, g2, g1_grid, n_blocks, mode):
     """The row-by-row builder that the columnar sweep replaced, kept as the
     reference its rows are checked against: one record per level, sorted
-    as (energy, parity tag) pairs by a stable sort on the energy."""
+    as (energy, parity tag) pairs by a stable sort on the energy.  The
+    levels come from the dense chain matrices, not from the stacked
+    solve under test."""
     rows = []
     for g1 in g1_grid:
         try:
@@ -726,7 +736,7 @@ def reference_spectrum_rows(omega, delta2, g2, g1_grid, n_blocks, mode):
         c0 = constant_offset(p, t)
         labeled = []
         for par, tag in ((1, "+"), (-1, "-")):
-            energies = fockspace.trwa_block_energies(p, t, par, n_blocks, mode)
+            energies = dense_route_block_energies(p, t, par, n_blocks, mode)
             labeled.extend((e, tag) for e in energies)
         labeled.sort(key=lambda pair: pair[0])
         for idx, (energy, tag) in enumerate(labeled):
@@ -756,20 +766,42 @@ def test_table_rows_equal_the_row_by_row_reference(omega, delta2, g2, grid, n_bl
 
 
 def test_tied_levels_put_the_plus_chain_first(monkeypatch):
-    # both chains return the same 200 levels, each value repeated: every
-    # level ties one of the other chain, in an array long enough that an
+    # the stacked solve of the + chain returns the same 200 levels at every
+    # point, that of the - chain 100 of them, each value repeated: every
+    # level ties one of the other chain, in rows long enough that an
     # unstable sort moves ties
-    levels = sorted(float(k % 7) for k in range(200))
-    monkeypatch.setattr(fockspace, "trwa_block_energies", lambda *args: list(levels))
-    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.9], n_blocks=1)
-    col = dict(zip(fockspace.SPECTRUM_FIELDS, table.columns))
-    energy, tags = col["energy"], col["parity"]
-    assert list(energy) == sorted(levels + levels)
-    for value in set(levels):
-        run = [tag for e, tag in zip(energy, tags) if e == value]
-        half = len(run) // 2
-        assert run == ["+"] * half + ["-"] * half, value
-    assert table.rows == reference_spectrum_rows(1.0, 2.0, 0.7, [0.9], 1, CoefficientMode.APPROX)
+    levels = {+1: sorted(float(k % 7) for k in range(200)),
+              -1: sorted(float(k % 7) for k in range(100))}
+
+    def planted(rungs, couple, parity, n_blocks):
+        return np.tile(levels[parity], (len(rungs), 1))
+
+    monkeypatch.setattr(fockspace, "_chain_levels", planted)
+    grid = [0.5, 0.9]
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=1)
+    for g1 in grid:
+        rows = table.energies_for(g1)
+        assert [i for i, _, _ in rows] == list(range(300))
+        assert [e for _, _, e in rows] == sorted(levels[+1] + levels[-1])
+        for value in set(levels[+1]):
+            run = [tag for _, tag, e in rows if e == value]
+            assert run == (["+"] * levels[+1].count(value)
+                           + ["-"] * levels[-1].count(value)), value
+
+
+def test_a_sweep_solves_all_points_in_one_stacked_call_per_parity(monkeypatch):
+    # solving point by point made 24 calls for these 12 points
+    sizes = []
+
+    def spy(blocks):
+        sizes.append(blocks.shape)
+        return eigvals_stacked(blocks)
+
+    monkeypatch.setattr(fockspace, "eigvals_stacked", spy)
+    grid = [0.1 + 0.1 * k for k in range(12)]
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=8)
+    assert sizes == [(12 * 8, 4, 4)] * 2
+    assert all(r.error is None for r in table.rows)
 
 
 def test_spectrum_vs_g1_nonphysical_design_row():

@@ -105,6 +105,13 @@ CORPUS = {
     "missing keys": (("a", "b", "c"), [{"a": 1.0}, {"c": "z"}, {}]),
     "shared float run": (("x", "y"), [{"x": _SHARED, "y": i} for i in range(50)]
                          + [{"x": float("0.30000000000000004"), "y": -1}]),
+    # strings recur apart, as the parity tags do; each is a new object
+    "alternating text": (("s", "k"), [
+        {"s": "".join(("a,b", "+", 'q"', "", "+")[i % 5]), "k": i} for i in range(15)
+    ]),
+    "one column of alternating text": (("only",), [
+        {"only": ("", "-", 'x"y')[i % 3]} for i in range(9)
+    ]),
 }
 
 
