@@ -5,16 +5,15 @@ reservoir-dark, reservoir-quasi, validate.
 
 Settings resolve in three layers, strongest last: named preset, JSON
 config file (--config), explicit flags.  One table, COMMANDS, gives each
-command's settings (rule, default, help) and generates all flags.  Commands
-and validate read settings through it (read_settings), so a command fails
-with the first violation that validate reports for the same settings.
+command's settings (rule, default, help) and switches, and generates all
+flags.  Commands and validate read settings and switches through it
+(read_settings), so a command fails with the first violation that validate
+reports for the same settings and switches.
 
 Tables are emitted as CSV (with a '#'-prefixed JSON header record) or as a
 JSON object; either way the bytes are deterministic for a given version and
-parameter set, including under --jobs parallelism (workers only change wall
-time, never row order).  spectrum hands each worker one contiguous chunk
-of the g1 grid, which spectrum_vs_g1 solves stacked (one chunk by
-default); scan-window runs one task per (omega, delta2) pair.
+parameter set.  Each sweep command makes one library call over its whole
+grid: spectrum one spectrum_vs_g1, scan-window one window scan.
 
 Each command imports the modules it runs when it runs: oracle-compare
 loads oracle, and the reservoir-* commands (and their settings checks) load
@@ -34,10 +33,8 @@ import argparse
 import dataclasses
 import functools
 import importlib
-import itertools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
@@ -78,8 +75,6 @@ from .serialize import columns_of, csv_text, json_text, write_text
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
-
-JOBS_ENV = "RABI_SPECTRA_JOBS"
 
 _NUMERICAL_ERRORS = (
     NoBracketError,
@@ -197,9 +192,9 @@ class Command(NamedTuple):
     package export) that messages about its fields name; read_settings
     loads it, so only a command that reads its settings imports its module.
     Each pair in pairs must come together, and need_pair asks for at least
-    one; switches are (flag, help) of store_true flags.  relation is
-    (field, check) of a rule across settings: check reads the typed values
-    and raises ValueError, reported against field."""
+    one; switches are (name, help) of store_true flags.  relation is
+    (field, check) of the rules across settings and switches: check reads
+    the typed values and raises ValueError, reported against field."""
     run: Callable
     help: str
     owner: str
@@ -209,7 +204,6 @@ class Command(NamedTuple):
     need_pair: bool = False
     switches: tuple[tuple[str, str], ...] = ()
     formats: tuple[str, ...] = ("csv", "json")
-    jobs: bool = False
     relation: tuple[str, Callable[[dict], None]] | None = None
 
     @property
@@ -217,18 +211,20 @@ class Command(NamedTuple):
         return {s.name for s in self.settings}
 
 
-def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
-    """Read merged settings through the command's table.
+def read_settings(command: str, settings: dict, switches=frozenset()
+                  ) -> tuple[dict, list[tuple[str, ValueError]]]:
+    """Read merged settings and the names of the switches that are on
+    through the command's table.
 
     Returns the typed value of every setting of the command (its table
-    default when absent, None when it has none) and one {field, message}
-    record per violation, in the order validate reports them.
+    default when absent, None when it has none) and of each of its switches,
+    and one (field, error) per violation, in the order validate reports them.
     """
     cmd = COMMANDS[command]
-    violations: list[dict] = []
+    violations: list[tuple[str, ValueError]] = []
 
     def bad(field: str, message: str) -> None:
-        violations.append({"field": field, "message": message})
+        violations.append((field, ValueError(message)))
 
     for field in sorted(set(settings) - cmd.keys):
         bad(field, f"{field}: not a setting of {command}")
@@ -243,14 +239,15 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
             values[s.name] = RULES[s.rule][0](s.name, settings.get(s.name, s.default),
                                               owner=owner)
         except ValueError as exc:
-            bad(s.name, str(exc))
+            violations.append((s.name, exc))
             typed = False
+    values.update((name, name in switches) for name, _ in cmd.switches)
     if cmd.relation is not None and typed:
         field, check = cmd.relation
         try:
             check(values)
         except ValueError as exc:
-            bad(field, str(exc))
+            violations.append((field, exc))
     for field in cmd.required:
         if field not in settings:
             bad(field, f"{field}: required by {command}")
@@ -265,11 +262,18 @@ def read_settings(command: str, settings: dict) -> tuple[dict, list[dict]]:
     return values, violations
 
 
-def validate_settings(command: str, settings: dict) -> list[dict]:
+def validate_settings(command: str, settings: dict, switches=frozenset()) -> list[dict]:
     """Check every invariant; one {field, message} record per violation."""
     if command not in COMMANDS:
         return [{"field": "command", "message": f"unknown command {command!r}"}]
-    return read_settings(command, settings)[1]
+    return [{"field": field, "message": str(exc)}
+            for field, exc in read_settings(command, settings, switches)[1]]
+
+
+def _switches(args, command: str) -> set[str]:
+    """The names of the command's switches that args turn on; unlike its
+    settings, they stay out of headers and error records."""
+    return {name for name, _ in COMMANDS[command].switches if getattr(args, name, False)}
 
 
 def _merge_settings(args, command: str) -> dict:
@@ -291,22 +295,6 @@ def _merge_settings(args, command: str) -> dict:
         if val is not None:
             settings[key] = val
     return settings
-
-
-def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(f"{JOBS_ENV} must be an integer, got {env!r}")
-    if jobs is None:
-        return 1
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _write(args, text: str) -> int:
@@ -347,9 +335,9 @@ def _run(command: str, args) -> int:
     settings: dict = {}
     try:
         settings = _merge_settings(args, command)
-        values, violations = read_settings(command, settings)
+        values, violations = read_settings(command, settings, _switches(args, command))
         if violations:
-            raise ValueError(violations[0]["message"])
+            raise violations[0][1]
         return COMMANDS[command].run(args, settings, values)
     except _NUMERICAL_ERRORS as exc:
         return _fail(command, exc, settings, EXIT_NUMERICAL)
@@ -357,11 +345,13 @@ def _run(command: str, args) -> int:
         return _fail(command, exc, settings, EXIT_VALIDATION)
 
 
-def _sweep(jobs: int, task, points) -> list:
-    """task(point) for each point, run on jobs worker threads, in point
-    order."""
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(task, points))
+def _sweep(task):
+    """task(), run on one worker thread, which does no parallel work: the
+    benchmark's tracer (perfbench/spans.py) swaps cli.ThreadPoolExecutor to
+    carry its span context into the worker, and its self-tests assert spans
+    recorded there.  The pool goes when the program records its own spans."""
+    with ThreadPoolExecutor(max_workers=1) as ex:
+        return ex.submit(task).result()
 
 
 def _header(command: str, settings: dict, **extra) -> dict:
@@ -402,38 +392,24 @@ _SCAN_FIELDS = tuple(f.name for f in dataclasses.fields(WindowScanRow))
 def cmd_scan_window(args, settings: dict, values: dict) -> int:
     omegas, deltas, g2_grid = values["omega_values"], values["delta2_values"], values["g2_grid"]
     threshold, g1 = values["threshold"], values["g1"]
-
-    def task(pair):
-        w, d2 = pair
-        if g1 is None:
-            return scan_lambda2_window([w], [d2], g2_grid, threshold)
-        return scan_delta1_window([w], [d2], g1, g2_grid, threshold)
-
-    kind = "lambda2" if g1 is None else "delta1"
-    parts = _sweep(_resolve_jobs(args), task, [(w, d2) for w in omegas for d2 in deltas])
+    if g1 is None:
+        kind = "lambda2"
+        task = functools.partial(scan_lambda2_window, omegas, deltas, g2_grid, threshold)
+    else:
+        kind = "delta1"
+        task = functools.partial(scan_delta1_window, omegas, deltas, g1, g2_grid, threshold)
     header = _header("scan-window", settings, kind=kind, omega_values=omegas,
                      delta2_values=deltas, g2_grid=g2_grid, threshold=threshold)
-    return _emit(args, _SCAN_FIELDS,
-                 columns_of(_SCAN_FIELDS, itertools.chain.from_iterable(parts)), header)
+    return _emit(args, _SCAN_FIELDS, columns_of(_SCAN_FIELDS, _sweep(task)), header)
 
 
 def cmd_spectrum(args, settings: dict, values: dict) -> int:
     omega, delta2, g2, g1_grid = values["omega"], values["delta2"], values["g2"], values["g1_grid"]
     n_blocks, mode = values["n_blocks"], values["mode"]
-
-    def task(chunk: list[float]):
-        return spectrum_vs_g1(omega, delta2, g2, chunk, n_blocks, mode).columns
-
-    # one contiguous chunk of the grid per worker, each solved stacked; then
-    # each field's cells of every chunk, in grid order
-    jobs = _resolve_jobs(args)
-    size = -(-len(g1_grid) // jobs)
-    chunks = [g1_grid[i:i + size] for i in range(0, len(g1_grid), size)]
-    columns = [list(itertools.chain.from_iterable(parts))
-               for parts in zip(*_sweep(jobs, task, chunks))]
+    result = _sweep(functools.partial(spectrum_vs_g1, omega, delta2, g2, g1_grid, n_blocks, mode))
     header = _header("spectrum", settings, omega=omega, delta2=delta2, g2=g2,
                      g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value)
-    return _emit(args, SPECTRUM_FIELDS, columns, header)
+    return _emit(args, SPECTRUM_FIELDS, result.columns, header)
 
 
 def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
@@ -447,20 +423,11 @@ def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
 
 
 def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
-    from .reservoir import (
-        ReservoirParams,
-        _check_dark_symmetric,
-        compute_K,
-        dark_state_energy,
-        dark_state_residual,
-        reservoir_constant,
-    )
+    from .reservoir import compute_K, dark_state_energy, dark_state_residual, reservoir_constant
 
-    r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
+    r = _reservoir(values)
     m_max, n_max = values["m_max"], values["n_max"]
     coeffs = compute_K(r)
-    if not args.allow_asymmetric:
-        _check_dark_symmetric(r, "--allow-asymmetric")
     rows = []
     for m in range(m_max + 1):
         for n in range(m % 2, n_max + 1, 2):  # even m + n only
@@ -476,16 +443,14 @@ def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
 
 
 def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:
-    from .reservoir import ReservoirParams, quasi_exact_subspace, verify_eq24
+    from .reservoir import quasi_exact_subspace, verify_eq24
 
-    r = ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
-    if values["m"] is None and not args.window:
-        raise ValueError("reservoir-quasi: give --m/--n, --window, or both")
+    r = _reservoir(values)
     payload: dict = {"header": _header("reservoir-quasi", settings)}
     if values["m"] is not None:
         _, report = quasi_exact_subspace(r, values["m"], values["n"])
         payload["subspace"] = report.to_dict()
-    if args.window:
+    if values["window"]:
         payload["window"] = verify_eq24(r, k_value=values["k_value"]).to_dict()
     return _write(args, json_text(payload))
 
@@ -496,7 +461,7 @@ def cmd_validate(args) -> int:
         settings = _merge_settings(args, command)
     except (ValueError, OSError) as exc:
         return _fail("validate", exc, {"for": command}, EXIT_VALIDATION)
-    violations = validate_settings(command, settings)
+    violations = validate_settings(command, settings, _switches(args, command))
     sys.stdout.write(json_text({
         "command": command,
         "settings": settings,
@@ -530,11 +495,32 @@ def _check_n_levels(values: dict) -> None:
     check_n_levels(values["n_levels"], values["n_max"], values["n_blocks"])
 
 
-def _check_seed(values: dict) -> None:
-    if values["m"] is not None and values["n"] is not None:
+def _reservoir(values: dict):
+    """The ReservoirParams of the typed values, or None while one is
+    missing: the rules across them wait, and read_settings reports the
+    missing one as required."""
+    if None not in map(values.get, _RESERVOIR_KEYS):
+        from .reservoir import ReservoirParams
+
+        return ReservoirParams(**{k: values[k] for k in _RESERVOIR_KEYS})
+
+
+def _check_quasi(values: dict) -> None:
+    m, n = values["m"], values["n"]
+    if m is not None and n is not None:
         from .reservoir import check_seed
 
-        check_seed(values["m"], values["n"])
+        check_seed(m, n)
+    elif m is None and n is None and not values["window"] and _reservoir(values) is not None:
+        raise ValueError("reservoir-quasi: give --m/--n, --window, or both")
+
+
+def _check_symmetric(values: dict) -> None:
+    r = _reservoir(values)
+    if r is not None and not values["allow_asymmetric"]:
+        from .reservoir import _check_dark_symmetric
+
+        _check_dark_symmetric(r, "--allow-asymmetric")
 
 
 COMMANDS = {
@@ -556,13 +542,13 @@ COMMANDS = {
             Setting("g1", "non-negative", None, "fixed g1: scan the derived-delta1 window"),
             Setting("threshold", "positive", LAMBDA_WINDOW, "window half-width on |lambda|"),
         ),
-        required=("omega_values", "delta2_values", "g2_grid"), jobs=True,
+        required=("omega_values", "delta2_values", "g2_grid"),
     ),
     "spectrum": Command(
         cmd_spectrum, "block spectrum swept over g1 at a resonant design", "ModelParams",
         (_OMEGA, _DELTA2, _G2, Setting("g1_grid", "non-negative grid", None, _GRID_HELP),
          _N_BLOCKS, _MODE),
-        required=("omega", "delta2", "g2", "g1_grid"), jobs=True,
+        required=("omega", "delta2", "g2", "g1_grid"),
     ),
     "oracle-compare": Command(
         cmd_oracle_compare, "block spectrum vs exact diagonalization, ground-aligned",
@@ -578,7 +564,8 @@ COMMANDS = {
         (*_RESERVOIR, Setting("m_max", "index >= 0", 4, "largest pseudomode number m"),
          Setting("n_max", "index >= 0", 4, "largest photon number n")),
         required=_RESERVOIR_KEYS,
-        switches=(("--allow-asymmetric", "compute residuals even for asymmetric qubits"),),
+        switches=(("allow_asymmetric", "compute residuals even for asymmetric qubits"),),
+        relation=("settings", _check_symmetric),
     ),
     "reservoir-quasi": Command(
         cmd_reservoir_quasi, "quasi-exact subspace and printed-window reports (JSON)",
@@ -587,9 +574,9 @@ COMMANDS = {
          Setting("n", "index >= 0", None, "photon number of the subspace"),
          Setting("k_value", "number", None, "folded coupling K to use in the window check")),
         required=_RESERVOIR_KEYS, pairs=(("m", "n"),),
-        switches=(("--window", "add the printed 6x6 window check at E = 2*omega1 + 2*omega"),),
+        switches=(("window", "add the printed 6x6 window check at E = 2*omega1 + 2*omega"),),
         formats=("json",),
-        relation=("m", _check_seed),
+        relation=("m", _check_quasi),
     ),
 }
 
@@ -598,10 +585,11 @@ COMMANDS = {
 # parser
 # ---------------------------------------------------------------------------
 
-def _flags(settings, command: bool) -> list[tuple[str, dict]]:
+def _flags(settings, switches, command: bool) -> list[tuple[str, dict]]:
     """(option, add_argument keywords) of --fig, offering the presets whose
-    keys are all among settings, and of each setting.  A command's flags
-    restrict mode and show defaults; validate's take any value to report on.
+    keys are all among settings, of each setting and of each (name, help)
+    switch.  A command's flags restrict mode and show defaults; validate's
+    take any value to report on.
     """
     keys = {s.name for s in settings}
     figs = [name[3:] for name, preset in PRESETS.items() if keys.issuperset(preset)]
@@ -613,29 +601,27 @@ def _flags(settings, command: bool) -> list[tuple[str, dict]]:
         if command and s.rule == "mode":
             kw["choices"] = ("approx", "exact")
         flags.append((f"--{s.name.replace('_', '-')}", kw))
+    for name, text in switches:
+        flags.append((f"--{name.replace('_', '-')}", {"action": "store_true", "help": text}))
     return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The rabi-spectra parser: a subparser with its generated flags for
-    each command, and validate's, which takes every setting of every
-    command."""
+    each command, and validate's, which takes every setting and switch of
+    every command."""
     parser = _Parser(prog="rabi-spectra", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         p.set_defaults(func=functools.partial(_run, name))
-        for option, kw in _flags(cmd.settings, True):
+        for option, kw in _flags(cmd.settings, cmd.switches, True):
             p.add_argument(option, **kw)
-        for flag, text in cmd.switches:
-            p.add_argument(flag, action="store_true", help=text)
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=cmd.formats,
                        help="output format (default: json when --out ends in .json, else csv)")
         p.add_argument("--config", help="JSON file with default settings")
-        if cmd.jobs:
-            p.add_argument("--jobs", type=int, help=f"worker threads (default ${JOBS_ENV} or 1)")
 
     p = sub.add_parser("validate",
                        help="check a merged preset/config/flag set and list violations")
@@ -643,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--for", dest="for_command", required=True, choices=sorted(COMMANDS))
     p.add_argument("--config", help="JSON file with default settings")
     every = {s.name: s for cmd in COMMANDS.values() for s in cmd.settings}
-    for option, kw in _flags(every.values(), False):
+    switches = dict(sw for cmd in COMMANDS.values() for sw in cmd.switches)
+    for option, kw in _flags(every.values(), switches.items(), False):
         p.add_argument(option, **kw)
     return parser
 

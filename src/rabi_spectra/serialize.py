@@ -30,7 +30,6 @@ always quotes it.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import operator
 import re
@@ -170,23 +169,3 @@ def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
 
-
-def read_csv_text(text: str) -> tuple[dict | None, list[str], list[dict]]:
-    """Parse a document produced by csv_text back into (header, fieldnames,
-    rows); cell values stay strings."""
-    # no command reads CSV back, so only a caller of this function loads csv
-    import csv
-
-    lines = text.splitlines()
-    header = None
-    start = 0
-    if lines and lines[0].startswith("# "):
-        header = json.loads(lines[0][2:])
-        start = 1
-    reader = csv.reader(io.StringIO("\n".join(lines[start:])))
-    table = list(reader)
-    if not table:
-        return header, [], []
-    fieldnames = table[0]
-    rows = [dict(zip(fieldnames, row)) for row in table[1:]]
-    return header, fieldnames, rows

@@ -21,7 +21,8 @@ from rabi_spectra.model import ModelParams
 from rabi_spectra.oracle import MIN_N_MAX, compare_trwa_exact
 from rabi_spectra.reservoir import ReservoirParams
 from rabi_spectra.resonance import DegenerateDesignError, design_resonant
-from rabi_spectra.serialize import read_csv_text
+
+from csvdoc import read_csv
 
 
 def run(argv):
@@ -37,7 +38,7 @@ def run(argv):
 def test_lambda_single_pair():
     code, out, _ = run(["lambda", "--omega", "1.0", "--delta2", "0", "--g2", "0.5"])
     assert code == 0
-    header, fields, rows = read_csv_text(out)
+    header, fields, rows = read_csv(out)
     assert fields == ["qubit", "omega", "delta", "g", "lam", "residual", "in_window"]
     assert rows == [
         {
@@ -55,7 +56,7 @@ def test_lambda_both_pairs():
         "--delta2", "2.0", "--g2", "0.7",
     ])
     assert code == 0
-    _, _, rows = read_csv_text(out)
+    _, _, rows = read_csv(out)
     assert [r["qubit"] for r in rows] == ["1", "2"]
     assert float(rows[0]["lam"]) == pytest.approx(-0.060350412751367016, abs=1e-12)
     assert float(rows[1]["lam"]) == pytest.approx(0.29797713043845475, abs=1e-12)
@@ -103,7 +104,7 @@ def test_out_extension_picks_csv_otherwise(tmp_path):
         "--g1", "0.9", "--out", str(out_path),
     ])
     assert code == 0
-    header, fields, rows = read_csv_text(out_path.read_text())
+    header, fields, rows = read_csv(out_path.read_text())
     assert len(rows) == 1
     assert "delta1" in fields
 
@@ -123,14 +124,14 @@ def test_csv_floats_survive_round_trip():
     code, out, _ = run(["design", "--omega", "1.0", "--delta2", "2.0",
                         "--g2", "0.7", "--g1", "0.9"])
     assert code == 0
-    _, _, rows = read_csv_text(out)
+    _, _, rows = read_csv(out)
     assert float(rows[0]["lambda2"]) == 0.29797713043845475
 
 
 def test_scan_window_fig_preset():
     code, out, _ = run(["scan-window", "--fig", "1a"])
     assert code == 0
-    header, fields, rows = read_csv_text(out)
+    header, fields, rows = read_csv(out)
     assert len(rows) == 76  # 1 omega x 4 delta2 x 19 g2
     assert header["delta2_values"] == [1.0, 1.5, 2.0, 2.5]
     assert header["version"]
@@ -151,7 +152,7 @@ def test_spectrum_reports_design_failures_per_row():
         "--g1-grid", "0.0,0.45,0.9", "--n-blocks", "3",
     ])
     assert code == 0
-    _, _, rows = read_csv_text(out)
+    _, _, rows = read_csv(out)
     bad = [r for r in rows if r["error"]]
     assert len(bad) == 1
     assert bad[0]["g1"] == "0" and bad[0]["error"] == "DegenerateDesign"
@@ -190,7 +191,7 @@ def test_oracle_csv_passes_the_benchmark_gate(tmp_path, seed):
     assert run([*wl.argv, "--out", str(out)])[0] == 0
     text = out.read_text(encoding="utf-8")
     assert gate.check(text, gate.load_reference("oracle-n300", wl.variant)) == []
-    header, _, _ = read_csv_text(text)
+    header, _, _ = read_csv(text)
     assert header["convergence"]["passed"] is True
 
 
@@ -223,12 +224,31 @@ def test_each_oracle_sector_certifies_in_one_round(monkeypatch, seed, g1):
     assert rungs == [601, 601]
 
 
-def test_spectrum_jobs_do_not_change_bytes():
-    argv = ["spectrum", "--fig", "3", "--n-blocks", "3"]
-    base = run(argv + ["--jobs", "1"])
-    para = run(argv + ["--jobs", "8"])
-    assert base[0] == para[0] == 0
-    assert base[1] == para[1]
+def _spy_calls(monkeypatch, name):
+    """Record the arguments of each call to the library function that cli
+    binds as name, and still run it."""
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_spectrum_preset_is_one_sweep_call(monkeypatch):
+    calls = _spy_calls(monkeypatch, "spectrum_vs_g1")
+    code, out, _ = run(["spectrum", "--fig", "3", "--n-blocks", "3"])
+    assert code == 0
+    ((omega, delta2, g2, g1_grid, n_blocks, mode),) = calls
+    assert (omega, delta2, g2, g1_grid, n_blocks) == (1.0, 2.0, 0.7, PRESETS["fig3"]["g1_grid"], 3)
+    # the command writes the columns of that one call, in grid order
+    result = fockspace.spectrum_vs_g1(omega, delta2, g2, g1_grid, n_blocks, mode)
+    _, fields, rows = read_csv(out)
+    assert len(rows) == len(result.columns[0]) > len(g1_grid)
+    assert [float(r["g1"]) for r in rows] == list(result.columns[fields.index("g1")])
 
 
 # g1 points of a spectrum grid whose design the planted_failures fixture
@@ -257,7 +277,7 @@ def test_spectrum_bytes_do_not_depend_on_the_stack_chunk(monkeypatch, planted_fa
     argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", PLANTED_GRID, "--n-blocks", "3"]
     code, default, _ = run(argv)
     assert code == 0
-    _, _, rows = read_csv_text(default)
+    _, _, rows = read_csv(default)
     assert [(r["g1"], r["error"]) for r in rows if r["error"]] == [
         ("0", "DegenerateDesign"), ("0.29999999999999999", "NonphysicalDesign"),
         ("0.59999999999999998", "DegenerateDesign")]
@@ -276,39 +296,32 @@ def test_spectrum_bytes_do_not_depend_on_the_stack_chunk(monkeypatch, planted_fa
     assert chunked == default
 
 
-def test_spectrum_jobs_solve_contiguous_chunks_with_the_same_bytes(monkeypatch, planted_failures):
-    chunks = []
-    sweep = cli.spectrum_vs_g1
-
-    def spy(omega, delta2, g2, g1_grid, *rest):
-        chunks.append(list(g1_grid))
-        return sweep(omega, delta2, g2, g1_grid, *rest)
-
-    monkeypatch.setattr(cli, "spectrum_vs_g1", spy)
+def test_spectrum_solves_its_whole_grid_in_one_call(monkeypatch, planted_failures):
+    calls = _spy_calls(monkeypatch, "spectrum_vs_g1")
     argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", PLANTED_GRID, "--n-blocks", "3"]
-    base = run(argv + ["--jobs", "1"])
-    assert chunks == [[0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]]
-    chunks.clear()
-    para = run(argv + ["--jobs", "3"])
-    assert chunks == [[0.0, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8]]
-    assert base[0] == para[0] == 0
-    assert base[1] == para[1]
+    code, out, _ = run(argv)
+    assert code == 0 and out
+    assert [list(args[3]) for args in calls] == [[0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]]
 
 
-def test_scan_window_jobs_env_var(monkeypatch):
-    ref_code, ref_out, _ = run(["scan-window", "--fig", "1b", "--jobs", "1"])
-    monkeypatch.setenv("RABI_SPECTRA_JOBS", "7")
-    env_code, env_out, _ = run(["scan-window", "--fig", "1b"])
-    assert ref_code == env_code == 0
-    assert ref_out == env_out
-    monkeypatch.setenv("RABI_SPECTRA_JOBS", "zero")
-    bad_code, bad_out, _ = run(["scan-window", "--fig", "1b"])
-    assert bad_code == 1
+@pytest.mark.parametrize("fig, scan, grids", [
+    ("1b", "scan_lambda2_window", ([0.5, 1.0, 1.5], [2.0])),
+    ("2b", "scan_delta1_window", ([0.5, 1.0, 1.5], [2.0], 0.9)),
+])
+def test_scan_window_scans_its_whole_grid_in_one_call(monkeypatch, fig, scan, grids):
+    calls = _spy_calls(monkeypatch, scan)
+    code, out, _ = run(["scan-window", "--fig", fig])
+    assert code == 0
+    ((*head, g2_grid, threshold),) = calls
+    assert (tuple(head), g2_grid, threshold) == (grids, PRESETS[f"fig{fig}"]["g2_grid"], 0.1)
+    assert len(read_csv(out)[2]) == 3 * len(g2_grid)
 
 
 def test_reruns_are_byte_identical():
     argv = ["scan-window", "--fig", "2b"]
-    assert run(argv) == run(argv)
+    first = run(argv)
+    assert first[0] == 0 and first[1]
+    assert run(argv) == first
 
 
 def test_config_file_layering(tmp_path):
@@ -337,7 +350,7 @@ def test_oracle_compare_small_run():
         "--g1", "0.9", "--n-levels", "4", "--n-max", "24", "--n-blocks", "4",
     ])
     assert code == 0
-    _, fields, rows = read_csv_text(out)
+    _, fields, rows = read_csv(out)
     assert len(rows) == 4
     assert "abs_dev" in fields
     assert float(rows[0]["abs_dev"]) == 0.0
@@ -350,7 +363,7 @@ def test_reservoir_dark_grid():
         "--delta1", "1.0", "--delta2", "1.0", "--m-max", "2", "--n-max", "2",
     ])
     assert code == 0
-    _, fields, rows = read_csv_text(out)
+    _, fields, rows = read_csv(out)
     assert "residual" in fields
     assert rows, "expected at least one (m, n) row"
     assert all(float(r["residual"]) <= 1e-12 for r in rows)
@@ -652,7 +665,7 @@ def test_oracle_compare_names_a_nonphysical_design():
     assert f"delta1 = {design_resonant(1.0, 0.2, 0.5, 0.3).delta1} <= 0" in record["message"]
     code, out, _ = run(["spectrum", *design, "--g1-grid", "0.3", "--n-blocks", "1"])
     assert code == 0
-    assert [row["error"] for row in read_csv_text(out)[2]] == ["NonphysicalDesign"]
+    assert [row["error"] for row in read_csv(out)[2]] == ["NonphysicalDesign"]
 
 
 SCAN_SETTINGS = {"omega_values": [1.0], "delta2_values": [2.0], "g2_grid": [0.3, 0.7]}
@@ -715,6 +728,52 @@ def test_commands_reject_the_settings_validate_rejects(tmp_path, command, field,
     assert json.loads(out)["violations"] == [{"field": field, "message": record["message"]}]
 
 
+def _flags_of(params: dict) -> list[str]:
+    return [arg for name, value in params.items()
+            for arg in (f"--{name.replace('_', '-')}", str(value))]
+
+
+ASYMMETRIC = {"omega": 1, "omega1": 0.8, "v": 0.25, "g1": 0.3, "g2": 0.45, "g1p": 0.15,
+              "g2p": 0.2, "delta1": 0.9, "delta2": 1.3}
+
+
+@pytest.mark.parametrize("command, flags, token", [
+    ("reservoir-quasi", RESERVOIR_FLAGS, "Value"),
+    ("reservoir-dark", _flags_of(ASYMMETRIC), "AsymmetricParams"),
+    # omega = 2 delta1 = 2 delta2 leaves eta undefined (compute_K raises
+    # SingularEta), but the symmetry rule refuses the settings first
+    ("reservoir-dark", _flags_of({**ASYMMETRIC, "omega": 2, "delta1": 1, "delta2": 1}),
+     "AsymmetricParams"),
+])
+def test_validate_reports_the_rule_a_switch_lifts(command, flags, token):
+    # reservoir-quasi needs a subspace or --window; reservoir-dark refuses
+    # asymmetric parameters without --allow-asymmetric
+    code, out, _ = run([command, *flags])
+    assert code == 1
+    record = json.loads(out)
+    assert record["error"] == token
+    assert "--window" in record["message"] or "--allow-asymmetric" in record["message"]
+    code, out, _ = run(["validate", "--for", command, *flags])
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert [v["message"] for v in violations] == [record["message"]]
+    ((switch, _),) = COMMANDS[command].switches
+    code, out, _ = run(["validate", "--for", command, *flags, f"--{switch.replace('_', '-')}"])
+    assert code == 0
+    assert json.loads(out)["settings"] == record["params"]  # switches are not settings
+
+
+def test_a_missing_parameter_is_reported_before_the_rules_across_them():
+    flags = RESERVOIR_FLAGS[:-2]  # no --delta2
+    for command in ("reservoir-quasi", "reservoir-dark"):
+        code, out, _ = run([command, *flags])
+        assert code == 1
+        assert json.loads(out)["message"] == f"delta2: required by {command}"
+        code, out, _ = run(["validate", "--for", command, *flags])
+        assert json.loads(out)["violations"] == [
+            {"field": "delta2", "message": f"delta2: required by {command}"}]
+
+
 # every subcommand's option strings, frozen: the parser that the settings
 # table generates must add and drop no flag
 OPTION_STRINGS = {
@@ -723,9 +782,9 @@ OPTION_STRINGS = {
     "design": ["--config", "--delta2", "--format", "--g1", "--g2", "--help", "--omega",
                "--out", "-h"],
     "scan-window": ["--config", "--delta2-values", "--fig", "--format", "--g1", "--g2-grid",
-                    "--help", "--jobs", "--omega-values", "--out", "--threshold", "-h"],
+                    "--help", "--omega-values", "--out", "--threshold", "-h"],
     "spectrum": ["--config", "--delta2", "--fig", "--format", "--g1-grid", "--g2", "--help",
-                 "--jobs", "--mode", "--n-blocks", "--omega", "--out", "-h"],
+                 "--mode", "--n-blocks", "--omega", "--out", "-h"],
     "oracle-compare": ["--config", "--delta2", "--format", "--g1", "--g2", "--help", "--mode",
                        "--n-blocks", "--n-levels", "--n-max", "--omega", "--out", "-h"],
     "reservoir-dark": ["--allow-asymmetric", "--config", "--delta1", "--delta2", "--format",
@@ -734,10 +793,11 @@ OPTION_STRINGS = {
     "reservoir-quasi": ["--config", "--delta1", "--delta2", "--format", "--g1", "--g1p",
                         "--g2", "--g2p", "--help", "--k-value", "--m", "--n", "--omega",
                         "--omega1", "--out", "--v", "--window", "-h"],
-    "validate": ["--config", "--delta1", "--delta2", "--delta2-values", "--fig", "--for",
-                 "--g1", "--g1-grid", "--g1p", "--g2", "--g2-grid", "--g2p", "--help",
-                 "--k-value", "--m", "--m-max", "--mode", "--n", "--n-blocks", "--n-levels",
-                 "--n-max", "--omega", "--omega-values", "--omega1", "--threshold", "--v", "-h"],
+    "validate": ["--allow-asymmetric", "--config", "--delta1", "--delta2", "--delta2-values",
+                 "--fig", "--for", "--g1", "--g1-grid", "--g1p", "--g2", "--g2-grid", "--g2p",
+                 "--help", "--k-value", "--m", "--m-max", "--mode", "--n", "--n-blocks",
+                 "--n-levels", "--n-max", "--omega", "--omega-values", "--omega1", "--threshold",
+                 "--v", "--window", "-h"],
 }
 
 

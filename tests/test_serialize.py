@@ -12,7 +12,9 @@ from rabi_spectra.cli import _SCAN_FIELDS
 from rabi_spectra.fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
 from rabi_spectra.model import CoefficientMode
 from rabi_spectra.resonance import scan_delta1_window
-from rabi_spectra.serialize import columns_of, csv_text, fmt, json_text, read_csv_text
+from rabi_spectra.serialize import columns_of, csv_text, fmt, json_text
+
+from csvdoc import read_csv
 
 
 def reference_csv_text(fieldnames, rows, header=None):
@@ -44,18 +46,19 @@ def test_fmt_special_values():
 
 def test_csv_document_layout_and_round_trip():
     header = {"command": "demo", "omega": 1.0}
-    rows = [{"a": 0.5, "b": None}, {"a": 1.0 / 3.0, "b": "x"}]
+    rows = [{"a": 0.5, "b": None}, {"a": 1.0 / 3.0, "b": "x"}, {"a": 'say "hi"', "b": "x,\ny"}]
     text = csv_text(("a", "b"), columns_of(("a", "b"), rows), header)
     lines = text.splitlines()
     assert lines[0].startswith("# ")
     assert json.loads(lines[0][2:]) == header
     assert lines[1] == "a,b"
 
-    back_header, fieldnames, back_rows = read_csv_text(text)
+    back_header, fieldnames, back_rows = read_csv(text)
     assert back_header == header
     assert fieldnames == ["a", "b"]
     assert float(back_rows[1]["a"]) == 1.0 / 3.0
     assert back_rows[0]["b"] == ""
+    assert back_rows[2] == rows[2]  # the quoting, read by the stdlib csv reader
 
 
 def test_csv_header_key_order_is_canonical():
