@@ -306,16 +306,17 @@ def _write(args, text: str) -> int:
     return EXIT_OK
 
 
-def _emit(args, fieldnames, columns, header) -> int:
-    """Write a table given as one sequence of cells per field name; JSON
-    rows are the {field: cell} dicts of its rows."""
+def _emit(args, fieldnames, blocks, header) -> int:
+    """Write a table given as row blocks, each one sequence of cells per
+    field name (serialize.csv_text); JSON rows are the {field: cell} dicts
+    of its rows, block after block."""
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "json" if (getattr(args, "out", None) or "").endswith(".json") else "csv"
     if fmt == "json":
-        rows = [dict(zip(fieldnames, cells)) for cells in zip(*columns)]
+        rows = [dict(zip(fieldnames, cells)) for block in blocks for cells in zip(*block)]
         return _write(args, json_text({"header": dict(header), "rows": rows}))
-    return _write(args, csv_text(fieldnames, columns, header))
+    return _write(args, csv_text(fieldnames, blocks, header))
 
 
 def _fail(command: str, exc: Exception, params: dict, code: int) -> int:
@@ -377,13 +378,13 @@ def cmd_lambda(args, settings: dict, values: dict) -> int:
             "in_window": in_lambda_window(lam),
         })
     fields = ("qubit", "omega", "delta", "g", "lam", "residual", "in_window")
-    return _emit(args, fields, columns_of(fields, rows), _header("lambda", settings))
+    return _emit(args, fields, [columns_of(fields, rows)], _header("lambda", settings))
 
 
 def cmd_design(args, settings: dict, values: dict) -> int:
     row = design_resonant(**values).to_dict()
     fields = tuple(row)
-    return _emit(args, fields, columns_of(fields, [row]), _header("design", settings))
+    return _emit(args, fields, [columns_of(fields, [row])], _header("design", settings))
 
 
 _SCAN_FIELDS = tuple(f.name for f in dataclasses.fields(WindowScanRow))
@@ -400,7 +401,7 @@ def cmd_scan_window(args, settings: dict, values: dict) -> int:
         task = functools.partial(scan_delta1_window, omegas, deltas, g1, g2_grid, threshold)
     header = _header("scan-window", settings, kind=kind, omega_values=omegas,
                      delta2_values=deltas, g2_grid=g2_grid, threshold=threshold)
-    return _emit(args, _SCAN_FIELDS, columns_of(_SCAN_FIELDS, _sweep(task)), header)
+    return _emit(args, _SCAN_FIELDS, [columns_of(_SCAN_FIELDS, _sweep(task))], header)
 
 
 def cmd_spectrum(args, settings: dict, values: dict) -> int:
@@ -409,7 +410,7 @@ def cmd_spectrum(args, settings: dict, values: dict) -> int:
     result = _sweep(functools.partial(spectrum_vs_g1, omega, delta2, g2, g1_grid, n_blocks, mode))
     header = _header("spectrum", settings, omega=omega, delta2=delta2, g2=g2,
                      g1_grid=g1_grid, n_blocks=n_blocks, mode=mode.value)
-    return _emit(args, SPECTRUM_FIELDS, result.columns, header)
+    return _emit(args, SPECTRUM_FIELDS, result.blocks, header)
 
 
 def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
@@ -418,7 +419,7 @@ def cmd_oracle_compare(args, settings: dict, values: dict) -> int:
     summary = compare_trwa_exact(**values).to_dict()
     rows = summary.pop("rows")
     fields = tuple(f.name for f in dataclasses.fields(DeviationRow))
-    return _emit(args, fields, columns_of(fields, rows),
+    return _emit(args, fields, [columns_of(fields, rows)],
                  _header("oracle-compare", settings, **summary))
 
 
@@ -439,7 +440,7 @@ def cmd_reservoir_dark(args, settings: dict, values: dict) -> int:
     header = _header("reservoir-dark", settings, m_max=m_max, n_max=n_max,
                      constant=reservoir_constant(r, coeffs), **coeffs.to_dict())
     fields = ("m", "n", "energy", "residual")
-    return _emit(args, fields, columns_of(fields, rows), header)
+    return _emit(args, fields, [columns_of(fields, rows)], header)
 
 
 def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:

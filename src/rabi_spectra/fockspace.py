@@ -22,21 +22,26 @@ solve and Block4 read it; _block_level_count beside it counts its states
 in O(1), and check_n_blocks caps n_blocks for it and the command line).
 
 The g1 sweep solves its points stacked.  Each point's design stays its
-own, but _chain_bands builds each chain's band at all points at once, a
-leading point axis on the same elementwise operations, and the 4x4
-blocks of every point of a chain go through one eigvals_stacked call
-(_chain_levels; each point's boundary group through eigh).
-_stacked_levels returns each chain's levels, and _merge_parities is the
-one statement of the merge of two parities, which the sweep and both
-sides of the oracle comparison read.  A grid goes through in chunks of at
-most _STACK_BLOCKS blocks per chain.  trwa_block_energies is the
-one-point, one-chain view.
+own, with lambda2 solved once for the whole grid, but _chain_bands builds
+each chain's band at all points at once, a leading point axis on the same
+elementwise operations, from coefficient tables built once per distinct
+displacement (_chain_tables), and the 4x4 blocks of every point of a
+chain go through one eigvals_stacked call (_chain_levels; each point's
+boundary group through eigh).  _stacked_levels returns each chain's
+levels, and _merge_parities is the one statement of the merge of two
+parities, which the sweep and both sides of the oracle comparison read.
+A grid goes through in chunks of at most _STACK_BLOCKS blocks per chain.
+trwa_block_energies is the one-point, one-chain view.  The sweep's table
+is one row block per g1 point (SpectrumTable), in the layout
+serialize.csv_text writes: the point's parameters once, as shared cells,
+and its levels as per-row columns.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,21 +63,24 @@ from .numerics import (
     band_to_dense,
     check_bound,
     check_grid,
+    check_integer,
     eigh,
     eigvals_stacked,
     error_token,
 )
-from .resonance import _POINT_ERRORS, design_resonant
-from .serialize import record_dict
+from .resonance import _POINT_ERRORS, design_resonant, solve_lambda2
+from .serialize import Repeat, record_dict
 
 @dataclass(frozen=True)
 class ChainState:
-    """One Fock (x) spin-x basis state |n, s1, s2> with s in {+1, -1}."""
+    """One Fock (x) spin-x basis state |n, s1, s2> with s in {+1, -1}; n is
+    an integer-valued number (check_integer), stored as an int."""
     n: int
     s1: int
     s2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_integer("photon number", self.n))
         if self.n < 0:
             raise ValueError(f"photon number must be nonnegative, got {self.n}")
         if self.s1 not in (-1, 1) or self.s2 not in (-1, 1):
@@ -125,9 +133,10 @@ def _chain_layout(parity, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def build_parity_chain(parity, n_max: int) -> ParityChain:
-    """Enumerate the parity sector up to photon number n_max, in
-    _chain_layout order."""
+    """Enumerate the parity sector up to photon number n_max, an
+    integer-valued number (check_integer), in _chain_layout order."""
     par = _normalize_parity(parity)
+    n_max = check_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     layout = (a.tolist() for a in _chain_layout(par, n_max))
@@ -138,15 +147,22 @@ def _chain_tables(ts: Sequence[TrwaParams], n_max: int,
                   mode: CoefficientMode) -> tuple[np.ndarray, ...]:
     """The coefficient tables the chain bands of len(ts) points read up to
     photon number n_max, each (P, n_max + 1): G0 at lambda1 and lambda2,
-    then F1 at each, one Laguerre recurrence per point and table.  They
-    depend on the displacements, not on the parity, so both chains of one
-    design share them."""
-    per_point = [
-        (coeff_g0_table(t.lambda1, n_max, mode), coeff_g0_table(t.lambda2, n_max, mode),
-         coeff_f1_table(t.lambda1, n_max, mode), coeff_f1_table(t.lambda2, n_max, mode))
-        for t in ts
-    ]
-    return tuple(np.array(table) for table in zip(*per_point))
+    then F1 at each.  They depend on the displacements, not on the parity,
+    so both chains of one design share them, and each G0 and F1 table is
+    built once per distinct displacement (one Laguerre recurrence each): a
+    g1 sweep has one lambda2 at every point.  Displacements are told apart
+    by float.hex, so 0.0 and -0.0 get their own tables."""
+    tables: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def g0_f1(lam: float) -> tuple[np.ndarray, np.ndarray]:
+        key = float(lam).hex()
+        if key not in tables:
+            tables[key] = (coeff_g0_table(lam, n_max, mode), coeff_f1_table(lam, n_max, mode))
+        return tables[key]
+
+    pairs = [(g0_f1(t.lambda1), g0_f1(t.lambda2)) for t in ts]
+    return tuple(np.array([pair[qubit][kind] for pair in pairs])
+                 for kind in (0, 1) for qubit in (0, 1))
 
 
 def _chain_bands(
@@ -449,42 +465,73 @@ SPECTRUM_FIELDS = tuple(f.name for f in fields(SpectrumRow))
 class SpectrumTable:
     """Block-spectrum sweep over g1 at fixed (omega, delta2, g2).
 
-    The levels are stored as columns: one tuple per SpectrumRow field, in
-    SPECTRUM_FIELDS order, with one cell per level row.  A point's
-    parameter and offset cells repeat one float object.  rows and
-    energies_for are views of the columns.
+    The levels are stored as one row block per g1 point, in grid order
+    (serialize.csv_text): a block holds one sequence of cells per
+    SpectrumRow field, in SPECTRUM_FIELDS order, with one cell per level
+    row.  A solved point's g1, delta1, lambda1, lambda2, offset and error
+    are each one object, shared by its rows as a serialize.Repeat; its
+    parity tags, level indices and energies have a cell per row.  A failed
+    point is one row.  columns, rows and energies_for are views of the
+    blocks.
     """
     omega: float
     delta2: float
     g2: float
     mode: str
     n_blocks: int
-    columns: tuple[tuple, ...]
+    blocks: tuple[tuple[Sequence, ...], ...]
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        """One tuple per SpectrumRow field, the blocks' cells in order."""
+        return tuple(tuple(itertools.chain.from_iterable(column))
+                     for column in zip(*self.blocks))
 
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:
-        return tuple(SpectrumRow(*cells) for cells in zip(*self.columns))
+        return tuple(SpectrumRow(*cells) for block in self.blocks for cells in zip(*block))
 
     def energies_for(self, g1: float) -> list[tuple[int, str, float]]:
-        col = dict(zip(SPECTRUM_FIELDS, self.columns))
+        at = SPECTRUM_FIELDS.index
         return [
             (i, tag, e)
-            for x, tag, i, e, err in zip(col["g1"], col["parity"], col["level_index"],
-                                         col["energy"], col["error"])
+            for block in self.blocks
+            for x, tag, i, e, err in zip(*(block[at(name)] for name in (
+                "g1", "parity", "level_index", "energy", "error")))
             if x == g1 and err is None
         ]
 
 
 def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]:
-    """The columns of a g1 point whose design failed: one row, no level."""
+    """The row block of a g1 point whose design failed: one row, no level."""
     return tuple((cell,) for cell in (g1, delta1, lambda1, lambda2, "", None, None, None, token))
 
 
-def _design_point(omega: float, delta2: float, g2: float, g1: float) -> tuple:
+def _replayed(solve: Callable[[], float]) -> Callable[[], float]:
+    """solve, run at the first call only: each later call returns the value
+    of that run or raises its point error (_POINT_ERRORS) again.  Any other
+    error ends the sweep at the first call."""
+    outcome = []
+
+    def replay() -> float:
+        if not outcome:
+            try:
+                outcome.append(solve())
+            except _POINT_ERRORS as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+    return replay
+
+
+def _design_point(omega: float, delta2: float, g2: float, g1: float,
+                  lambda2: Callable[[], float]) -> tuple:
     """The (ModelParams, TrwaParams) of the resonant design at g1 or, when
-    the design fails, the columns of the point: one error row, no level."""
+    the design fails, the row block of the point: one error row, no level.
+    lambda2 solves the qubit-2 root (design_resonant)."""
     try:
-        des = design_resonant(omega, delta2, g2, g1)
+        des = design_resonant(omega, delta2, g2, g1, lambda2=lambda2)
     except _POINT_ERRORS as exc:
         return _failed_point(g1, None, None, None, error_token(exc))
     if not des.physical:
@@ -493,14 +540,14 @@ def _design_point(omega: float, delta2: float, g2: float, g1: float) -> tuple:
             TrwaParams(lambda1=des.lambda1, lambda2=des.lambda2))
 
 
-def _level_columns(p: ModelParams, t: TrwaParams, energies: np.ndarray,
-                   tags: np.ndarray) -> tuple[Sequence, ...]:
-    """The SPECTRUM_FIELDS columns of a solved g1 point, one row per level."""
+def _level_block(p: ModelParams, t: TrwaParams, energies: np.ndarray,
+                 tags: np.ndarray) -> tuple[Sequence, ...]:
+    """The row block of a solved g1 point, one row per level."""
     n = len(energies)
     return (
-        (p.g1,) * n, (p.delta1,) * n, (t.lambda1,) * n, (t.lambda2,) * n,
-        tags.tolist(), range(n), energies.tolist(),
-        (constant_offset(p, t),) * n, (None,) * n,
+        Repeat(p.g1, n), Repeat(p.delta1, n), Repeat(t.lambda1, n), Repeat(t.lambda2, n),
+        tuple(tags.tolist()), range(n), tuple(energies.tolist()),
+        Repeat(constant_offset(p, t), n), Repeat(None, n),
     )
 
 
@@ -526,30 +573,28 @@ def spectrum_vs_g1(
     first), the parity label of the block the level came from, and the
     constant diagonal offset so spectra can be compared shift-free.  Design
     failures become single rows with the error token and empty numeric
-    fields.  The designed points are solved stacked (_stacked_levels), in
-    chunks of max(1, _STACK_BLOCKS // n_blocks) points, and each point's
-    parities merged (_merge_parities); a point's levels do not depend on
-    the chunk it is solved in.  Raises ValueError unless
-    check_grid accepts g1_grid with entries >= 0, check_n_blocks n_blocks,
-    and design_resonant each g1.
+    fields.  lambda2 is solved once, at the first point with g1 > 0, and
+    its value or error is every later point's.  The designed points are
+    solved stacked (_stacked_levels), in chunks of max(1, _STACK_BLOCKS //
+    n_blocks) points, and each point's parities merged (_merge_parities);
+    a point's levels do not depend on the chunk it is solved in.  Each
+    point is one row block of the table (SpectrumTable).  Raises
+    ValueError unless check_grid accepts g1_grid with entries >= 0,
+    check_n_blocks n_blocks, and design_resonant each g1.
     """
     g1_grid = check_grid("g1_grid", g1_grid, ">=", 0)
-    blocks = check_n_blocks("n_blocks", n_blocks)
-    points = [_design_point(omega, delta2, g2, g1) for g1 in g1_grid]
+    n_blocks = check_n_blocks("n_blocks", n_blocks)
+    lambda2 = _replayed(functools.partial(solve_lambda2, omega, delta2, g2))
+    points = [_design_point(omega, delta2, g2, g1, lambda2) for g1 in g1_grid]
     solved = [point for point in points if isinstance(point[0], ModelParams)]
-    step = max(1, _STACK_BLOCKS // blocks)
+    step = max(1, _STACK_BLOCKS // n_blocks)
     levels = []
     for start in range(0, len(solved), step):
         ps, ts = zip(*solved[start:start + step])
-        levels.extend(zip(*_merge_parities(*_stacked_levels(ps, ts, blocks, mode))))
+        levels.extend(zip(*_merge_parities(*_stacked_levels(ps, ts, n_blocks, mode))))
     levels = iter(levels)
-    parts = [_level_columns(*point, *next(levels)) if isinstance(point[0], ModelParams)
-             else point for point in points]
-    columns = tuple(
-        tuple(itertools.chain.from_iterable(part[k] for part in parts))
-        for k in range(len(SPECTRUM_FIELDS))
-    )
     return SpectrumTable(
-        omega=omega, delta2=delta2, g2=g2, mode=str(mode.value),
-        n_blocks=blocks, columns=columns,
+        omega=omega, delta2=delta2, g2=g2, mode=str(mode.value), n_blocks=n_blocks,
+        blocks=tuple(_level_block(*point, *next(levels))
+                     if isinstance(point[0], ModelParams) else point for point in points),
     )

@@ -150,13 +150,16 @@ def reservoir_constant(r: ReservoirParams, coeffs: ReservoirCoefficients) -> flo
 
 @dataclass(frozen=True)
 class ReservoirChainState:
-    """|m, n, s1, s2>: pseudomode m, photon n, spin-x labels +/-1."""
+    """|m, n, s1, s2>: pseudomode m, photon n, spin-x labels +/-1; m and n
+    are integer-valued numbers (check_integer), stored as ints."""
     m: int
     n: int
     s1: int
     s2: int
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         if self.m < 0 or self.n < 0:
             raise ValueError(f"mode indices must be nonnegative, got ({self.m}, {self.n})")
         if self.s1 not in (-1, 1) or self.s2 not in (-1, 1):

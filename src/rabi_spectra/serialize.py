@@ -9,14 +9,24 @@ Two formats, both reproducible byte for byte on every platform:
   through Python's repr, the shortest string that round-trips, which is
   deterministic for a given value.
 
-A CSV table is given and formatted as columns, one sequence of cells per
-field.  Tables held as rows, mappings (a missing key is an empty cell) or
-records read by attribute, become columns through ``columns_of``.  A cell
-whose value is the same object as the cell above it (``is``, never ``==``:
-``0.0 == -0.0``, yet they print as ``0`` and ``-0``) reuses that cell's
-text; a sweep repeats its point's parameters on every level row.  A
-string's text is also kept by value for its whole column, so the parity
-column, which alternates two tags, quotes each tag once.
+A CSV table is given as a sequence of row blocks, and a block as columns:
+one sequence of cells per field, all of the block's length.  A plain row
+table is one block; tables held as rows, mappings (a missing key is an
+empty cell) or records read by attribute, become columns through
+``columns_of``.  A cell that a block shares across its rows is an
+explicit ``Repeat(value, n)``; a sweep's block is one grid point, whose
+parameters repeat on every level row.
+
+``csv_text`` writes each block through one ``%``-template.  A shared cell
+is literal text, formatted and quoted once.  A column of exact floats
+where no cell is the same object as the cell above becomes ``%.17g``,
+which makes the same call as ``format(x, ".17g")``; exact ints become
+``%d``, and strings that need no quoting ``%s``.  Any other column takes
+its cell texts from ``_column``: a cell whose value is the same object as
+the cell above it (``is``, never ``==``: ``0.0 == -0.0``, yet they print
+as ``0`` and ``-0``) reuses that cell's text, as a row table's repeated
+parameters do (``scan-window``), and a string's text is kept by value for
+its whole column.
 
 The writer owns its quoting rule instead of leaving it to ``csv.writer``:
 numbers, booleans and None are never quoted; any other cell is quoted,
@@ -30,10 +40,11 @@ always quotes it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import operator
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 # field names and a getter of their values, per record class; filled on
@@ -132,31 +143,110 @@ def columns_of(fieldnames: Sequence[str], rows: Iterable) -> list[list]:
     return [list(map(operator.attrgetter(name), rows)) for name in fieldnames]
 
 
+class Repeat(Sequence):
+    """A shared cell of a row block: a sized sequence that yields value, the
+    one object, n times."""
+
+    __slots__ = ("value", "n")
+
+    def __init__(self, value, n: int):
+        self.value = value
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Repeat(self.value, len(range(self.n)[index]))
+        range(self.n)[index]  # IndexError past either end
+        return self.value
+
+    def __iter__(self):
+        return itertools.repeat(self.value, self.n)
+
+    def __eq__(self, other):
+        if type(other) is not Repeat:
+            return NotImplemented
+        return (self.value, self.n) == (other.value, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.n))
+
+    def __repr__(self) -> str:
+        return f"Repeat({self.value!r}, {self.n})"
+
+
+def _template_part(column: Sequence, lone: bool) -> tuple[str, Sequence | None]:
+    """The template text of one column of a block, and the values that fill
+    it row by row (None for a shared cell, whose text is in the template).
+
+    The first cell's type picks the test: a float column must also hold no
+    cell that is the same object as the one above, which _column formats
+    once; any column the tests turn down goes through _column."""
+    kind = type(column)
+    if kind is Repeat:
+        return _cell(column.value, lone).replace("%", "%%"), None
+    if kind is range:
+        return "%d", column
+    first = type(column[0])
+    if first is float:
+        if (not any(map(operator.is_, column, itertools.islice(column, 1, None)))
+                and set(map(type, column)) == {float}):
+            return "%.17g", column
+    elif first is int:
+        if set(map(type, column)) == {int}:
+            return "%d", column
+    elif first is str and set(map(type, column)) == {str}:
+        distinct = set(column)
+        if not (lone and "" in distinct or any(map(_NEEDS_QUOTES.search, distinct))):
+            return "%s", column
+    return "%s", _column(column, lone)
+
+
+def _block_text(block: Sequence[Sequence], lone: bool) -> str:
+    """The CSV lines of one row block, without the last line break: the
+    row template, once per row, filled by one % over every row's values."""
+    parts, values = [], []
+    for column in block:
+        text, cells = _template_part(column, lone)
+        parts.append(text)
+        if cells is not None:
+            values.append(cells)
+    rows = "\n".join([",".join(parts)] * len(block[0]))
+    return rows % tuple(itertools.chain.from_iterable(zip(*values)))
+
+
 def csv_text(
     fieldnames: Sequence[str],
-    columns: Sequence[Sequence],
+    blocks: Iterable[Sequence[Sequence]],
     header: Mapping | None = None,
 ) -> str:
     """Build the full CSV document as a string.
 
-    columns holds one sequence of cells per field name, all of one length;
-    row i of the table is the i-th cell of every column.
+    blocks is the table as row blocks, in order; a plain table is one
+    block.  A block holds one sequence of cells per field name, all of one
+    length; row i of the block is the i-th cell of every column, and a
+    shared cell is a Repeat.
     """
     if not fieldnames:
         raise ValueError("a CSV table needs at least one column")
-    if any(isinstance(c, Mapping) for c in columns):
-        raise TypeError("csv_text takes columns; columns_of turns rows into columns")
-    if len(columns) != len(fieldnames) or len({len(c) for c in columns}) > 1:
-        raise ValueError(
-            f"need {len(fieldnames)} columns of one length, got lengths "
-            f"{[len(c) for c in columns]}"
-        )
     lone = len(fieldnames) == 1
     lines = []
     if header is not None:
         lines.append("# " + json.dumps(dict(header), sort_keys=True))
     lines.append(",".join(_cell(name, lone) for name in fieldnames))
-    lines.extend(map(",".join, zip(*[_column(c, lone) for c in columns])))
+    for block in blocks:
+        if any(isinstance(c, (str, Mapping)) for c in block):
+            raise TypeError("csv_text takes blocks of columns; columns_of turns rows "
+                            "into columns, and [columns] is a one-block table")
+        if len(block) != len(fieldnames) or len({len(c) for c in block}) > 1:
+            raise ValueError(
+                f"need {len(fieldnames)} columns of one length, got lengths "
+                f"{[len(c) for c in block]}"
+            )
+        if len(block[0]):
+            lines.append(_block_text(block, lone))
     lines.append("")
     return "\n".join(lines)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -171,7 +172,7 @@ WORKLOADS = _perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, WORKLOADS.HELD_OUT_SEED])
-@pytest.mark.parametrize("workload", ["sweep-exact", "sweep-approx"])
+@pytest.mark.parametrize("workload", ["sweep-exact", "sweep-approx", "scan-dense"])
 def test_spectrum_csv_equals_the_benchmark_reference_bytes(tmp_path, workload, seed):
     # the benchmark's gate compares to 1e-10; the bytes are kept exactly
     wl = WORKLOADS.build(workload, seed)
@@ -265,10 +266,10 @@ def planted_failures(monkeypatch):
     none, so a real grid cannot mix the two."""
     original = fockspace.design_resonant
 
-    def planted(omega, delta2, g2, g1):
+    def planted(omega, delta2, g2, g1, **solver):
         if g1 == 0.6:
             raise DegenerateDesignError("planted")
-        des = original(omega, delta2, g2, g1)
+        des = original(omega, delta2, g2, g1, **solver)
         return dataclasses.replace(des, delta1=-des.delta1) if g1 == 0.3 else des
 
     monkeypatch.setattr(fockspace, "design_resonant", planted)
@@ -416,6 +417,21 @@ def test_level_commands_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pi
     # the benchmark gate holds oracle-n300 to 1e-10 only, and no reference
     # covers exact-mode oracle-compare or spectrum --fig 3
     _assert_reproduces(pin, tmp_path, monkeypatch)
+
+
+# --format json of spectrum --fig 3 (approx and exact) and scan-window
+# --fig 1a: stdout held by its length and SHA-256, with no --out file
+JSON_PINS = _pins("json_cli.json")
+
+
+@pytest.mark.parametrize("pin", JSON_PINS, ids=lambda pin: pin["name"])
+def test_json_tables_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pin):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(pin["argv"])
+    data = out.encode("utf-8")
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        pin["exit"], pin["stdout_bytes"], pin["stdout_sha256"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_flags_bad_numbers():

@@ -3,6 +3,7 @@ four-state blocks under a joint resonant design."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from rabi_spectra import (
     trwa_block_energies,
 )
 from rabi_spectra import fockspace
+from rabi_spectra import model as fockspace_model
 from rabi_spectra.fockspace import _chain_bands, _chain_layout
 from rabi_spectra.numerics import (
     LAGUERRE_MAX_DEGREE,
@@ -104,6 +106,26 @@ def test_chain_construction_plus_parity():
 def test_chain_length():
     assert len(build_parity_chain(+1, 10).states) == 22
     assert len(build_parity_chain(-1, 10).states) == 22
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: build_parity_chain(1, 2.5), "n_max must be an integer, got 2.5"),
+    (lambda: build_parity_chain(1, True), "n_max: expected a number, got True"),
+    (lambda: build_parity_chain(1, -1), "n_max must be nonnegative, got -1"),
+    (lambda: ChainState(True, 1, 1), "photon number: expected a number, got True"),
+    (lambda: ChainState(1.5, 1, 1), "photon number must be an integer, got 1.5"),
+    (lambda: ChainState(-1, 1, 1), "photon number must be nonnegative, got -1"),
+])
+def test_photon_numbers_must_be_integers(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_an_integer_valued_photon_number_is_taken_as_an_int():
+    assert build_parity_chain(1, 2.0) == build_parity_chain(1, 2)
+    assert build_parity_chain(1, 2.0).labels()[-1] == "|2,-,->"
+    assert type(ChainState(2.0, 1, 1).n) is int
+    assert ChainState(2.0, 1, 1).ket() == "|2,+,+>"
 
 
 def test_zero_coupling_diagonal_element():
@@ -463,6 +485,7 @@ def test_an_integer_valued_block_count_is_taken_as_an_int():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.5, 0.9], n_blocks=3.0)
     assert type(table.n_blocks) is int
     assert table == spectrum_vs_g1(1.0, 2.0, 0.7, [0.5, 0.9], n_blocks=3)
+    assert hash(table) == hash(spectrum_vs_g1(1.0, 2.0, 0.7, [0.5, 0.9], n_blocks=3))
 
 
 def test_block_energies_allocate_no_dense_chain_matrix():
@@ -865,3 +888,109 @@ def test_spectrum_levels_continuous_on_fine_grid():
         jumps = [abs(b - a) for a, b in zip(series, series[1:])]
         for i in range(1, len(jumps)):
             assert jumps[i] <= 10.0 * jumps[i - 1] + 1e-9, (lev, i)
+
+
+def test_coefficient_tables_are_built_once_per_distinct_displacement(monkeypatch):
+    # lambda2 is one float at every point of a sweep, and the last point
+    # repeats the first's lambda1: 2 recurrences (G0 and F1) per distinct
+    # displacement, and every table bit-equal to its per-point build
+    calls = []
+    laguerre = fockspace_model.laguerre_table
+
+    def counted(n_max, k, x):
+        calls.append((k, x))
+        return laguerre(n_max, k, x)
+
+    monkeypatch.setattr(fockspace_model, "laguerre_table", counted)
+    ts = [TrwaParams(lambda1=lam1, lambda2=0.29797713043845475)
+          for lam1 in (-0.1, -0.2, -0.3, -0.1)]
+    n_max, mode = 41, CoefficientMode.EXACT
+    tables = fockspace._chain_tables(ts, n_max, mode)
+    assert len(calls) == 2 * 4
+    monkeypatch.setattr(fockspace_model, "laguerre_table", laguerre)
+    per_point = [
+        [fockspace_model.coeff_g0_table(t.lambda1, n_max, mode) for t in ts],
+        [fockspace_model.coeff_g0_table(t.lambda2, n_max, mode) for t in ts],
+        [fockspace_model.coeff_f1_table(t.lambda1, n_max, mode) for t in ts],
+        [fockspace_model.coeff_f1_table(t.lambda2, n_max, mode) for t in ts],
+    ]
+    for table, expected in zip(tables, per_point, strict=True):
+        assert table.shape == (len(ts), n_max + 1)
+        assert table.tobytes() == np.array(expected).tobytes()
+
+
+def test_signed_zero_displacements_get_their_own_tables():
+    ts = [TrwaParams(lambda1=0.0, lambda2=0.1), TrwaParams(lambda1=-0.0, lambda2=0.1)]
+    f1_1 = fockspace._chain_tables(ts, 3, CoefficientMode.APPROX)[2]
+    assert [math.copysign(1.0, row[1]) for row in f1_1] == [1.0, -1.0]
+
+
+def _counted_solves(monkeypatch):
+    calls = []
+    solve = fockspace.solve_lambda2
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fockspace, "solve_lambda2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("omega, delta2, g2, token", [
+    (1.0, 2.0, 0.7, None),
+    (1.0, 2.0, 3.0, "Singular"),
+    (1.0, 0.2, 2.0, "NoBracket"),
+])
+def test_the_sweep_solves_lambda2_once(monkeypatch, omega, delta2, g2, token):
+    # a g1 = 0 point is degenerate before lambda2 is read; the first g1 > 0
+    # point solves it, and every later point reads its value or its error
+    calls = _counted_solves(monkeypatch)
+    grid = [0.0, 0.3, 0.6, 0.9]
+    table = spectrum_vs_g1(omega, delta2, g2, grid, n_blocks=2)
+    assert calls == [(omega, delta2, g2)]
+    assert table.rows == reference_spectrum_rows(omega, delta2, g2, grid, 2,
+                                                 CoefficientMode.APPROX)
+    errors = [block[-1][0] for block in table.blocks]
+    assert errors == ["DegenerateDesign"] + [token] * 3
+
+
+def test_a_grid_of_zeros_never_solves_lambda2(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    table = spectrum_vs_g1(1.0, 2.0, 3.0, [0.0], n_blocks=2)
+    assert calls == []
+    assert [r.error for r in table.rows] == ["DegenerateDesign"]
+
+
+def test_design_reads_its_lambda2_solver_only_past_g1_zero():
+    calls = []
+
+    def lambda2():
+        calls.append(None)
+        return 0.29797713043845475
+
+    with pytest.raises(DegenerateDesignError):
+        design_resonant(1.0, 2.0, 0.7, 0.0, lambda2=lambda2)
+    assert calls == []
+    assert design_resonant(1.0, 2.0, 0.7, 0.9, lambda2=lambda2) == design_resonant(
+        1.0, 2.0, 0.7, 0.9)
+    assert len(calls) == 1
+
+
+def test_a_point_block_shares_its_parameter_cells():
+    from rabi_spectra.serialize import Repeat
+
+    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.45], n_blocks=2)
+    failed, solved = table.blocks
+    assert all(len(column) == 1 for column in failed)
+    shared = [k for k, column in enumerate(solved) if type(column) is Repeat]
+    at = fockspace.SPECTRUM_FIELDS.index
+    assert shared == [at(name) for name in ("g1", "delta1", "lambda1", "lambda2",
+                                            "offset", "error")]
+    n = len(solved[0])
+    assert n == (3 + 4 * 2) + (1 + 4 * 2)  # each chain's boundary group and 2 blocks
+    # the columns view yields the blocks' own cell objects, in order
+    for k, column in enumerate(table.columns):
+        assert column[0] is failed[k][0]
+        assert all(cell is expected for cell, expected in zip(column[1:], solved[k]))
+

@@ -3,6 +3,7 @@ states, and the six-state subspace reports."""
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -516,3 +517,20 @@ def test_record_to_dict_equals_asdict_in_field_order():
     assert mismatches
     for m in mismatches:
         assert list(m.to_dict().items()) == list(dataclasses.asdict(m).items())
+
+
+@pytest.mark.parametrize("m, n, message", [
+    (1.5, 0, "m must be an integer, got 1.5"),
+    (0, True, "n: expected a number, got True"),
+    (-1, 0, "mode indices must be nonnegative, got (-1, 0)"),
+    (1, -2, "mode indices must be nonnegative, got (1, -2)"),
+])
+def test_mode_numbers_must_be_integers(m, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ReservoirChainState(m, n, 1, -1)
+
+
+def test_an_integer_valued_mode_number_is_taken_as_an_int():
+    state = ReservoirChainState(2.0, 1.0, 1, -1)
+    assert (type(state.m), type(state.n)) == (int, int)
+    assert state.ket() == "|2,1,+,->"

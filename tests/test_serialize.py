@@ -6,13 +6,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rabi_spectra.cli import _SCAN_FIELDS
 from rabi_spectra.fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
 from rabi_spectra.model import CoefficientMode
 from rabi_spectra.resonance import scan_delta1_window
-from rabi_spectra.serialize import columns_of, csv_text, fmt, json_text
+from rabi_spectra.serialize import Repeat, columns_of, csv_text, fmt, json_text
 
 from csvdoc import read_csv
 
@@ -47,7 +48,7 @@ def test_fmt_special_values():
 def test_csv_document_layout_and_round_trip():
     header = {"command": "demo", "omega": 1.0}
     rows = [{"a": 0.5, "b": None}, {"a": 1.0 / 3.0, "b": "x"}, {"a": 'say "hi"', "b": "x,\ny"}]
-    text = csv_text(("a", "b"), columns_of(("a", "b"), rows), header)
+    text = csv_text(("a", "b"), [columns_of(("a", "b"), rows)], header)
     lines = text.splitlines()
     assert lines[0].startswith("# ")
     assert json.loads(lines[0][2:]) == header
@@ -62,8 +63,8 @@ def test_csv_document_layout_and_round_trip():
 
 
 def test_csv_header_key_order_is_canonical():
-    a = csv_text(("x",), [[]], {"b": 1, "a": 2})
-    b = csv_text(("x",), [[]], {"a": 2, "b": 1})
+    a = csv_text(("x",), [[[]]], {"b": 1, "a": 2})
+    b = csv_text(("x",), [[[]]], {"a": 2, "b": 1})
     assert a == b
 
 
@@ -123,12 +124,12 @@ CORPUS = {
 def test_csv_text_equals_the_csv_writer_reference(case, header):
     fieldnames, rows = CORPUS[case]
     columns = columns_of(fieldnames, rows)
-    assert csv_text(fieldnames, columns, header) == reference_csv_text(fieldnames, rows, header)
+    assert csv_text(fieldnames, [columns], header) == reference_csv_text(fieldnames, rows, header)
 
 
 def test_negative_zero_below_positive_zero_keeps_its_sign():
     # equal by ==, not the same object: the cell text must not be reused
-    text = csv_text(("x",), [[0.0, float("-0.0")]])
+    text = csv_text(("x",), [[[0.0, float("-0.0")]]])
     assert text == "x\n0\n-0\n"
 
 
@@ -137,30 +138,30 @@ def test_records_read_by_attribute_equal_their_dicts():
     dicts = [dataclasses.asdict(r) for r in records]
     columns = columns_of(("b", "a"), records)
     assert columns == columns_of(("b", "a"), dicts)
-    assert csv_text(("b", "a"), columns) == reference_csv_text(("b", "a"), dicts)
+    assert csv_text(("b", "a"), [columns]) == reference_csv_text(("b", "a"), dicts)
 
 
 def test_lone_carriage_return_is_always_quoted():
     # csv.writer leaves this cell bare before Python 3.13 and quotes it from
     # 3.13 on; the writer's own rule quotes it on every version
-    assert csv_text(("s", "k"), [["a\rb"], [1]]) == 's,k\n"a\rb",1\n'
+    assert csv_text(("s", "k"), [[["a\rb"], [1]]]) == 's,k\n"a\rb",1\n'
 
 
 def test_a_table_needs_a_column():
     with pytest.raises(ValueError):
-        csv_text((), [])
+        csv_text((), [[]])
 
 
 @pytest.mark.parametrize("columns", [[[1]], [[1], [2], [3]], [[1, 2], [3]]])
 def test_columns_must_match_the_fields_and_each_other(columns):
     with pytest.raises(ValueError, match="columns of one length"):
-        csv_text(("a", "b"), columns)
+        csv_text(("a", "b"), [columns])
 
 
 def test_rows_given_as_columns_are_refused():
     # two mappings for two fields would otherwise pass the length check
     with pytest.raises(TypeError, match="columns_of"):
-        csv_text(("a", "b"), [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        csv_text(("a", "b"), [[{"a": 1, "b": 2}, {"a": 3, "b": 4}]])
 
 
 def test_exact_spectrum_table_equals_the_reference():
@@ -168,7 +169,7 @@ def test_exact_spectrum_table_equals_the_reference():
                            mode=CoefficientMode.EXACT)
     assert any(r.error for r in table.rows)
     dicts = [r.to_dict() for r in table.rows]
-    assert csv_text(SPECTRUM_FIELDS, table.columns) == reference_csv_text(SPECTRUM_FIELDS, dicts)
+    assert csv_text(SPECTRUM_FIELDS, table.blocks) == reference_csv_text(SPECTRUM_FIELDS, dicts)
 
 
 def test_window_scan_table_equals_the_reference():
@@ -176,5 +177,118 @@ def test_window_scan_table_equals_the_reference():
                               [0.05, 0.3, 0.7, 1.0])
     assert {r.error for r in rows} > {None}
     dicts = [r.to_dict() for r in rows]
-    assert (csv_text(_SCAN_FIELDS, columns_of(_SCAN_FIELDS, rows))
+    assert (csv_text(_SCAN_FIELDS, [columns_of(_SCAN_FIELDS, rows)])
             == reference_csv_text(_SCAN_FIELDS, dicts))
+
+
+def rows_of_blocks(fieldnames, blocks):
+    """The rows of a table given as row blocks, as mappings."""
+    return [dict(zip(fieldnames, cells)) for block in blocks for cells in zip(*block)]
+
+
+_ZERO = float("0.0")
+_NEG_ZERO = float("-0.0")
+
+# (fieldnames, row blocks); Repeat marks a shared cell
+BLOCK_CORPUS = {
+    "signed zeros shared": (("x", "y"), [
+        [Repeat(_ZERO, 2), [1, 2]], [Repeat(_NEG_ZERO, 2), [3, 4]], [Repeat(_ZERO, 1), [5]],
+    ]),
+    "signed zeros per row": (("x", "y"), [
+        [[_ZERO, _NEG_ZERO, float("0.0")], Repeat(1.5, 3)],
+        [[_NEG_ZERO, float("0.0")], Repeat(_NEG_ZERO, 2)],
+    ]),
+    # the same object down a per-row column: its text is reused, and the
+    # zero below an equal zero of the other sign is not
+    "same-object repeats per row": (("x", "y"), [
+        [[_ZERO, _ZERO, _NEG_ZERO, _NEG_ZERO, _SHARED, _SHARED], ["a"] * 6],
+        [[_NEG_ZERO, _ZERO, None], [1, 1, 1]],
+    ]),
+    "bools, None and numpy floats": (("t", "z", "f", "s"), [
+        [Repeat(True, 2), Repeat(None, 2), [np.float64(0.1), np.float64(-0.0)], [False, None]],
+        [[True, False], [None, None], Repeat(np.float64(2.5), 2), Repeat(False, 2)],
+    ]),
+    "nan and inf": (("x", "y"), [
+        [Repeat(math.nan, 2), [math.inf, -math.inf]],
+        [[math.nan, math.nan, 1.0], Repeat(-math.inf, 3)],
+    ]),
+    "percent and quotes": (("s", "k", "t"), [
+        [Repeat("100%", 2), [1, 2], Repeat('a "%d" b', 2)],
+        [["%s", "%%", "50% off"], Repeat("x,%y", 3), ["+", "-", "+"]],
+        [["a,b", 'say "hi"', "two\nlines"], [10**30, -(2**63), 0], Repeat("%.17g", 3)],
+    ]),
+    "one field with an empty cell, shared": (("only",), [
+        [Repeat("", 2)], [Repeat(None, 1)], [Repeat("%", 2)], [Repeat(1.5, 1)],
+    ]),
+    "one field with an empty cell, per row": (("only",), [
+        [["x", "", "y"]], [["", None, 2.5]], [["+", "-"]],
+    ]),
+    "one-row blocks": (("a", "b", "c"), [
+        [[0.5], [1], ["+"]],
+        [Repeat(0.5, 1), Repeat(1, 1), Repeat("-", 1)],
+        [(2.5,), range(1), ("",)],
+    ]),
+    # a failed sweep point between solved ones, as spectrum_vs_g1 builds them
+    "failed-point blocks": (("g1", "parity", "level_index", "energy", "error"), [
+        [(0.0,), ("",), (None,), (None,), ("DegenerateDesign",)],
+        [Repeat(0.45, 3), ["+", "-", "+"], range(3), [-1.25, 0.5, 0.5], Repeat(None, 3)],
+        [(0.9,), ("",), (None,), (None,), ("Singular",)],
+    ]),
+    "empty blocks": (("a", "b"), [
+        [[], Repeat(1.0, 0)], [[1.0], ["b"]], [range(0), ()],
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CORPUS))
+@pytest.mark.parametrize("header", [None, {"command": "demo", "g": [0.5, -0.0]}])
+def test_row_blocks_equal_the_csv_writer_reference(case, header):
+    fieldnames, blocks = BLOCK_CORPUS[case]
+    rows = rows_of_blocks(fieldnames, blocks)
+    assert csv_text(fieldnames, blocks, header) == reference_csv_text(fieldnames, rows, header)
+    # the same rows as one block of plain columns
+    assert csv_text(fieldnames, [columns_of(fieldnames, rows)], header) == csv_text(
+        fieldnames, blocks, header)
+
+
+def test_negative_zero_below_the_same_zero_object_keeps_its_sign():
+    # the reuse of the cell above is by identity: a column with a repeated
+    # object goes through it, and -0.0 below 0.0 is a new object
+    assert csv_text(("x",), [[[_ZERO, _ZERO, _NEG_ZERO]]]) == "x\n0\n0\n-0\n"
+    assert csv_text(("x",), [[[_ZERO, None, _NEG_ZERO, _NEG_ZERO]]]) == 'x\n0\n""\n-0\n-0\n'
+
+
+def test_repeat_is_a_sized_sequence_of_one_object():
+    cell = [1.5]
+    shared = Repeat(cell, 3)
+    assert len(shared) == 3
+    assert all(item is cell for item in shared)
+    assert shared[0] is cell and shared[-3] is cell
+    assert list(shared[1:]) == [cell, cell]
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            shared[index]
+    assert Repeat(0.5, 2) == Repeat(0.5, 2) != Repeat(0.5, 3)
+    assert len(Repeat("x", 0)) == 0 and list(Repeat("x", 0)) == []
+
+
+@pytest.mark.parametrize("block", [
+    [Repeat(1, 2), [1]],
+    [Repeat(1, 2), Repeat(2, 3)],
+    [[1, 2]],
+    [[1], [2], [3]],
+])
+def test_a_block_needs_a_column_per_field_of_one_length(block):
+    with pytest.raises(ValueError, match="columns of one length"):
+        csv_text(("a", "b"), [[[1], [2]], block])
+
+
+@pytest.mark.parametrize("blocks", [
+    [["ab", "cd"]],  # a block of strings, each of two "cells"
+    [[{"a": 1}, {"a": 2}]],
+    [[1.0, 2.0], [3.0, 4.0]],  # columns without their block
+])
+def test_a_table_given_as_columns_or_rows_is_refused(blocks):
+    with pytest.raises(TypeError):
+        csv_text(("a", "b"), blocks)
+
