@@ -68,7 +68,7 @@ from .numerics import (
     eigvals_stacked,
     error_token,
 )
-from .resonance import _POINT_ERRORS, design_resonant, solve_lambda2
+from .resonance import _POINT_ERRORS, _design, solve_lambda2
 from .serialize import Repeat, record_dict
 
 @dataclass(frozen=True)
@@ -509,8 +509,9 @@ def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]
 
 def _replayed(solve: Callable[[], float]) -> Callable[[], float]:
     """solve, run at the first call only: each later call returns the value
-    of that run or raises its point error (_POINT_ERRORS) again.  Any other
-    error ends the sweep at the first call."""
+    of that run or raises its point error (_POINT_ERRORS) again, with the
+    traceback of that call alone.  Any other error ends the sweep at the
+    first call."""
     outcome = []
 
     def replay() -> float:
@@ -520,7 +521,9 @@ def _replayed(solve: Callable[[], float]) -> Callable[[], float]:
             except _POINT_ERRORS as exc:
                 outcome.append(exc)
         if isinstance(outcome[0], Exception):
-            raise outcome[0]
+            # a raise of a held instance would add its frames to the ones
+            # the last raise left on it
+            raise outcome[0].with_traceback(None)
         return outcome[0]
     return replay
 
@@ -529,9 +532,9 @@ def _design_point(omega: float, delta2: float, g2: float, g1: float,
                   lambda2: Callable[[], float]) -> tuple:
     """The (ModelParams, TrwaParams) of the resonant design at g1 or, when
     the design fails, the row block of the point: one error row, no level.
-    lambda2 solves the qubit-2 root (design_resonant)."""
+    lambda2 solves the qubit-2 root (resonance._design)."""
     try:
-        des = design_resonant(omega, delta2, g2, g1, lambda2=lambda2)
+        des = _design(omega, delta2, g2, g1, lambda2)
     except _POINT_ERRORS as exc:
         return _failed_point(g1, None, None, None, error_token(exc))
     if not des.physical:

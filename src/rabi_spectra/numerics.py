@@ -145,8 +145,13 @@ def check_number(name: str, value) -> float:
 
 
 def check_integer(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer-valued number."""
+    """value as an int; ValueError unless it is an integer-valued number.
+
+    An int that check_number accepts keeps its exact value: only other
+    numbers go through float, which would round an int past 2**53."""
     x = check_number(name, value)
+    if isinstance(value, int):
+        return int(value)
     if x != int(x):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(x)

@@ -15,6 +15,7 @@ the last adjustable variable).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -152,23 +153,27 @@ class ResonantDesign:
         return d
 
 
-def design_resonant(omega: float, delta2: float, g2: float, g1: float, *,
-                    lambda2: Callable[[], float] | None = None) -> ResonantDesign:
+def design_resonant(omega: float, delta2: float, g2: float, g1: float) -> ResonantDesign:
     """Complete a resonant parameter set from (omega, delta2, g2, g1).
 
     lam2 from the qubit-2 condition, lam1 = -lam2*g1/(g2 + lam2*omega) from
     the cross condition, delta1 by inverting the qubit-1 condition.  The
     derived delta1 may come out nonphysical (<= 0); that is reported via
-    the ``physical`` flag, not raised.  lambda2, when given, stands in for
-    solve_lambda2(omega, delta2, g2) and is called once g1 has passed its
-    checks; a sweep over g1 passes one that solves only once.  Raises
-    ValueError unless g1 >= 0 and finite (and omega, delta2, g2 as
-    solve_lambda2 checks them).
+    the ``physical`` flag, not raised.  Raises ValueError unless g1 >= 0
+    and finite (and omega, delta2, g2 as solve_lambda2 checks them).
     """
+    return _design(omega, delta2, g2, g1, functools.partial(solve_lambda2, omega, delta2, g2))
+
+
+def _design(omega: float, delta2: float, g2: float, g1: float,
+            lambda2: Callable[[], float]) -> ResonantDesign:
+    """design_resonant, with lambda2() in place of solve_lambda2(omega,
+    delta2, g2), called once g1 has passed its checks; a sweep over g1
+    passes one that solves only once."""
     check_bound("g1", g1, ">=", 0)
     if g1 == 0.0:
         raise DegenerateDesignError("g1 = 0 leaves lambda1 = 0 and delta1 undetermined")
-    lam2 = solve_lambda2(omega, delta2, g2) if lambda2 is None else lambda2()
+    lam2 = lambda2()
     denom = g2 + lam2 * omega
     if denom == 0.0:
         raise DegenerateDesignError("g2 + lambda2*omega = 0: cross condition degenerate")

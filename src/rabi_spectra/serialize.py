@@ -19,14 +19,13 @@ parameters repeat on every level row.
 
 ``csv_text`` writes each block through one ``%``-template.  A shared cell
 is literal text, formatted and quoted once.  A column of exact floats
-where no cell is the same object as the cell above becomes ``%.17g``,
-which makes the same call as ``format(x, ".17g")``; exact ints become
-``%d``, and strings that need no quoting ``%s``.  Any other column takes
-its cell texts from ``_column``: a cell whose value is the same object as
-the cell above it (``is``, never ``==``: ``0.0 == -0.0``, yet they print
-as ``0`` and ``-0``) reuses that cell's text, as a row table's repeated
-parameters do (``scan-window``), and a string's text is kept by value for
-its whole column.
+becomes ``%.17g``, which gives the bytes of ``format(x, ".17g")``; exact
+ints become ``%d``, and strings that need no quoting ``%s``.  Any other
+column (mixed types, None, bools, numpy scalars, quoted strings) takes its
+cell texts from ``_column``: a cell whose value is the same object as the
+cell above it (``is``, never ``==``: ``0.0 == -0.0``, yet they print as
+``0`` and ``-0``) reuses that cell's text, and a string's text is kept by
+value for its whole column.
 
 The writer owns its quoting rule instead of leaving it to ``csv.writer``:
 numbers, booleans and None are never quoted; any other cell is quoted,
@@ -156,10 +155,9 @@ class Repeat(Sequence):
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Repeat(self.value, len(range(self.n)[index]))
-        range(self.n)[index]  # IndexError past either end
+    def __getitem__(self, index: int):
+        if not -self.n <= index < self.n:
+            raise IndexError(f"Repeat index {index} out of range")
         return self.value
 
     def __iter__(self):
@@ -181,9 +179,8 @@ def _template_part(column: Sequence, lone: bool) -> tuple[str, Sequence | None]:
     """The template text of one column of a block, and the values that fill
     it row by row (None for a shared cell, whose text is in the template).
 
-    The first cell's type picks the test: a float column must also hold no
-    cell that is the same object as the one above, which _column formats
-    once; any column the tests turn down goes through _column."""
+    The first cell's type picks the test; any column the tests turn down
+    goes through _column."""
     kind = type(column)
     if kind is Repeat:
         return _cell(column.value, lone).replace("%", "%%"), None
@@ -191,8 +188,7 @@ def _template_part(column: Sequence, lone: bool) -> tuple[str, Sequence | None]:
         return "%d", column
     first = type(column[0])
     if first is float:
-        if (not any(map(operator.is_, column, itertools.islice(column, 1, None)))
-                and set(map(type, column)) == {float}):
+        if set(map(type, column)) == {float}:
             return "%.17g", column
     elif first is int:
         if set(map(type, column)) == {int}:

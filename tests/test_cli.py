@@ -260,19 +260,19 @@ PLANTED_GRID = "0.0,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
 
 @pytest.fixture
 def planted_failures(monkeypatch):
-    """design_resonant with failures planted between solved points: at g1
-    0.3 the design derives a negative delta1, at 0.6 it is degenerate.
-    One design (omega, delta2, g2) is physical at every g1 > 0 or at
-    none, so a real grid cannot mix the two."""
-    original = fockspace.design_resonant
+    """The sweep's design (resonance._design) with failures planted between
+    solved points: at g1 0.3 the design derives a negative delta1, at 0.6
+    it is degenerate.  One design (omega, delta2, g2) is physical at every
+    g1 > 0 or at none, so a real grid cannot mix the two."""
+    original = fockspace._design
 
-    def planted(omega, delta2, g2, g1, **solver):
+    def planted(omega, delta2, g2, g1, lambda2):
         if g1 == 0.6:
             raise DegenerateDesignError("planted")
-        des = original(omega, delta2, g2, g1, **solver)
+        des = original(omega, delta2, g2, g1, lambda2)
         return dataclasses.replace(des, delta1=-des.delta1) if g1 == 0.3 else des
 
-    monkeypatch.setattr(fockspace, "design_resonant", planted)
+    monkeypatch.setattr(fockspace, "_design", planted)
 
 
 def test_spectrum_bytes_do_not_depend_on_the_stack_chunk(monkeypatch, planted_failures):

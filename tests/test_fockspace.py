@@ -2,8 +2,10 @@
 four-state blocks under a joint resonant design."""
 
 import dataclasses
+import functools
 import math
 import re
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from rabi_spectra import (
     eigh,
     eigvals_sym,
     resonance_residual,
+    solve_lambda2,
     spectrum_vs_g1,
     trwa_block_energies,
 )
@@ -112,6 +115,7 @@ def test_chain_length():
     (lambda: build_parity_chain(1, 2.5), "n_max must be an integer, got 2.5"),
     (lambda: build_parity_chain(1, True), "n_max: expected a number, got True"),
     (lambda: build_parity_chain(1, -1), "n_max must be nonnegative, got -1"),
+    (lambda: build_parity_chain(1, 10**400), "n_max: must be finite, got inf"),
     (lambda: ChainState(True, 1, 1), "photon number: expected a number, got True"),
     (lambda: ChainState(1.5, 1, 1), "photon number must be an integer, got 1.5"),
     (lambda: ChainState(-1, 1, 1), "photon number must be nonnegative, got -1"),
@@ -126,6 +130,13 @@ def test_an_integer_valued_photon_number_is_taken_as_an_int():
     assert build_parity_chain(1, 2.0).labels()[-1] == "|2,-,->"
     assert type(ChainState(2.0, 1, 1).n) is int
     assert ChainState(2.0, 1, 1).ket() == "|2,+,+>"
+
+
+def test_an_int_photon_number_keeps_its_exact_value():
+    # past 2**53 a float has no odd integers: the int must not go through one
+    n = 2**53 + 1
+    assert ChainState(n, 1, 1).n == n
+    assert ChainState(n, 1, 1).ket() == f"|{n},+,+>"
 
 
 def test_zero_coupling_diagonal_element():
@@ -963,6 +974,8 @@ def test_a_grid_of_zeros_never_solves_lambda2(monkeypatch):
 
 
 def test_design_reads_its_lambda2_solver_only_past_g1_zero():
+    from rabi_spectra.resonance import _design
+
     calls = []
 
     def lambda2():
@@ -970,11 +983,24 @@ def test_design_reads_its_lambda2_solver_only_past_g1_zero():
         return 0.29797713043845475
 
     with pytest.raises(DegenerateDesignError):
-        design_resonant(1.0, 2.0, 0.7, 0.0, lambda2=lambda2)
+        _design(1.0, 2.0, 0.7, 0.0, lambda2)
     assert calls == []
-    assert design_resonant(1.0, 2.0, 0.7, 0.9, lambda2=lambda2) == design_resonant(
-        1.0, 2.0, 0.7, 0.9)
+    assert _design(1.0, 2.0, 0.7, 0.9, lambda2) == design_resonant(1.0, 2.0, 0.7, 0.9)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("omega, delta2, g2", [(1.0, 2.0, 3.0), (1.0, 0.2, 2.0)])
+def test_a_replayed_lambda2_error_holds_the_frames_of_one_call(omega, delta2, g2):
+    # each raise of the one held error carries the traceback of its own
+    # call, so a long grid of failed points keeps no more frames than one
+    replay = fockspace._replayed(functools.partial(solve_lambda2, omega, delta2, g2))
+    depths = []
+    for _ in range(4):
+        try:
+            replay()
+        except (SingularError, NoBracketError) as exc:
+            depths.append(len(traceback.extract_tb(exc.__traceback__)))
+    assert depths == [2] * 4  # this frame and replay's
 
 
 def test_a_point_block_shares_its_parameter_cells():
