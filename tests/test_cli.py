@@ -419,6 +419,17 @@ def test_level_commands_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pi
     _assert_reproduces(pin, tmp_path, monkeypatch)
 
 
+def _assert_hashes_to(pin, tmp_path, monkeypatch):
+    """stdout of pin["argv"], run in an empty working directory, has the
+    recorded length and SHA-256, with the recorded exit code and no file."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(pin["argv"])
+    data = out.encode("utf-8")
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        pin["exit"], pin["stdout_bytes"], pin["stdout_sha256"])
+    assert list(tmp_path.iterdir()) == []
+
+
 # --format json of spectrum --fig 3 (approx and exact) and scan-window
 # --fig 1a: stdout held by its length and SHA-256, with no --out file
 JSON_PINS = _pins("json_cli.json")
@@ -426,12 +437,19 @@ JSON_PINS = _pins("json_cli.json")
 
 @pytest.mark.parametrize("pin", JSON_PINS, ids=lambda pin: pin["name"])
 def test_json_tables_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pin):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(pin["argv"])
-    data = out.encode("utf-8")
-    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
-        pin["exit"], pin["stdout_bytes"], pin["stdout_sha256"])
-    assert list(tmp_path.iterdir()) == []
+    _assert_hashes_to(pin, tmp_path, monkeypatch)
+
+
+# the CSV tables whose columns mix types (None with floats or strings, and
+# bools): scan-window --fig 1a, 1b, 2a and 2b, design, a spectrum sweep
+# whose first point fails, and the README's lambda and reservoir-dark
+# examples
+CSV_PINS = _pins("csv_cli.json")
+
+
+@pytest.mark.parametrize("pin", CSV_PINS, ids=lambda pin: pin["name"])
+def test_csv_tables_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pin):
+    _assert_hashes_to(pin, tmp_path, monkeypatch)
 
 
 def test_validate_flags_bad_numbers():
