@@ -17,20 +17,19 @@ empty cell) or records read by attribute, become columns through
 explicit ``Repeat(value, n)``; a sweep's block is one grid point, whose
 parameters repeat on every level row.
 
-``csv_text`` writes each block through one ``%``-template.  A shared cell
-is literal text, formatted and quoted once.  A column of exact floats
-becomes ``%.17g``, which gives the bytes of ``format(x, ".17g")``; exact
-ints become ``%d``, and strings that need no quoting ``%s``.  Any other
-column (mixed types, None, bools, numpy scalars, quoted strings) takes its
-cell texts from ``_column``: a cell whose value is the same object as the
-cell above it (``is``, never ``==``: ``0.0 == -0.0``, yet they print as
-``0`` and ``-0``) reuses that cell's text, and a string's text is kept by
-value for its whole column.
+``csv_text`` writes each block through one ``%``-template.  Every cell
+follows one rule, a table from the exact type of its value to its text:
+a float is ``%.17g`` (the bytes of ``format(x, ".17g")``), an int ``%d``,
+a bool ``true`` or ``false``, None empty, and a str its quoted text.  Any
+other type (numpy scalars, subclasses) is ``fmt``'s text put through the
+quoting rule, which leaves a number's text as it is.  A shared cell is
+literal text in the template; a column of exact floats, of exact ints or
+of strings that need no quoting is filled by ``%.17g``, ``%d`` or ``%s``,
+and any other column by the texts the rule gives its cells.
 
 The writer owns its quoting rule instead of leaving it to ``csv.writer``:
-numbers, booleans and None are never quoted; any other cell is quoted,
-with ``"`` doubled, when its text contains ``,``, ``"``, ``\r`` or
-``\n``; an empty cell that is the only cell of its row is written ``""``.
+a str is quoted, with ``"`` doubled, when it contains ``,``, ``"``,
+``\r`` or ``\n``; in a one-field table an empty cell is written ``""``.
 This is what ``csv.writer`` writes for every cell the CLI produces, and
 it does not depend on the Python version: ``csv.writer`` leaves a lone
 ``\r`` bare before 3.13 and quotes it from 3.13 on, where this rule
@@ -69,8 +68,8 @@ def record_dict(record) -> dict:
 
 
 def fmt(value) -> str:
-    """Render one CSV cell. None is empty, bools are true/false, floats
-    use %.17g."""
+    """The text of one CSV cell before quoting. None is empty, bools are
+    true/false, floats use %.17g."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -82,52 +81,36 @@ def fmt(value) -> str:
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
-# the "cell above" of a column's first row: no cell value is this object
-_NO_CELL = object()
 
-
-def _cell(value, lone: bool) -> str:
-    """fmt(value), quoted as the CSV quoting rule of this module says."""
-    text = fmt(value)
-    if lone and not text:
-        return '""'
-    if value is None or isinstance(value, (int, float)):
-        return text
+def _quoted(text: str) -> str:
+    """text as a CSV cell: quoted, with " doubled, if it holds , " \r or \n."""
     if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _column(values: Iterable, lone: bool) -> list[str]:
-    """The cell texts of one column, formatting each new object once.
+# the text of a cell, by the exact type of its value; see _texts
+_TEXT = {
+    float: "%.17g".__mod__,
+    int: "%d".__mod__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda value: "",
+    str: _quoted,
+}
 
-    A float or int (exactly that type, so never a bool) takes the text
-    _cell gives it without going through the quoting rule: never empty,
-    never quoted.  A str's text is kept by value for the whole column, so
-    a column that alternates a few strings (the parity tags) quotes each
-    once; numbers are not kept by value, since 0.0 == -0.0 yet they print
-    differently, and str() of a new int is cheaper than the lookup.
-    """
-    texts = []
-    append = texts.append
-    above = _NO_CELL
-    strings: dict[str, str] = {}
-    for value in values:
-        if value is not above:
-            above = value
-            kind = type(value)
-            if kind is float:
-                text = format(value, ".17g")
-            elif kind is int:
-                text = str(value)
-            elif kind is str:
-                text = strings.get(value)
-                if text is None:
-                    text = strings[value] = _cell(value, lone)
-            else:
-                text = _cell(value, lone)
-        append(text)
-    return texts
+
+def _other(value) -> str:
+    """The text of a value of a type _TEXT does not hold: numpy scalars and
+    subclasses.  The quoting leaves a number's text as it is."""
+    return _quoted(fmt(value))
+
+
+def _texts(values: Iterable, lone: bool) -> list[str]:
+    """The cell texts of values, by the one cell rule; lone says the table
+    has one field, where an empty cell is written ""."""
+    text = _TEXT.get
+    texts = [text(type(value), _other)(value) for value in values]
+    return [t or '""' for t in texts] if lone else texts
 
 
 def columns_of(fieldnames: Sequence[str], rows: Iterable) -> list[list]:
@@ -177,27 +160,21 @@ class Repeat(Sequence):
 
 def _template_part(column: Sequence, lone: bool) -> tuple[str, Sequence | None]:
     """The template text of one column of a block, and the values that fill
-    it row by row (None for a shared cell, whose text is in the template).
-
-    The first cell's type picks the test; any column the tests turn down
-    goes through _column."""
-    kind = type(column)
-    if kind is Repeat:
-        return _cell(column.value, lone).replace("%", "%%"), None
-    if kind is range:
+    it row by row (None for a shared cell, whose text is in the template)."""
+    if type(column) is Repeat:
+        return _texts((column.value,), lone)[0].replace("%", "%%"), None
+    if type(column) is range:
         return "%d", column
-    first = type(column[0])
-    if first is float:
-        if set(map(type, column)) == {float}:
-            return "%.17g", column
-    elif first is int:
-        if set(map(type, column)) == {int}:
-            return "%d", column
-    elif first is str and set(map(type, column)) == {str}:
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return "%.17g", column
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {str}:
         distinct = set(column)
         if not (lone and "" in distinct or any(map(_NEEDS_QUOTES.search, distinct))):
             return "%s", column
-    return "%s", _column(column, lone)
+    return "%s", _texts(column, lone)
 
 
 def _block_text(block: Sequence[Sequence], lone: bool) -> str:
@@ -231,7 +208,7 @@ def csv_text(
     lines = []
     if header is not None:
         lines.append("# " + json.dumps(dict(header), sort_keys=True))
-    lines.append(",".join(_cell(name, lone) for name in fieldnames))
+    lines.append(",".join(_texts(fieldnames, lone)))
     for block in blocks:
         if any(isinstance(c, (str, Mapping)) for c in block):
             raise TypeError("csv_text takes blocks of columns; columns_of turns rows "

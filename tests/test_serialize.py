@@ -128,7 +128,7 @@ def test_csv_text_equals_the_csv_writer_reference(case, header):
 
 
 def test_negative_zero_below_positive_zero_keeps_its_sign():
-    # equal by ==, not the same object: the cell text must not be reused
+    # equal by ==, yet each prints with its own sign
     text = csv_text(("x",), [[[0.0, float("-0.0")]]])
     assert text == "x\n0\n-0\n"
 
@@ -189,6 +189,14 @@ def rows_of_blocks(fieldnames, blocks):
 _ZERO = float("0.0")
 _NEG_ZERO = float("-0.0")
 
+
+class _Text(str):
+    """A str subclass: not a type of the writer's cell table."""
+
+
+class _Count(int):
+    """An int subclass: not a type of the writer's cell table."""
+
 # (fieldnames, row blocks); Repeat marks a shared cell
 BLOCK_CORPUS = {
     "signed zeros shared": (("x", "y"), [
@@ -198,8 +206,8 @@ BLOCK_CORPUS = {
         [[_ZERO, _NEG_ZERO, float("0.0")], Repeat(1.5, 3)],
         [[_NEG_ZERO, float("0.0")], Repeat(_NEG_ZERO, 2)],
     ]),
-    # the same object down a per-row column: its text is reused, and the
-    # zero below an equal zero of the other sign is not
+    # the same object down a per-row column, and a zero below an equal zero
+    # of the other sign: every cell takes the text of its own value
     "same-object repeats per row": (("x", "y"), [
         [[_ZERO, _ZERO, _NEG_ZERO, _NEG_ZERO, _SHARED, _SHARED], ["a"] * 6],
         [[_NEG_ZERO, _ZERO, None], [1, 1, 1]],
@@ -234,6 +242,19 @@ BLOCK_CORPUS = {
         [Repeat(0.45, 3), ["+", "-", "+"], range(3), [-1.25, 0.5, 0.5], Repeat(None, 3)],
         [(0.9,), ("",), (None,), (None,), ("Singular",)],
     ]),
+    # types outside the cell table, in mixed columns: fmt's text, then the
+    # quoting rule
+    "numpy scalars and subclasses": (("x", "y"), [
+        [[np.int64(7), np.bool_(True), np.float64(-0.0), _Text('a,"b"'), _Count(3), None, 1.5],
+         Repeat(np.int64(-2), 7)],
+        [Repeat(np.bool_(False), 2), [_Text('say "x"'), _Count(-4)]],
+        [Repeat(_Text("c,d"), 1), Repeat(_Count(5), 1)],
+        [Repeat(np.float64(-0.0), 2), [np.bool_(True), None]],
+    ]),
+    "one field of numpy scalars and subclasses": (("only",), [
+        [[np.int64(1), _Text(""), np.bool_(False), _Text('"'), _Count(0), np.float64(-0.0)]],
+        [Repeat(_Text(""), 2)], [Repeat(np.bool_(True), 1)],
+    ]),
     "empty blocks": (("a", "b"), [
         [[], Repeat(1.0, 0)], [[1.0], ["b"]], [range(0), ()],
     ]),
@@ -252,9 +273,8 @@ def test_row_blocks_equal_the_csv_writer_reference(case, header):
 
 
 def test_negative_zero_below_the_same_zero_object_keeps_its_sign():
-    # a column of floats is formatted cell by cell, and the reuse of the
-    # cell above in a mixed column is by identity: -0.0 below 0.0 is a new
-    # object
+    # every cell is formatted from its own value, in a column of floats and
+    # in a mixed column: -0.0 == 0.0, yet they print as -0 and 0
     assert csv_text(("x",), [[[_ZERO, _ZERO, _NEG_ZERO]]]) == "x\n0\n0\n-0\n"
     assert csv_text(("x",), [[[_ZERO, None, _NEG_ZERO, _NEG_ZERO]]]) == 'x\n0\n""\n-0\n-0\n'
     assert csv_text(("x",), [[[_ZERO, _NEG_ZERO, None, _NEG_ZERO, _ZERO]]]) == (
