@@ -476,6 +476,57 @@ def test_each_exact_sector_is_the_lowest_levels_of_its_band(n_max, n_levels):
     assert merged[tags == "-"].tobytes() == levels[1].tobytes()
 
 
+def sector_levels(p, parity, k, n_max=120):
+    """The lowest k levels of one parity sector, by the oracle's solve."""
+    return eigvals_lowest(*_sector_band(p, n_max, parity), k)
+
+
+def distance_to_a_level(levels, energy):
+    return float(np.min(np.abs(levels - energy)))
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_uncoupled_sectors_are_n_omega_plus_or_minus_each_splitting(parity):
+    # g1 = g2 = 0: the state (n, z1, z2) is an eigenstate, of energy
+    # n omega + z1 delta1 + z2 delta2, in the sector (-1)^n z1 z2
+    p = ModelParams(omega=1.0, delta1=0.4, delta2=1.3, g1=0.0, g2=0.0)
+    expected = sorted(n * 1.0 + z1 * 0.4 + z2 * 1.3 for n in range(121)
+                      for z1 in (1, -1) for z2 in (1, -1) if (-1) ** n * z1 * z2 == parity)
+    np.testing.assert_allclose(sector_levels(p, parity, 10), expected[:10], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_identical_qubits_keep_the_singlet_ladder(n):
+    # g1 = g2 and delta1 = delta2: the singlet (|eg> - |ge>)/sqrt(2) is
+    # annihilated by sx1 + sx2 and by sz1 + sz2, so singlet (x) |n> has
+    # E = n omega, in the sector of z1 z2 = -1, parity -(-1)^n
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=0.8, g1=0.3, g2=0.3)
+    parity = -(-1) ** n
+    assert distance_to_a_level(sector_levels(p, parity, 12), n * 1.0) < 1e-12
+    assert distance_to_a_level(sector_levels(p, -parity, 12), n * 1.0) > 1e-2
+
+
+@pytest.mark.parametrize("g1", [0.1, 0.3, 0.45])
+def test_juddian_level_of_the_decoupled_qubit_pair(g1):
+    # g2 = 0 decouples qubit 2: the spectrum is the one-qubit Rabi spectrum
+    # (omega a^dag a + g1 sx (a + a^dag) + delta1 sz) shifted by +-delta2.
+    # On delta1^2 + 4 g1^2 = omega^2 that spectrum holds the N = 1 Juddian
+    # (exceptional) level omega - g1^2/omega, so both parity sectors hold
+    # it shifted by each sign of delta2
+    omega, delta2 = 1.0, 1.3
+
+    def misses(delta1):
+        p = ModelParams(omega=omega, delta1=delta1, delta2=delta2, g1=g1, g2=0.0)
+        return [distance_to_a_level(sector_levels(p, parity, 8),
+                                    omega - g1**2 / omega + sign * delta2)
+                for parity in (1, -1) for sign in (1, -1)]
+
+    on_curve = math.sqrt(omega**2 - 4 * g1**2)
+    assert max(misses(on_curve)) < 1e-12
+    # with delta1 5% off the curve every one of them misses
+    assert min(misses(1.05 * on_curve)) > 1e-3
+
+
 @pytest.mark.parametrize("n_blocks, message", [
     (-1, "n_blocks must be >= 1, got -1"),
     (2.5, "n_blocks must be an integer, got 2.5"),
