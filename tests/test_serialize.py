@@ -197,6 +197,7 @@ class _Text(str):
 class _Count(int):
     """An int subclass: not a type of the writer's cell table."""
 
+
 # (fieldnames, row blocks); Repeat marks a shared cell
 BLOCK_CORPUS = {
     "signed zeros shared": (("x", "y"), [
