@@ -55,7 +55,6 @@ from .numerics import (
     NonFiniteError,
     SingularDenominatorError,
     SingularEtaError,
-    _grid_entries,
     check_bound,
     check_grid,
     check_number,
@@ -122,7 +121,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> list[float]:
-    """Grid syntax: 'start:stop:step' (inclusive) or 'a,b,c' or one number."""
+    """Grid syntax: 'start:stop:step' (inclusive) or 'a,b,c' or one number.
+    The entries of a list are checked by check_grid (_grid_rule)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -135,7 +135,7 @@ def parse_grid(text: str) -> list[float]:
         if stop < start:
             raise ValueError(f"grid stop {stop} below start {start}")
         return _grid(start, stop, step)
-    return _grid_entries([float(x) for x in text.split(",")])
+    return [float(x) for x in text.split(",")]
 
 
 def _grid_rule(name: str, value, owner: str | None, op: str, low: int) -> list[float]:

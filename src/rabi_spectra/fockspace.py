@@ -39,7 +39,6 @@ and its levels as per-row columns.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -107,9 +106,6 @@ class ParityChain:
     parity: int
     n_max: int
     states: tuple[ChainState, ...]
-
-    def index(self, state: ChainState) -> int:
-        return self.states.index(state)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(s.ket() for s in self.states)
@@ -292,7 +288,9 @@ def build_block4(
     mode: CoefficientMode = CoefficientMode.APPROX,
 ) -> Block4:
     """The window-n block of the plus chain (photons 2n+1 .. 2n+3), cut
-    from the chain band (_chain_bands); 0 <= n < MAX_N_BLOCKS."""
+    from the chain band (_chain_bands); n is an integer-valued number
+    (check_integer), 0 <= n < MAX_N_BLOCKS."""
+    n = check_integer("block index", n)
     if not 0 <= n < MAX_N_BLOCKS:
         raise ValueError(f"block index must be in [0, {MAX_N_BLOCKS - 1}], got {n}")
     group, states = _plus_block(n)
@@ -470,9 +468,8 @@ class SpectrumTable:
     SpectrumRow field, in SPECTRUM_FIELDS order, with one cell per level
     row.  A solved point's g1, delta1, lambda1, lambda2, offset and error
     are each one object, shared by its rows as a serialize.Repeat; its
-    parity tags, level indices and energies have a cell per row.  A failed
-    point is one row.  columns, rows and energies_for are views of the
-    blocks.
+    parity tags, level indices and energies have a cell per row, so a
+    block's rows are zip(*block).  A failed point is one row.
     """
     omega: float
     delta2: float
@@ -480,26 +477,6 @@ class SpectrumTable:
     mode: str
     n_blocks: int
     blocks: tuple[tuple[Sequence, ...], ...]
-
-    @property
-    def columns(self) -> tuple[tuple, ...]:
-        """One tuple per SpectrumRow field, the blocks' cells in order."""
-        return tuple(tuple(itertools.chain.from_iterable(column))
-                     for column in zip(*self.blocks))
-
-    @property
-    def rows(self) -> tuple[SpectrumRow, ...]:
-        return tuple(SpectrumRow(*cells) for block in self.blocks for cells in zip(*block))
-
-    def energies_for(self, g1: float) -> list[tuple[int, str, float]]:
-        at = SPECTRUM_FIELDS.index
-        return [
-            (i, tag, e)
-            for block in self.blocks
-            for x, tag, i, e, err in zip(*(block[at(name)] for name in (
-                "g1", "parity", "level_index", "energy", "error")))
-            if x == g1 and err is None
-        ]
 
 
 def _failed_point(g1, delta1, lambda1, lambda2, token: str) -> tuple[tuple, ...]:

@@ -67,11 +67,6 @@ class ModelParams:
         for name in ("delta1", "delta2", "g1", "g2"):
             check_bound(name, getattr(self, name), ">=", 0, type(self).__name__)
 
-    @property
-    def ultrastrong(self) -> bool:
-        """Advisory flag: both couplings within 0.1 <= g/omega <= 1."""
-        return all(0.1 <= g / self.omega <= 1.0 for g in (self.g1, self.g2))
-
 
 @dataclass(frozen=True)
 class TrwaParams:
@@ -82,11 +77,6 @@ class TrwaParams:
     def __post_init__(self):
         for name in ("lambda1", "lambda2"):
             check_number(name, getattr(self, name))
-
-    @property
-    def approx_valid(self) -> bool:
-        """Small-displacement regime where the Laguerre truncation is controlled."""
-        return in_lambda_window(self.lambda1, self.lambda2)
 
 
 def coeff_g0_table(lam: float, n_max: int,

@@ -177,30 +177,22 @@ def check_grid(name: str, values, op: str | None = None, low: int = 0) -> list[f
     sequence of finite numbers, strictly increasing (check_increasing).
     With op, each entry is checked against the bound `op low` by
     check_bound, the bound of the parameter the grid sweeps."""
-    try:
-        grid = _grid_entries(values)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    if _is_number(values):
+        values = [values]
+    elif isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise ValueError(f"{name}: expected a grid, got {values!r}")
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name}: grid is empty")
+    for x in values:
+        if not (_is_number(x) and math.isfinite(_as_float(x))):
+            raise ValueError(f"{name}: grid entries must be finite numbers, got {x!r}")
+    grid = [float(x) for x in values]
     check_increasing(name, grid)
     if op is not None:
         for x in grid:
             check_bound(name, x, op, low)
     return grid
-
-
-def _grid_entries(values) -> list[float]:
-    """check_grid without the order check, its messages without the name."""
-    if _is_number(values):
-        values = [values]
-    elif isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
-        raise ValueError(f"expected a grid, got {values!r}")
-    values = list(values)
-    if not values:
-        raise ValueError("grid is empty")
-    for x in values:
-        if not (_is_number(x) and math.isfinite(_as_float(x))):
-            raise ValueError(f"grid entries must be finite numbers, got {x!r}")
-    return [float(x) for x in values]
 
 
 def laguerre_table(n_max: int, k: int, x: float) -> np.ndarray:
@@ -460,20 +452,18 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _check_band(rungs, couple, batched: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a band as band_to_dense lays it out; batched allows its
-    leading batch axes."""
+def _check_band(rungs, couple) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a band as band_to_dense lays it out."""
     rungs = np.asarray(rungs, dtype=float)
     couple = np.asarray(couple, dtype=float)
-    lead = rungs.shape[:-3] if batched else ()
-    if rungs.ndim != len(lead) + 3 or rungs.shape[-3] == 0 or rungs.shape[-2:] != (2, 2):
-        raise ValueError(f"expected rung blocks of shape {(*lead, 'R', 2, 2)}, got {rungs.shape}")
-    want = (*lead, rungs.shape[-3] - 1, 2, 2)
+    if rungs.ndim != 3 or rungs.shape[0] == 0 or rungs.shape[1:] != (2, 2):
+        raise ValueError(f"expected rung blocks of shape ('R', 2, 2), got {rungs.shape}")
+    want = (rungs.shape[0] - 1, 2, 2)
     if couple.shape != want:
         raise ValueError(f"expected couplings of shape {want}, got {couple.shape}")
     if not (np.all(np.isfinite(rungs)) and np.all(np.isfinite(couple))):
         raise NonFiniteError("band entries must be finite")
-    if not np.array_equal(rungs[..., 0, 1], rungs[..., 1, 0]):
+    if not np.array_equal(rungs[:, 0, 1], rungs[:, 1, 0]):
         raise ValueError("rung blocks are not exactly symmetric")
     return rungs, couple
 
@@ -481,17 +471,16 @@ def _check_band(rungs, couple, batched: bool = False) -> tuple[np.ndarray, np.nd
 def band_to_dense(rungs: np.ndarray, couple: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix of a block-tridiagonal band with 2x2 blocks.
 
-    Rung n holds rows 2n and 2n + 1: rungs (..., R, 2, 2) is each rung's
-    own block, exactly symmetric, and couple (..., R - 1, 2, 2) couples
-    rung n to rung n + 1: entry (2n + a, 2n + 2 + b) is couple[n, a, b],
-    written to both triangles.  Leading axes are a batch of bands of one
-    size, giving a (..., 2R, 2R) stack.
+    Rung n holds rows 2n and 2n + 1: rungs (R, 2, 2) is each rung's own
+    block, exactly symmetric, and couple (R - 1, 2, 2) couples rung n to
+    rung n + 1: entry (2n + a, 2n + 2 + b) is couple[n, a, b], written to
+    both triangles.
     """
-    return _dense(*_check_band(rungs, couple, batched=True))
+    return _dense(*_check_band(rungs, couple))
 
 
 def _dense(rungs: np.ndarray, couple: np.ndarray) -> np.ndarray:
-    """band_to_dense of a band that is already checked."""
+    """band_to_dense of a checked band, or of a stack of them (leading axes)."""
     size = rungs.shape[-3]
     arr = np.zeros((*rungs.shape[:-3], 2 * size, 2 * size))
     # row and column of entry [n, a, b] of the rung blocks

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import _block_level_count, _merge_parities, _stacked_levels, check_n_blocks
+from .fockspace import (
+    _block_level_count,
+    _merge_parities,
+    _normalize_parity,
+    _stacked_levels,
+    check_n_blocks,
+)
 from .model import _ZLABELS, MIN_N_MAX, CoefficientMode, ModelParams, TrwaParams
 from .numerics import SymmetricMatrix, _certified_lowest, band_to_dense, check_bound
 from .resonance import NonphysicalDesignError, design_resonant
@@ -53,8 +59,7 @@ def _sector_states(n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     z1 z2 = parity (-1)^n, in ascending qubit index.
     """
     n_max = _check_truncation(n_max)
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    parity = _normalize_parity(parity)
     n = np.arange(n_max + 1)
     # z1 z2 = +1 on qubit indices (0, 3), -1 on (1, 2); k ^ 1 maps one pair
     # onto the other in order

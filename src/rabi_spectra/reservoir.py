@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _ZLABELS, SPIN_CHARS, CoefficientMode, coeff_g0
+from .model import _ZLABELS, SPIN_CHARS
 from .numerics import (
     SingularDenominatorError,
     SingularEtaError,
@@ -225,8 +225,8 @@ def _reservoir_band(
     # survives in floating point (x + (-x) is exactly 0.0, (base + x) - x
     # generally is not base)
     spin = (
-        s1 * r.delta1 * coeff_g0(coeffs.lambda1, 0, CoefficientMode.APPROX)
-        + s2 * r.delta2 * coeff_g0(coeffs.lambda2, 0, CoefficientMode.APPROX)
+        s1 * r.delta1 * math.exp(-2.0 * coeffs.lambda1 * coeffs.lambda1)
+        + s2 * r.delta2 * math.exp(-2.0 * coeffs.lambda2 * coeffs.lambda2)
     )
     rungs = np.zeros((len(t), 2, 2))
     rungs[:, (0, 1), (0, 1)] = r.omega * n + r.omega1 * m + reservoir_constant(r, coeffs) + spin
@@ -344,8 +344,10 @@ def build_full_pseudomode(r: ReservoirParams, m_max: int, n_max: int) -> Symmetr
 
     written as a Kronecker sum over photon, pseudomode, qubit 1 and qubit 2.
     Dimension 4 (m_max + 1)(n_max + 1); index order photon n, then
-    pseudomode m, then qubit labels.
+    pseudomode m, then qubit labels.  m_max and n_max are integer-valued
+    numbers (check_integer).
     """
+    m_max, n_max = check_integer("m_max", m_max), check_integer("n_max", n_max)
     if m_max < 1 or n_max < 1:
         raise ValueError(f"need m_max, n_max >= 1, got ({m_max}, {n_max})")
     a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)

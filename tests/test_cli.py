@@ -246,11 +246,12 @@ def test_spectrum_preset_is_one_sweep_call(monkeypatch):
     assert code == 0
     ((omega, delta2, g2, g1_grid, n_blocks, mode),) = calls
     assert (omega, delta2, g2, g1_grid, n_blocks) == (1.0, 2.0, 0.7, PRESETS["fig3"]["g1_grid"], 3)
-    # the command writes the columns of that one call, in grid order
+    # the command writes the row blocks of that one call, in grid order
     result = fockspace.spectrum_vs_g1(omega, delta2, g2, g1_grid, n_blocks, mode)
     _, fields, rows = read_csv(out)
-    assert len(rows) == len(result.columns[0]) > len(g1_grid)
-    assert [float(r["g1"]) for r in rows] == list(result.columns[fields.index("g1")])
+    g1s = [g1 for block in result.blocks for g1 in block[fields.index("g1")]]
+    assert len(rows) == len(g1s) > len(g1_grid)
+    assert [float(r["g1"]) for r in rows] == g1s
 
 
 # g1 points of a spectrum grid whose design the planted_failures fixture
@@ -507,9 +508,11 @@ SPECTRUM_DESIGN = ["--omega", "1", "--delta2", "2.0", "--g2", "0.7"]
 
 
 def test_grid_lists_reject_nonfinite_entries(tmp_path):
+    # parse_grid reads the syntax; the grid rule's check_grid rejects the entries
+    grid_rule = cli.RULES["non-negative grid"][0]
     for text in ("nan,0.5", "0.5,inf", "-inf"):
-        with pytest.raises(ValueError):
-            parse_grid(text)
+        with pytest.raises(ValueError, match="^g1_grid: grid entries must be finite numbers"):
+            grid_rule("g1_grid", text, None)
     code, out, _ = run(["spectrum", *SPECTRUM_DESIGN, "--g1-grid", "nan,0.5",
                         "--n-blocks", "2"])
     assert code == 1

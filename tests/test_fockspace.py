@@ -477,7 +477,7 @@ def test_each_chain_of_the_stacked_solve_keeps_its_parity(mode):
     for g1, row, row_tags, plus, minus in zip(grid, merged, tags, *levels):
         assert row[row_tags == "+"].tobytes() == plus.tobytes()
         assert row[row_tags == "-"].tobytes() == minus.tobytes()
-        assert table.energies_for(g1) == list(zip(range(len(row)), row_tags, row.tolist()))
+        assert energies_at(table, g1) == list(zip(range(len(row)), row_tags, row.tolist()))
 
 
 @pytest.mark.parametrize("shape", [(1, -1), (-1,)])
@@ -672,6 +672,24 @@ def test_block_count_is_capped_by_the_laguerre_degree_limit():
             spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=10**9)
 
 
+@pytest.mark.parametrize("n, message", [
+    (1.5, "block index must be an integer, got 1.5"),
+    (True, "block index: expected a number, got True"),
+])
+def test_block4_rejects_a_block_index_that_is_not_an_integer(n, message):
+    p, t = fig3_design()
+    with pytest.raises(ValueError) as exc:
+        build_block4(p, t, n)
+    assert str(exc.value) == message
+
+
+def test_block4_takes_an_integer_valued_block_index_as_an_int():
+    p, t = fig3_design()
+    blk, ref = build_block4(p, t, 2.0), build_block4(p, t, 2)
+    assert type(blk.n) is int and blk.n == 2
+    assert blk.matrix.data.tobytes() == ref.matrix.data.tobytes() and blk.states == ref.states
+
+
 def test_off_block_elements_vanish_at_design_in_approx_mode():
     p, t = fig3_design()
     for parity in (+1, -1):
@@ -759,11 +777,22 @@ def test_block_ground_vector_matches_full_diagonalization_at_small_lambda():
     assert overlap > 0.99
 
 
+def table_rows(table):
+    """The sweep's level rows as SpectrumRow records, in table order."""
+    return tuple(fockspace.SpectrumRow(*cells) for block in table.blocks for cells in zip(*block))
+
+
+def energies_at(table, g1):
+    """(level index, parity tag, energy) of each level row of the point g1."""
+    return [(r.level_index, r.parity, r.energy) for r in table_rows(table)
+            if r.g1 == g1 and r.error is None]
+
+
 def test_spectrum_vs_g1_rows_and_error_tokens():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.45, 0.9], n_blocks=3)
-    errors = [r for r in table.rows if r.error is not None]
+    errors = [r for r in table_rows(table) if r.error is not None]
     assert len(errors) == 1 and errors[0].error == "DegenerateDesign"
-    good = table.energies_for(0.9)
+    good = energies_at(table, 0.9)
     assert len(good) > 8
     levels = [e for _, _, e in good]
     assert levels == sorted(levels)
@@ -772,8 +801,7 @@ def test_spectrum_vs_g1_rows_and_error_tokens():
 
 @pytest.mark.parametrize("grid", [[0.9, 0.9], [0.9, 0.5], [0.5, 0.9, 0.7]])
 def test_spectrum_vs_g1_rejects_a_grid_that_is_not_strictly_increasing(grid):
-    # a repeated g1 used to give two rows per level index at one g1, which
-    # energies_for then merged
+    # a repeated g1 used to give two rows per level index at one g1
     with pytest.raises(ValueError, match="g1_grid must be strictly increasing"):
         spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=1)
 
@@ -784,9 +812,9 @@ def test_spectrum_vs_g1_rejects_a_negative_g1_entry():
 
 
 def test_spectrum_row_to_dict_matches_asdict():
-    table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1)
-    assert [r.to_dict() for r in table.rows] == [dataclasses.asdict(r) for r in table.rows]
-    assert list(table.rows[0].to_dict()) == [f.name for f in dataclasses.fields(table.rows[0])]
+    rows = table_rows(spectrum_vs_g1(1.0, 2.0, 0.7, [0.0, 0.9], n_blocks=1))
+    assert [r.to_dict() for r in rows] == [dataclasses.asdict(r) for r in rows]
+    assert list(rows[0].to_dict()) == [f.name for f in dataclasses.fields(rows[0])]
 
 
 def reference_spectrum_rows(omega, delta2, g2, g1_grid, n_blocks, mode):
@@ -830,15 +858,11 @@ def reference_spectrum_rows(omega, delta2, g2, g1_grid, n_blocks, mode):
 def test_table_rows_equal_the_row_by_row_reference(omega, delta2, g2, grid, n_blocks, mode):
     table = spectrum_vs_g1(omega, delta2, g2, grid, n_blocks, mode)
     expected = reference_spectrum_rows(omega, delta2, g2, grid, n_blocks, mode)
-    assert table.rows == expected
-    assert repr(table.rows) == repr(expected)  # == alone lets -0.0 pass for 0.0
-    assert len(table.columns) == len(fockspace.SPECTRUM_FIELDS)
-    assert all(len(column) == len(expected) for column in table.columns)
-    for g1 in grid:
-        assert table.energies_for(g1) == [
-            (r.level_index, r.parity, r.energy) for r in expected
-            if r.g1 == g1 and r.error is None
-        ]
+    rows = table_rows(table)
+    assert rows == expected
+    assert repr(rows) == repr(expected)  # == alone lets -0.0 pass for 0.0
+    assert all(len(block) == len(fockspace.SPECTRUM_FIELDS)
+               and len({len(column) for column in block}) == 1 for block in table.blocks)
 
 
 def test_tied_levels_put_the_plus_chain_first(monkeypatch):
@@ -856,7 +880,7 @@ def test_tied_levels_put_the_plus_chain_first(monkeypatch):
     grid = [0.5, 0.9]
     table = spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=1)
     for g1 in grid:
-        rows = table.energies_for(g1)
+        rows = energies_at(table, g1)
         assert [i for i, _, _ in rows] == list(range(300))
         assert [e for _, _, e in rows] == sorted(levels[+1] + levels[-1])
         for value in set(levels[+1]):
@@ -877,13 +901,13 @@ def test_a_sweep_solves_all_points_in_one_stacked_call_per_parity(monkeypatch):
     grid = [0.1 + 0.1 * k for k in range(12)]
     table = spectrum_vs_g1(1.0, 2.0, 0.7, grid, n_blocks=8)
     assert sizes == [(12 * 8, 4, 4)] * 2
-    assert all(r.error is None for r in table.rows)
+    assert all(r.error is None for r in table_rows(table))
 
 
 def test_spectrum_vs_g1_nonphysical_design_row():
     # small delta2 drives the derived delta1 negative at this coupling
     table = spectrum_vs_g1(1.0, 0.2, 0.5, [0.3], n_blocks=3)
-    assert [r.error for r in table.rows] == ["NonphysicalDesign"]
+    assert [r.error for r in table_rows(table)] == ["NonphysicalDesign"]
 
 
 def test_spectrum_levels_continuous_on_fine_grid():
@@ -892,7 +916,7 @@ def test_spectrum_levels_continuous_on_fine_grid():
     n_levels = 8
     per_level = {lev: [] for lev in range(n_levels)}
     for g1 in grid:
-        energies = [e for _, _, e in table.energies_for(g1)][:n_levels]
+        energies = [e for _, _, e in energies_at(table, g1)][:n_levels]
         for lev, e in enumerate(energies):
             per_level[lev].append(e)
     for lev, series in per_level.items():
@@ -960,8 +984,8 @@ def test_the_sweep_solves_lambda2_once(monkeypatch, omega, delta2, g2, token):
     grid = [0.0, 0.3, 0.6, 0.9]
     table = spectrum_vs_g1(omega, delta2, g2, grid, n_blocks=2)
     assert calls == [(omega, delta2, g2)]
-    assert table.rows == reference_spectrum_rows(omega, delta2, g2, grid, 2,
-                                                 CoefficientMode.APPROX)
+    assert table_rows(table) == reference_spectrum_rows(omega, delta2, g2, grid, 2,
+                                                        CoefficientMode.APPROX)
     errors = [block[-1][0] for block in table.blocks]
     assert errors == ["DegenerateDesign"] + [token] * 3
 
@@ -970,7 +994,7 @@ def test_a_grid_of_zeros_never_solves_lambda2(monkeypatch):
     calls = _counted_solves(monkeypatch)
     table = spectrum_vs_g1(1.0, 2.0, 3.0, [0.0], n_blocks=2)
     assert calls == []
-    assert [r.error for r in table.rows] == ["DegenerateDesign"]
+    assert [r.error for r in table_rows(table)] == ["DegenerateDesign"]
 
 
 def test_design_reads_its_lambda2_solver_only_past_g1_zero():
@@ -1015,8 +1039,4 @@ def test_a_point_block_shares_its_parameter_cells():
                                             "offset", "error")]
     n = len(solved[0])
     assert n == (3 + 4 * 2) + (1 + 4 * 2)  # each chain's boundary group and 2 blocks
-    # the columns view yields the blocks' own cell objects, in order
-    for k, column in enumerate(table.columns):
-        assert column[0] is failed[k][0]
-        assert all(cell is expected for cell, expected in zip(column[1:], solved[k]))
 

@@ -663,7 +663,7 @@ def test_band_check_rejects_the_old_layout_an_asymmetric_and_a_nonfinite_rung():
         poisoned[1, 0, 1] = poisoned[1, 1, 0] = value
         with pytest.raises(NonFiniteError):
             numerics._check_band(poisoned, couple)
-    # a batch of bands is for band_to_dense only
-    with pytest.raises(ValueError, match="rung blocks of shape"):
-        numerics._check_band(rungs[None], couple[None])
-    assert band_to_dense(rungs[None], couple[None]).shape == (1, 8, 8)
+    # one band at a time: a stack of bands is for the unchecked _dense only
+    for check in (numerics._check_band, band_to_dense):
+        with pytest.raises(ValueError, match="rung blocks of shape"):
+            check(rungs[None], couple[None])

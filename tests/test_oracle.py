@@ -25,7 +25,7 @@ from rabi_spectra import (
     spectrum_vs_g1,
 )
 from rabi_spectra import oracle
-from rabi_spectra.fockspace import _chain_bands, _chain_layout, _merge_parities
+from rabi_spectra.fockspace import SPECTRUM_FIELDS, _chain_bands, _chain_layout, _merge_parities
 from rabi_spectra.numerics import band_to_dense, eigvals_lowest
 from rabi_spectra.oracle import ConvergenceReport, _sector_band
 from rabi_spectra.resonance import NonphysicalDesignError
@@ -527,6 +527,22 @@ def test_juddian_level_of_the_decoupled_qubit_pair(g1):
     assert min(misses(1.05 * on_curve)) > 1e-3
 
 
+@pytest.mark.parametrize("g1", [0.3, 0.5, 0.7, 0.9, 1.1])
+def test_the_fig3_designed_points_hold_no_baseline_level(g1):
+    # The paper's "exceptional spectra": where the design closes the TRWA's
+    # blocks, no exact level of either sector lies on a two-qubit baseline
+    # n omega - (g1 +- g2)^2/omega, n <= 5.  The nearest miss measured is
+    # 8.3e-3 (g1 = 1.1, - sector); the Juddian test above is the control
+    # that the same helpers find a baseline level where there is one.
+    omega, delta2, g2 = 1.0, 2.0, 0.7
+    p = ModelParams(omega=omega, delta1=design_resonant(omega, delta2, g2, g1).delta1,
+                    delta2=delta2, g1=g1, g2=g2)
+    baselines = [n * omega - (g1 + sign * g2) ** 2 / omega for n in range(6) for sign in (1, -1)]
+    for parity in (1, -1):
+        levels = sector_levels(p, parity, 12)
+        assert min(distance_to_a_level(levels, e) for e in baselines) > 1e-3, parity
+
+
 @pytest.mark.parametrize("n_blocks, message", [
     (-1, "n_blocks must be >= 1, got -1"),
     (2.5, "n_blocks must be an integer, got 2.5"),
@@ -572,7 +588,8 @@ def test_integer_valued_counts_are_taken_as_ints():
 
 def test_oracle_and_sweep_read_the_same_merged_levels():
     table = spectrum_vs_g1(1.0, 2.0, 0.7, [0.9], n_blocks=8)
-    energies = [e for _, _, e in table.energies_for(0.9)]
+    (block,) = table.blocks
+    energies = list(block[SPECTRUM_FIELDS.index("energy")])
     cmp = compare_trwa_exact(1.0, 2.0, 0.7, 0.9, n_levels=6, n_max=40, n_blocks=8)
     assert cmp.trwa_ground == energies[0]
     assert [r.e_trwa for r in cmp.rows] == [e - energies[0] for e in energies[:6]]
@@ -652,6 +669,23 @@ def test_pseudomode_tensor_sum_oracle():
     base = eigvals_sym(build_full_rabi(p, 10))
     expected = np.sort(np.concatenate([base + r.omega1 * m for m in range(4)]))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m_max, n_max, message", [
+    (2.5, 3, "m_max must be an integer, got 2.5"),
+    (2, 3.5, "n_max must be an integer, got 3.5"),
+    (True, 2, "m_max: expected a number, got True"),
+    (0, 3, "need m_max, n_max >= 1, got (0, 3)"),
+])
+def test_pseudomode_rejects_a_count_that_is_not_a_positive_integer(m_max, n_max, message):
+    with pytest.raises(ValueError) as exc:
+        build_full_pseudomode(RESERVOIR, m_max, n_max)
+    assert str(exc.value) == message
+
+
+def test_pseudomode_takes_an_integer_valued_count_as_an_int():
+    h, ref = build_full_pseudomode(RESERVOIR, 2, 3.0), build_full_pseudomode(RESERVOIR, 2, 3)
+    assert np.array_equal(h.data, ref.data) and h.labels == ref.labels
 
 
 def test_pseudomode_parity_defect_exactly_zero():
