@@ -95,9 +95,11 @@ class ChainState:
 
 
 def _normalize_parity(parity) -> int:
-    if parity not in (1, -1):
+    """parity as the int +1 or -1; a bool is not a parity, as it is not a
+    count (check_integer), and -1.0 is taken as the int -1."""
+    if isinstance(parity, (bool, np.bool_)) or parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity!r}")
-    return parity
+    return int(parity)
 
 
 @dataclass(frozen=True)

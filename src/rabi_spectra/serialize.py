@@ -17,8 +17,10 @@ empty cell) or records read by attribute, become columns through
 explicit ``Repeat(value, n)``; a sweep's block is one grid point, whose
 parameters repeat on every level row.
 
-``csv_text`` writes each block through one ``%``-template.  Every cell
-follows one rule, a table from the exact type of its value to its text:
+``write_csv`` writes the table to a stream or a path one block at a time,
+each block through one ``%``-template; ``csv_text`` is the same writer
+into a string.  Every cell follows one rule, a table from the exact type
+of its value to its text:
 a float is ``%.17g`` (the bytes of ``format(x, ".17g")``), an int ``%d``,
 a bool ``true`` or ``false``, None empty, and a str its quoted text.  Any
 other type (numpy scalars, subclasses) is ``fmt``'s text put through the
@@ -37,7 +39,9 @@ always quotes it.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import operator
@@ -166,7 +170,7 @@ def _template_part(column: Sequence, lone: bool) -> tuple[str, Sequence | None]:
 
 
 def _block_text(block: Sequence[Sequence], lone: bool) -> str:
-    """The CSV lines of one row block, without the last line break: the
+    """The CSV lines of one row block, each ending in a line break: the
     row template, once per row, filled by one % over every row's values."""
     parts, values = [], []
     for column in block:
@@ -174,16 +178,22 @@ def _block_text(block: Sequence[Sequence], lone: bool) -> str:
         parts.append(text)
         if cells is not None:
             values.append(cells)
-    rows = "\n".join([",".join(parts)] * len(block[0]))
+    rows = (",".join(parts) + "\n") * len(block[0])
     return rows % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
-def csv_text(
+def write_csv(
+    stream,
     fieldnames: Sequence[str],
     blocks: Iterable[Sequence[Sequence]],
     header: Mapping | None = None,
-) -> str:
-    """Build the full CSV document as a string.
+) -> None:
+    """Write the CSV document to stream, one row block at a time.
+
+    stream is a text stream, or a path, which is opened (and truncated)
+    only once every block has passed its checks: a malformed table raises
+    before anything is written.  Each block's lines are formatted just
+    before they are written, so the whole document is never held at once.
 
     blocks is the table as row blocks, in order; a plain table is one
     block.  A block holds one sequence of cells per field name, all of one
@@ -192,24 +202,35 @@ def csv_text(
     """
     if not fieldnames:
         raise ValueError("a CSV table needs at least one column")
-    lone = len(fieldnames) == 1
-    lines = []
-    if header is not None:
-        lines.append("# " + json.dumps(dict(header), sort_keys=True))
-    lines.append(",".join(_texts(fieldnames, lone)))
+    blocks = list(blocks)
     for block in blocks:
         if any(isinstance(c, (str, Mapping)) for c in block):
-            raise TypeError("csv_text takes blocks of columns; columns_of turns rows "
+            raise TypeError("write_csv takes blocks of columns; columns_of turns rows "
                             "into columns, and [columns] is a one-block table")
         if len(block) != len(fieldnames) or len({len(c) for c in block}) > 1:
             raise ValueError(
                 f"need {len(fieldnames)} columns of one length, got lengths "
                 f"{[len(c) for c in block]}"
             )
-        if len(block[0]):
-            lines.append(_block_text(block, lone))
-    lines.append("")
-    return "\n".join(lines)
+    lone = len(fieldnames) == 1
+    with (open(stream, "w", encoding="utf-8", newline="") if isinstance(stream, str)
+          else contextlib.nullcontext(stream)) as f:
+        if header is not None:
+            f.write("# " + json.dumps(dict(header), sort_keys=True) + "\n")
+        f.write(",".join(_texts(fieldnames, lone)) + "\n")
+        for block in blocks:
+            f.write(_block_text(block, lone))
+
+
+def csv_text(
+    fieldnames: Sequence[str],
+    blocks: Iterable[Sequence[Sequence]],
+    header: Mapping | None = None,
+) -> str:
+    """The full CSV document as a string: write_csv into a StringIO."""
+    text = io.StringIO()
+    write_csv(text, fieldnames, blocks, header)
+    return text.getvalue()
 
 
 def json_text(payload) -> str:

@@ -11,8 +11,10 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +159,58 @@ def test_spectrum_reports_design_failures_per_row():
     bad = [r for r in rows if r["error"]]
     assert len(bad) == 1
     assert bad[0]["g1"] == "0" and bad[0]["error"] == "DegenerateDesign"
+
+
+def _with_a_ragged_last_block(monkeypatch):
+    """cli's sweep, with a last row block whose error column is one cell
+    short: a table that fails the writer's checks after its good blocks."""
+    sweep = cli.spectrum_vs_g1
+
+    def ragged(*args):
+        fields = len(fockspace.SPECTRUM_FIELDS)
+        return SimpleNamespace(blocks=[*sweep(*args).blocks, [[0.5]] * (fields - 1) + [[]]])
+
+    monkeypatch.setattr(cli, "spectrum_vs_g1", ragged)
+
+
+def test_a_malformed_table_writes_no_csv(tmp_path, monkeypatch):
+    _with_a_ragged_last_block(monkeypatch)
+    argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", "0.5,0.9", "--n-blocks", "3"]
+    out = tmp_path / "spectrum.csv"
+    out.write_bytes(b"kept\n")
+    code, stdout, _ = run([*argv, "--out", str(out)])
+    assert code == 1
+    assert out.read_bytes() == b"kept\n"
+    assert json.loads(stdout)["error"] == "Value"
+    # on stdout the error record is the only text: no header or block before it
+    code, stdout, _ = run(argv)
+    assert code == 1
+    assert json.loads(stdout)["error"] == "Value"
+
+
+def test_out_in_a_missing_directory_is_one_error_record(tmp_path):
+    code, stdout, _ = run(["spectrum", *SPECTRUM_DESIGN, "--g1-grid", "0.5,0.9",
+                           "--n-blocks", "3", "--out", str(tmp_path / "missing" / "s.csv")])
+    assert code == 1
+    record = json.loads(stdout)
+    assert (record["error"], record["command"]) == ("FileNotFound", "spectrum")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_a_spectrum_written_to_out_never_holds_its_whole_document(tmp_path):
+    # the CSV is 2.36 MB; a writer that builds it as one str holds it twice
+    # over (the text and its encoding), while a block of it is 1/24 of that
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", *SPECTRUM_DESIGN, "--g1-grid", "0.05:1.2:0.05",
+            "--n-blocks", "100", "--out", str(out)]
+    assert main(argv) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
 
 
 def _perfbench_module(name):

@@ -633,6 +633,20 @@ def test_parity_must_be_plus_or_minus_one(parity):
         closed_block_index_groups(parity, 2)
 
 
+@pytest.mark.parametrize("parity", [True, False, 1.5, np.True_])
+def test_a_bool_or_a_fraction_is_not_a_parity(parity):
+    # True == 1, yet a bool is no more a parity than it is a count
+    with pytest.raises(ValueError, match=f"^parity must be \\+1 or -1, got {re.escape(repr(parity))}$"):
+        build_parity_chain(parity, 2)
+
+
+@pytest.mark.parametrize("parity", [-1.0, 1.0, np.int64(-1)])
+def test_an_integer_valued_parity_is_taken_as_an_int(parity):
+    chain = build_parity_chain(parity, 2)
+    assert type(chain.parity) is int and chain.parity == parity
+    assert chain == build_parity_chain(int(parity), 2)
+
+
 def test_closed_block_index_groups_layout():
     assert closed_block_index_groups(+1, 2) == [(0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10)]
     assert closed_block_index_groups(-1, 2) == [(0,), (1, 2, 3, 4), (5, 6, 7, 8)]

@@ -267,9 +267,16 @@ def test_parity_sectors_are_the_diagonal_blocks_of_the_full_matrix(n_max):
 
 def test_parity_sector_rejects_an_unknown_parity():
     p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
-    for bad in (0, 2):
-        with pytest.raises(ValueError):
+    for bad in (0, 2, True, False, 1.5):
+        with pytest.raises(ValueError, match="parity must be"):
             build_parity_sector(p, 6, bad)
+
+
+def test_parity_sector_takes_an_integer_valued_parity():
+    p = ModelParams(omega=1.0, delta1=0.8, delta2=1.7, g1=0.35, g2=0.6)
+    sector = build_parity_sector(p, 6, -1.0)
+    assert sector.labels == build_parity_sector(p, 6, -1).labels
+    np.testing.assert_array_equal(sector.data, build_parity_sector(p, 6, -1).data)
 
 
 def test_cross_sector_detector_reads_injected_term():

@@ -13,7 +13,7 @@ from rabi_spectra.cli import _SCAN_FIELDS
 from rabi_spectra.fockspace import SPECTRUM_FIELDS, spectrum_vs_g1
 from rabi_spectra.model import CoefficientMode
 from rabi_spectra.resonance import scan_delta1_window
-from rabi_spectra.serialize import Repeat, columns_of, csv_text, fmt, json_text
+from rabi_spectra.serialize import Repeat, columns_of, csv_text, fmt, json_text, write_csv
 
 from csvdoc import read_csv
 
@@ -271,6 +271,45 @@ def test_row_blocks_equal_the_csv_writer_reference(case, header):
     # the same rows as one block of plain columns
     assert csv_text(fieldnames, [columns_of(fieldnames, rows)], header) == csv_text(
         fieldnames, blocks, header)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CORPUS))
+@pytest.mark.parametrize("header", [None, {"command": "demo", "g": [0.5, -0.0]}])
+def test_write_csv_to_a_path_writes_the_bytes_of_csv_text(tmp_path, case, header):
+    fieldnames, blocks = BLOCK_CORPUS[case]
+    path = tmp_path / "table.csv"
+    write_csv(str(path), fieldnames, blocks, header)
+    assert path.read_bytes() == csv_text(fieldnames, blocks, header).encode("utf-8")
+
+
+class _Writes(list):
+    """A text stream that keeps each write apart."""
+
+    write = list.append
+
+
+def test_write_csv_writes_one_block_at_a_time():
+    fieldnames, blocks = BLOCK_CORPUS["failed-point blocks"]
+    writes = _Writes()
+    write_csv(writes, fieldnames, blocks, {"command": "demo"})
+    header, names, *texts = writes
+    assert (header, names) == ('# {"command": "demo"}\n', "g1,parity,level_index,energy,error\n")
+    assert texts == [csv_text(fieldnames, [block]).split("\n", 1)[1] for block in blocks]
+
+
+@pytest.mark.parametrize("blocks, error", [
+    ([[[1.0], ["a"]], [[2.0, 3.0], ["b"]]], ValueError),  # a ragged last block
+    ([[[1.0], ["a"]], [{"a": 1}, {"a": 2}]], TypeError),  # rows after a block
+])
+def test_a_table_that_fails_a_check_writes_nothing(tmp_path, blocks, error):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"kept\n")
+    stream = io.StringIO()
+    for target in (str(path), stream):
+        with pytest.raises(error):
+            write_csv(target, ("a", "b"), blocks, {"command": "demo"})
+    assert path.read_bytes() == b"kept\n"
+    assert stream.getvalue() == ""
 
 
 def test_negative_zero_below_the_same_zero_object_keeps_its_sign():

@@ -7,9 +7,11 @@ checkout BASE and in the checkout CHANGE, alternately, N pairs; the side
 that runs first flips from one pair to the next.  Prints each run's
 wall_s, setup_s and peak_rss_mb, each pair's ratio CHANGE / BASE, and for
 each metric the wins of each side (lower is better; a tie counts for
-neither) with each side's median and quartiles.  Exits 1 when a run is
-not ``correct`` (its output failed the benchmark's checks), after all
-pairs have run.
+neither) with each side's median and quartiles, and whether the metric
+meets the claim rule: the change wins at least 9 of 10 pairs, and the gap
+between the medians is larger than the base's q3 - q1.  Exits 1 when a
+run is not ``correct`` (its output failed the benchmark's checks), after
+all pairs have run.
 
 Uses the standard library only and imports nothing from either checkout.
 """
@@ -44,18 +46,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def wins_needed(pairs: int) -> int:
+    """The fewest pairs the change must win to claim a gain: 9 of 10."""
+    return -(-9 * pairs // 10)
+
+
 def summarize(base: list[float], change: list[float]) -> dict:
     """The paired summary of one lower-is-better metric: each pair's ratio
     change / base, the pairs each side wins (a tie counts for neither),
-    and each side's (q1, median, q3)."""
+    each side's (q1, median, q3), the gap base median - change median, the
+    base's spread q3 - q1, and whether the change meets the claim rule
+    (wins_needed pairs won, and a gap larger than the spread)."""
     if len(base) != len(change) or not base:
         raise ValueError(f"need one change run per base run, got {len(base)} and {len(change)}")
+    change_wins = sum(c < b for b, c in zip(base, change))
+    (q1, base_median, q3), change_q = quartiles(base), quartiles(change)
+    gap, spread = base_median - change_q[1], q3 - q1
     return {
         "ratios": [c / b for b, c in zip(base, change)],
-        "change_wins": sum(c < b for b, c in zip(base, change)),
+        "change_wins": change_wins,
         "base_wins": sum(b < c for b, c in zip(base, change)),
-        "base": quartiles(base),
-        "change": quartiles(change),
+        "base": (q1, base_median, q3),
+        "change": change_q,
+        "gap": gap,
+        "spread": spread,
+        "claim": change_wins >= wins_needed(len(base)) and gap > spread,
     }
 
 
@@ -97,6 +112,9 @@ def main(argv: list[str] | None = None, run=run_once) -> int:
         for side in ("base", "change"):
             q1, median, q3 = s[side]
             print(f"  {side:6s} median {median:.6g} (q1 {q1:.6g}, q3 {q3:.6g})")
+        print(f"  claim {'met' if s['claim'] else 'not met'}: change wins "
+              f"{s['change_wins']}/{args.pairs} (needs {wins_needed(args.pairs)}); "
+              f"median gap {s['gap']:.6g} vs base q3 - q1 {s['spread']:.6g}")
     if not correct:
         print("a run was not correct", file=sys.stderr)
     return 0 if correct else 1
