@@ -20,14 +20,14 @@ parameters repeat on every level row.
 ``write_csv`` writes the table to a stream or a path one block at a time,
 each block through one ``%``-template; ``csv_text`` is the same writer
 into a string.  Every cell follows one rule, a table from the exact type
-of its value to its text:
-a float is ``%.17g`` (the bytes of ``format(x, ".17g")``), an int ``%d``,
-a bool ``true`` or ``false``, None empty, and a str its quoted text.  Any
-other type (numpy scalars, subclasses) is ``fmt``'s text put through the
-quoting rule, which leaves a number's text as it is.  A shared cell is
-literal text in the template; a column of exact floats, of exact ints or
-of strings that need no quoting is filled by ``%.17g``, ``%d`` or ``%s``,
-and any other column by the texts the rule gives its cells.
+of its value to its text: a float is ``%.17g`` (the bytes of
+``format(x, ".17g")``), an int ``%d``, a bool ``true`` or ``false``, None
+empty, and a str its quoted text.  Any other type (numpy scalars,
+subclasses) is ``fmt``'s text put through the quoting rule, which leaves
+a number's text as it is.  A shared cell is literal text in the template;
+a column of exact floats, of exact ints or of strings that need no
+quoting is filled by ``%.17g``, ``%d`` or ``%s``, and any other column by
+the texts the rule gives its cells.
 
 The writer owns its quoting rule instead of leaving it to ``csv.writer``:
 a str is quoted, with ``"`` doubled, when it contains ``,``, ``"``,

@@ -625,19 +625,13 @@ def test_block_level_count_is_the_size_of_the_tiling(parity, n_blocks):
     assert [i for g in groups for i in g] == list(range(count))
 
 
-@pytest.mark.parametrize("parity", ["+", "-", 0, 2])
+# True == 1, yet a bool is no more a parity than it is a count
+@pytest.mark.parametrize("parity", ["+", "-", 0, 2, True, False, 1.5, np.True_])
 def test_parity_must_be_plus_or_minus_one(parity):
     with pytest.raises(ValueError, match="parity must be"):
         build_parity_chain(parity, 2)
     with pytest.raises(ValueError, match="parity must be"):
         closed_block_index_groups(parity, 2)
-
-
-@pytest.mark.parametrize("parity", [True, False, 1.5, np.True_])
-def test_a_bool_or_a_fraction_is_not_a_parity(parity):
-    # True == 1, yet a bool is no more a parity than it is a count
-    with pytest.raises(ValueError, match=f"^parity must be \\+1 or -1, got {re.escape(repr(parity))}$"):
-        build_parity_chain(parity, 2)
 
 
 @pytest.mark.parametrize("parity", [-1.0, 1.0, np.int64(-1)])
