@@ -474,6 +474,18 @@ def test_level_commands_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pi
     _assert_reproduces(pin, tmp_path, monkeypatch)
 
 
+# the documents the CLI writes besides tables: validate's report on a valid
+# and an invalid set, the error records of a validation failure, of a
+# numerical failure (exit 2), of a missing --config and of --out into a
+# missing directory, design as JSON on stdout and lambda as JSON in --out
+DOCUMENT_PINS = _pins("document_cli.json")
+
+
+@pytest.mark.parametrize("pin", DOCUMENT_PINS, ids=lambda pin: pin["name"])
+def test_documents_reproduce_their_recorded_bytes(tmp_path, monkeypatch, pin):
+    _assert_reproduces(pin, tmp_path, monkeypatch)
+
+
 def _assert_hashes_to(pin, tmp_path, monkeypatch):
     """stdout of pin["argv"], run in an empty working directory, has the
     recorded length and SHA-256, with the recorded exit code and no file."""
