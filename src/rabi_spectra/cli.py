@@ -12,8 +12,10 @@ reports for the same settings and switches.
 
 Tables are emitted as CSV (with a '#'-prefixed JSON header record) or as a
 JSON object; either way the bytes are deterministic for a given version and
-parameter set.  Each sweep command makes one library call over its whole
-grid: spectrum one spectrum_vs_g1, scan-window one window scan.
+parameter set.  serialize writes every document (tables, reports and
+error records) to --out or stdout; it opens --out, and encodes JSON
+straight into its stream.  Each sweep command makes one library call over
+its whole grid: spectrum one spectrum_vs_g1, scan-window one window scan.
 
 Each command imports the modules it runs when it runs: oracle-compare
 loads oracle, and the reservoir-* commands (and their settings checks) load
@@ -71,7 +73,7 @@ from .resonance import (
 )
 # csv_text is bound here but not called: perfbench's tracer patches it in
 # every module that binds it, and its self-test checks the patch is undone
-from .serialize import columns_of, csv_text, json_text, write_csv, write_text  # noqa: F401
+from .serialize import checked_blocks, columns_of, csv_text, write_csv, write_json  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -299,28 +301,22 @@ def _merge_settings(args, command: str) -> dict:
     return settings
 
 
-def _write(args, text: str) -> int:
-    out = getattr(args, "out", None)
-    if out:
-        write_text(out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _emit(args, fieldnames, blocks, header) -> int:
     """Write a table given as row blocks, each one sequence of cells per
-    field name (serialize.write_csv, which streams CSV block by block to
-    --out or stdout); JSON rows are the {field: cell} dicts of its rows,
-    block after block."""
+    field name, to --out or stdout once every block has passed
+    serialize.checked_blocks: as CSV (serialize.write_csv, block by block),
+    or as JSON whose rows are the {field: cell} dicts of its rows, block
+    after block (serialize.write_json)."""
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = "json" if (out or "").endswith(".json") else "csv"
     if fmt == "json":
-        rows = [dict(zip(fieldnames, cells)) for block in blocks for cells in zip(*block)]
-        return _write(args, json_text({"header": dict(header), "rows": rows}))
-    write_csv(out or sys.stdout, fieldnames, blocks, header)
+        rows = [dict(zip(fieldnames, cells))
+                for block in checked_blocks(fieldnames, blocks) for cells in zip(*block)]
+        write_json(out or sys.stdout, {"header": dict(header), "rows": rows})
+    else:
+        write_csv(out or sys.stdout, fieldnames, blocks, header)
     return EXIT_OK
 
 
@@ -331,7 +327,7 @@ def _fail(command: str, exc: Exception, params: dict, code: int) -> int:
         "command": command,
         "params": params,
     }
-    sys.stdout.write(json_text(record))
+    write_json(sys.stdout, record)
     return code
 
 
@@ -458,7 +454,8 @@ def cmd_reservoir_quasi(args, settings: dict, values: dict) -> int:
         payload["subspace"] = report.to_dict()
     if values["window"]:
         payload["window"] = verify_eq24(r, k_value=values["k_value"]).to_dict()
-    return _write(args, json_text(payload))
+    write_json(args.out or sys.stdout, payload)
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -468,12 +465,12 @@ def cmd_validate(args) -> int:
     except (ValueError, OSError) as exc:
         return _fail("validate", exc, {"for": command}, EXIT_VALIDATION)
     violations = validate_settings(command, settings, _switches(args, command))
-    sys.stdout.write(json_text({
+    write_json(sys.stdout, {
         "command": command,
         "settings": settings,
         "violations": violations,
         "valid": not violations,
-    }))
+    })
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 

@@ -5,9 +5,9 @@ Two formats, both reproducible byte for byte on every platform:
 * CSV: comma separated, UTF-8, LF line endings.  Floats are printed with
   ``%.17g`` so any double round-trips exactly.  An optional header record
   is written first as a ``#``-prefixed JSON object with sorted keys.
-* JSON: ``json.dump`` with ``indent=2, sort_keys=True``.  Floats go
-  through Python's repr, the shortest string that round-trips, which is
-  deterministic for a given value.
+* JSON: ``json.dump`` with ``indent=2, sort_keys=True``, then a line
+  break.  Floats go through Python's repr, the shortest string that
+  round-trips, which is deterministic for a given value.
 
 A CSV table is given as a sequence of row blocks, and a block as columns:
 one sequence of cells per field, all of the block's length.  A plain row
@@ -17,12 +17,18 @@ empty cell) or records read by attribute, become columns through
 explicit ``Repeat(value, n)``; a sweep's block is one grid point, whose
 parameters repeat on every level row.
 
-``write_csv`` writes the table to a stream or a path one block at a time,
-each block through one ``%``-template; ``csv_text`` is the same writer
-into a string.  Every cell follows one rule, a table from the exact type
-of its value to its text: a float is ``%.17g`` (the bytes of
-``format(x, ".17g")``), an int ``%d``, a bool ``true`` or ``false``, None
-empty, and a str its quoted text.  Any other type (numpy scalars,
+This module writes every document the CLI prints, to a text stream or to
+a path, which it opens itself: the one place ``--out`` is opened.
+``write_csv`` writes a table one block at a time, each block through one
+``%``-template, once ``checked_blocks`` has passed every block;
+``write_json`` encodes a payload straight into its stream.  So no
+document's text is held whole; ``csv_text`` and ``json_text`` are the
+same writers into a string.
+
+Every cell follows one rule, a table from the exact type of its value to
+its text: a float is ``%.17g`` (the bytes of ``format(x, ".17g")``), an
+int ``%d``, a bool ``true`` or ``false``, None empty, and a str its
+quoted text.  Any other type (numpy scalars,
 subclasses) is ``fmt``'s text put through the quoting rule, which leaves
 a number's text as it is.  A shared cell is literal text in the template;
 a column of exact floats, of exact ints or of strings that need no
@@ -182,18 +188,9 @@ def _block_text(block: Sequence[Sequence], lone: bool) -> str:
     return rows % tuple(itertools.chain.from_iterable(zip(*values)))
 
 
-def write_csv(
-    stream,
-    fieldnames: Sequence[str],
-    blocks: Iterable[Sequence[Sequence]],
-    header: Mapping | None = None,
-) -> None:
-    """Write the CSV document to stream, one row block at a time.
-
-    stream is a text stream, or a path, which is opened (and truncated)
-    only once every block has passed its checks: a malformed table raises
-    before anything is written.  Each block's lines are formatted just
-    before they are written, so the whole document is never held at once.
+def checked_blocks(fieldnames: Sequence[str],
+                   blocks: Iterable[Sequence[Sequence]]) -> list[Sequence[Sequence]]:
+    """blocks as a list, once each has passed the table checks.
 
     blocks is the table as row blocks, in order; a plain table is one
     block.  A block holds one sequence of cells per field name, all of one
@@ -201,20 +198,44 @@ def write_csv(
     shared cell is a Repeat.
     """
     if not fieldnames:
-        raise ValueError("a CSV table needs at least one column")
+        raise ValueError("a table needs at least one column")
     blocks = list(blocks)
     for block in blocks:
         if any(isinstance(c, (str, Mapping)) for c in block):
-            raise TypeError("write_csv takes blocks of columns; columns_of turns rows "
+            raise TypeError("a table is blocks of columns; columns_of turns rows "
                             "into columns, and [columns] is a one-block table")
         if len(block) != len(fieldnames) or len({len(c) for c in block}) > 1:
             raise ValueError(
                 f"need {len(fieldnames)} columns of one length, got lengths "
                 f"{[len(c) for c in block]}"
             )
+    return blocks
+
+
+def _opened(stream):
+    """stream, or the file at the path stream opened (and truncated)."""
+    if isinstance(stream, str):
+        return open(stream, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(stream)
+
+
+def write_csv(
+    stream,
+    fieldnames: Sequence[str],
+    blocks: Iterable[Sequence[Sequence]],
+    header: Mapping | None = None,
+) -> None:
+    """Write the CSV document of the table blocks (see checked_blocks) to
+    stream, one row block at a time.
+
+    stream is a text stream, or a path, which is opened only once every
+    block has passed its checks: a malformed table raises before anything
+    is written.  Each block's lines are formatted just before they are
+    written, so the whole document is never held at once.
+    """
+    blocks = checked_blocks(fieldnames, blocks)
     lone = len(fieldnames) == 1
-    with (open(stream, "w", encoding="utf-8", newline="") if isinstance(stream, str)
-          else contextlib.nullcontext(stream)) as f:
+    with _opened(stream) as f:
         if header is not None:
             f.write("# " + json.dumps(dict(header), sort_keys=True) + "\n")
         f.write(",".join(_texts(fieldnames, lone)) + "\n")
@@ -233,11 +254,22 @@ def csv_text(
     return text.getvalue()
 
 
+def write_json(stream, payload) -> None:
+    """Write payload as a JSON document to stream, a text stream or a path
+    (opened and truncated first), encoded straight into it."""
+    with _opened(stream) as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON document as a string: write_json into a StringIO."""
+    text = io.StringIO()
+    write_json(text, payload)
+    return text.getvalue()
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with _opened(path) as f:
         f.write(text)
 
